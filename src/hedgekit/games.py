@@ -14,6 +14,7 @@ final measurement.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -119,6 +120,12 @@ class OutcomeOperators:
     outcome_keys: tuple = ()
 
     def __post_init__(self):
+        self._validate()
+
+    def _validate(self, outcome_min_eigenvalues=None):
+        """Structure, PSD and consistency checks.  The smallest outcome
+        eigenvalues are computed here unless the caller derived them
+        exactly (see :func:`parallel_game`)."""
         r = self.rounds
         if r < 1:
             raise ValidationError("rounds must be >= 1")
@@ -135,10 +142,14 @@ class OutcomeOperators:
             raise SpaceError("round label groups must partition the game space")
         if sorted(self.rho.spaces.labels) != sorted(self.x_rounds[0]):
             raise SpaceError("rho must live on the first-round question space")
-        for p in self.outcomes:
+        for k, p in enumerate(self.outcomes):
             if sorted(p.spaces.labels) != sorted(self.spaces.labels):
                 raise SpaceError("outcome operator labels must match the game space")
-            if min_eigenvalue(p) < -CONSISTENCY_TOL:
+            if outcome_min_eigenvalues is None:
+                lo = min_eigenvalue(p)
+            else:
+                lo = outcome_min_eigenvalues[k]
+            if lo < -CONSISTENCY_TOL:
                 raise ValidationError("outcome operator is not PSD")
         self._check_consistency()
 
@@ -302,6 +313,8 @@ def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
 
     Outcomes are indexed by tuples of single-copy outcome keys; the
     operator for a tuple is the tensor word of the per-copy operators.
+    The words are checked PSD through their spectra, which are the
+    products of the per-copy spectra, not by an eigensolve each.
     """
     if n < 1:
         raise ValidationError("repetition count must be >= 1")
@@ -327,6 +340,7 @@ def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
             word = kron(word, copies[m]["outcomes"][idx[m]])
         ops.append(word)
         keys.append(tuple(g.outcome_keys[i] for i in idx))
+    word_min_eigenvalues = _word_min_eigenvalues(g, n)
     rho = copies[0]["rho"]
     for m in range(1, n):
         rho = kron(rho, copies[m]["rho"])
@@ -346,16 +360,35 @@ def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
         tuple(rep_label(l, m) for m in range(1, n + 1) for l in grp)
         for grp in g.y_rounds
     )
-    return OutcomeOperators(
-        rounds=g.rounds,
-        spaces=spaces,
-        x_rounds=x_rounds,
-        y_rounds=y_rounds,
-        outcomes=tuple(ops),
-        rho=rho,
-        r_blocks=tuple(r_blocks),
-        outcome_keys=tuple(keys),
-    )
+    game = object.__new__(OutcomeOperators)
+    fields = {
+        "rounds": g.rounds,
+        "spaces": spaces,
+        "x_rounds": x_rounds,
+        "y_rounds": y_rounds,
+        "outcomes": tuple(ops),
+        "rho": rho,
+        "r_blocks": tuple(r_blocks),
+        "outcome_keys": tuple(keys),
+    }
+    for f in dataclasses.fields(OutcomeOperators):
+        object.__setattr__(game, f.name, fields[f.name])
+    game._validate(word_min_eigenvalues)
+    return game
+
+
+def _word_min_eigenvalues(g: OutcomeOperators, n: int) -> list:
+    """Smallest eigenvalue of every n-fold outcome word, in
+    :func:`parallel_game` order: the spectrum of ``A (x) B`` is the set of
+    products ``a_i b_j``."""
+    spectra = [np.linalg.eigvalsh(p.entries) for p in g.outcomes]
+    out = []
+    for idx in itertools.product(range(g.outcome_count), repeat=n):
+        s = spectra[idx[0]]
+        for i in idx[1:]:
+            s = np.multiply.outer(s, spectra[i]).reshape(-1)
+        out.append(float(s.min()))
+    return out
 
 
 def group_outcomes(g: OutcomeOperators, winning) -> OutcomeOperators:

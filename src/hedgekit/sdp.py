@@ -10,6 +10,10 @@ and its dual minimizes ``Tr(Y)`` over a chain of operator inequalities.
 Both are compiled to one scalarized standard form: every partial-trace
 equality is expanded against an orthonormal Hermitian basis of the
 constrained space, giving ``dim^2`` scalar equations per chain link.
+The equations are held as a :class:`~hedgekit.solver.ConstraintMap`: on
+the last chain block link ``j`` acts as ``I_{Y_j} (x) H_k`` up to a
+fixed factor permutation, so the solver never forms the ``d x d``
+operator of a row.
 """
 from __future__ import annotations
 
@@ -39,6 +43,21 @@ WEAK_DUALITY_SLACK = 1e-7
 # -- scalarization machinery -----------------------------------------------------
 
 
+def _basis_stack(dim: int) -> np.ndarray:
+    """:func:`hermitian_basis` as one ``(dim^2, dim, dim)`` array."""
+    out = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    diag = np.arange(dim)
+    out[diag, diag, diag] = 1.0
+    rows, cols = np.triu_indices(dim, 1)
+    sym = dim + 2 * np.arange(len(rows))
+    inv = 1.0 / math.sqrt(2.0)
+    out[sym, rows, cols] = inv
+    out[sym, cols, rows] = inv
+    out[sym + 1, rows, cols] = -1j * inv
+    out[sym + 1, cols, rows] = 1j * inv
+    return out
+
+
 def hermitian_basis(dim: int):
     """Orthonormal basis of the Hermitian matrices of a given dimension.
 
@@ -46,21 +65,7 @@ def hermitian_basis(dim: int):
     in row-major order.  Deterministic, so scalarized constraints can be
     mapped back to operator form.
     """
-    for i in range(dim):
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[i, i] = 1.0
-        yield mat
-    inv = 1.0 / math.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            mat = np.zeros((dim, dim), dtype=np.complex128)
-            mat[i, j] = inv
-            mat[j, i] = inv
-            yield mat
-            mat = np.zeros((dim, dim), dtype=np.complex128)
-            mat[i, j] = -1j * inv
-            mat[j, i] = 1j * inv
-            yield mat
+    yield from _basis_stack(dim)
 
 
 def operator_from_coefficients(coeffs, spaces: SpaceList) -> HermitianOperator:
@@ -94,20 +99,43 @@ class ConstraintFamily:
     count: int
 
 
-@dataclass(frozen=True)
 class SdpProblem:
-    blocks: tuple
-    objective: dict
-    constraints: tuple
-    sense: str = "max"
-    offset: float = 0.0
-    primal_start: dict | None = None
-    dual_start: np.ndarray | None = None
-    families: tuple = ()
+    """A standard-form Hermitian SDP over the PSD blocks ``blocks``:
 
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise ValidationError(f"sense must be 'max' or 'min', got {self.sense!r}")
+        maximize (``sense="max"``) or minimize ``sum_b <objective_b, X_b> + offset``
+        subject to ``sum_b <F_ib, X_b> = b_i`` and ``X_b >= 0``.
+
+    The equalities are held once, as :attr:`constraint_map`.  Hand-built
+    problems give them as a tuple of :class:`ScalarConstraint`, which is
+    mapped with pad dimension 1 and no permutation; compilers pass the
+    map, and :attr:`constraints` is then expanded from it on first
+    access only.
+    """
+
+    def __init__(
+        self,
+        blocks,
+        objective,
+        constraints=None,
+        sense="max",
+        offset=0.0,
+        primal_start=None,
+        dual_start=None,
+        families=(),
+        *,
+        constraint_map=None,
+    ):
+        if (constraints is None) == (constraint_map is None):
+            raise ValidationError("give exactly one of constraints and constraint_map")
+        if sense not in ("max", "min"):
+            raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
+        self.blocks = tuple(blocks)
+        self.objective = objective
+        self.sense = sense
+        self.offset = offset
+        self.primal_start = primal_start
+        self.dual_start = dual_start
+        self.families = tuple(families)
         names = [name for name, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate block names")
@@ -117,14 +145,36 @@ class SdpProblem:
                 raise ValidationError(f"objective references unknown block {name!r}")
             if op.spaces != spaces[name]:
                 raise SpaceError(f"objective block {name!r} has mismatched spaces")
-        for k, con in enumerate(self.constraints):
-            if not np.isfinite(con.rhs):
-                raise ValidationError(f"constraint {k} has non-finite rhs")
-            for name, op in con.coeffs.items():
-                if name not in spaces:
-                    raise ValidationError(f"constraint {k} references unknown block {name!r}")
-                if op.spaces != spaces[name]:
-                    raise SpaceError(f"constraint {k} block {name!r} has mismatched spaces")
+        if constraints is not None:
+            constraints = tuple(constraints)
+            for k, con in enumerate(constraints):
+                if not np.isfinite(con.rhs):
+                    raise ValidationError(f"constraint {k} has non-finite rhs")
+                for name, op in con.coeffs.items():
+                    if name not in spaces:
+                        raise ValidationError(
+                            f"constraint {k} references unknown block {name!r}"
+                        )
+                    if op.spaces != spaces[name]:
+                        raise SpaceError(
+                            f"constraint {k} block {name!r} has mismatched spaces"
+                        )
+            constraint_map = _map_from_constraints(self.blocks, constraints)
+        else:
+            if [bm.dim for bm in constraint_map.blocks] != [sp.dim for _, sp in self.blocks]:
+                raise SpaceError("constraint map blocks do not match the problem blocks")
+            bad = np.flatnonzero(~np.isfinite(constraint_map.b))
+            if bad.size:
+                raise ValidationError(f"constraint {bad[0]} has non-finite rhs")
+        self.constraint_map = constraint_map
+        self._constraints = constraints
+
+    @property
+    def constraints(self) -> tuple:
+        """The equalities as :class:`ScalarConstraint` rows (expanded lazily)."""
+        if self._constraints is None:
+            self._constraints = _constraints_from_map(self.blocks, self.constraint_map)
+        return self._constraints
 
     @property
     def block_names(self):
@@ -132,6 +182,27 @@ class SdpProblem:
 
     def block_space(self, name: str) -> SpaceList:
         return dict(self.blocks)[name]
+
+
+def _map_from_constraints(blocks, constraints) -> _solver.ConstraintMap:
+    """Each block's rows span the constraints that reference it."""
+    maps = []
+    for name, sp in blocks:
+        rows = [i for i, con in enumerate(constraints) if name in con.coeffs]
+        start, stop = (rows[0], rows[-1] + 1) if rows else (0, 0)
+        G = np.zeros((stop - start, sp.dim, sp.dim), dtype=np.complex128)
+        for i in rows:
+            G[i - start] = constraints[i].coeffs[name].entries
+        maps.append(_solver.BlockMap(start, stop, G))
+    return _solver.ConstraintMap(maps, [con.rhs for con in constraints])
+
+
+def _constraints_from_map(blocks, cmap: _solver.ConstraintMap) -> tuple:
+    rows = [{} for _ in range(cmap.m)]
+    for (name, sp), bm in zip(blocks, cmap.blocks):
+        for k, f in enumerate(bm.expand()):
+            rows[bm.start + k][name] = HermitianOperator._wrap(sp, f)
+    return tuple(ScalarConstraint(coeffs, float(rhs)) for coeffs, rhs in zip(rows, cmap.b))
 
 
 @dataclass(frozen=True)
@@ -220,46 +291,65 @@ def compile_primal(g: OutcomeOperators, objective: HermitianOperator) -> SdpProb
 
     One PSD block per chain level; the partial-trace chain becomes
     ``dim(W_j)^2`` scalar equalities per level ``j`` against an
-    orthonormal Hermitian basis of the constrained space ``W_j``.
+    orthonormal Hermitian basis ``H_k`` of the constrained space ``W_j``.
+    On block ``X_j`` they read ``<I_{Y_j} (x) H_k, X_j>``; for ``j > 1``
+    they also carry ``-<Tr_{X_j}(H_k), X_{j-1}>``.  The last block keeps
+    the Kronecker form (pad ``dim Y_r``); earlier blocks, which carry
+    two links, hold their rows expanded (pad 1).
     """
     _check_objective(g, objective)
     r = g.rounds
     blocks = tuple((_block_name(g, j), _block_space(g, j)) for j in range(1, r + 1))
-    spaces = dict(blocks)
-    constraints = []
     families = []
+    offset = 0
     for j in range(1, r + 1):
         w = _family_space(g, j)
-        id_y = identity(g.spaces.restrict(g.y_rounds[j - 1]))
-        offset = len(constraints)
-        for h in hermitian_basis(w.dim):
-            hop = HermitianOperator(w, h)
-            lifted = align(kron(hop, id_y), spaces[_block_name(g, j)])
-            coeffs = {_block_name(g, j): lifted}
-            if j > 1:
-                reduced = partial_trace(hop, set(g.x_rounds[j - 1]))
-                coeffs[_block_name(g, j - 1)] = reduced * -1.0
-                rhs = 0.0
-            else:
-                rhs = float(np.trace(h).real)
-            constraints.append(ScalarConstraint(coeffs, rhs))
         families.append(ConstraintFamily(f"Y{j}" if j > 1 else "Y", w, offset, w.dim**2))
+        offset += w.dim**2
+    bases = [_basis_stack(fam.spaces.dim) for fam in families]
+    maps = []
+    for j, (fam, basis) in enumerate(zip(families, bases), start=1):
+        link = _chain_link_map(g, j, fam, basis)
+        if j < r:
+            nxt = families[j]
+            d = blocks[j - 1][1].dim
+            x = g.spaces.restrict(g.x_rounds[j]).dim
+            coupling = -np.trace(bases[j].reshape(-1, d, x, d, x), axis1=2, axis2=4)
+            link = _solver.BlockMap(
+                fam.offset, nxt.offset + nxt.count, np.concatenate([link.expand(), coupling])
+            )
+        maps.append(link)
+    b = np.zeros(offset)
+    b[: families[0].count] = np.trace(bases[0], axis1=1, axis2=2).real
     primal_point, dual_chain = slater_points(g, objective)
     dual_start = np.concatenate(
         [
-            [inner(HermitianOperator(fam.spaces, h), yop) for h in hermitian_basis(fam.spaces.dim)]
-            for fam, yop in zip(families, dual_chain)
+            (basis.reshape(len(basis), -1) @ yop.entries.T.reshape(-1)).real
+            for basis, yop in zip(bases, dual_chain)
         ]
     )
     return SdpProblem(
         blocks=blocks,
-        objective={_block_name(g, r): align(objective, spaces[_block_name(g, r)])},
-        constraints=tuple(constraints),
+        objective={_block_name(g, r): align(objective, dict(blocks)[_block_name(g, r)])},
+        constraint_map=_solver.ConstraintMap(maps, b),
         sense="max",
         primal_start=primal_point,
         dual_start=dual_start,
         families=tuple(families),
     )
+
+
+def _chain_link_map(g: OutcomeOperators, j: int, fam: ConstraintFamily, basis):
+    """Link ``j``'s rows on block ``X_j``: ``P (I_{Y_j} (x) H_k) P^T``, where
+    ``P`` moves the factors from ``Y_j, W_j`` order to the block's."""
+    block = _block_space(g, j)
+    natural = tuple(g.y_rounds[j - 1]) + fam.spaces.labels
+    perm = None
+    if natural != block.labels:
+        axes = [block.position(label) for label in natural]
+        perm = np.arange(block.dim).reshape(block.dims).transpose(axes).reshape(-1)
+    pad = g.spaces.restrict(g.y_rounds[j - 1]).dim
+    return _solver.BlockMap(fam.offset, fam.offset + fam.count, basis, pad=pad, perm=perm)
 
 
 def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProblem:
@@ -374,28 +464,18 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
         raise ValidationError("max_iter must be positive")
     names = problem.block_names
     spaces = dict(problem.blocks)
-    dims = [spaces[n].dim for n in names]
     sign = -1.0 if problem.sense == "min" else 1.0
     c_blocks = []
     for n in names:
         op = problem.objective.get(n)
         mat = np.zeros((spaces[n].dim,) * 2, dtype=np.complex128) if op is None else op.entries
         c_blocks.append(sign * mat)
-    m = len(problem.constraints)
-    f_blocks = [np.zeros((m, d, d), dtype=np.complex128) for d in dims]
-    b = np.zeros(m)
-    for i, con in enumerate(problem.constraints):
-        b[i] = con.rhs
-        for k, n in enumerate(names):
-            op = con.coeffs.get(n)
-            if op is not None:
-                f_blocks[k][i] = op.entries
     x_start = None
     if problem.primal_start is not None:
         x_start = [problem.primal_start[n].entries for n in names]
     y_start = problem.dual_start if sign > 0 else None
     raw = _solver.interior_point(
-        dims, c_blocks, f_blocks, b, tol=tol, max_iter=max_iter,
+        c_blocks, problem.constraint_map, tol=tol, max_iter=max_iter,
         x_start=x_start, y_start=y_start,
     )
     primal_blocks = {
@@ -405,8 +485,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     dval = sign * raw["dual_value"] + problem.offset
     mults = tuple(float(sign * v) for v in raw["y"])
     status = raw["status"]
-    if status == _solver.STATUS_OPTIMAL:
-        status = _verify_optimal(problem, primal_blocks, raw, tol) or status
+    # re-verify the optimal-status contract; downgrade on violation
+    if status == _solver.STATUS_OPTIMAL and _primal_violation(
+        problem, [primal_blocks[n] for n in names]
+    ):
+        status = _solver.STATUS_NUMERICAL
     return SolveReport(
         status=status,
         primal_value=pval,
@@ -419,15 +502,19 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     )
 
 
-def _verify_optimal(problem, primal_blocks, raw, tol):
-    """Re-verify the optimal-status contract; downgrade on violation."""
-    for n, op in primal_blocks.items():
-        if min_eigenvalue(op) < -FEASIBILITY_TOL:
-            return _solver.STATUS_NUMERICAL
-    for k, con in enumerate(problem.constraints):
-        val = sum(inner(op, primal_blocks[n]) for n, op in con.coeffs.items())
-        if abs(val - con.rhs) > FEASIBILITY_TOL * max(1.0, abs(con.rhs)):
-            return _solver.STATUS_NUMERICAL
+def _primal_violation(problem: SdpProblem, x_blocks) -> str | None:
+    """Why block operators (in problem block order, aligned) are not
+    primal feasible beyond ``FEASIBILITY_TOL``, or None when they are."""
+    for n, x in zip(problem.block_names, x_blocks):
+        lo = min_eigenvalue(x)
+        if lo < -FEASIBILITY_TOL:
+            return f"primal block {n!r} is not PSD: min eigenvalue {lo:.3e}"
+    cmap = problem.constraint_map
+    resid = np.abs(cmap.apply([x.entries for x in x_blocks]) - cmap.b)
+    bad = np.flatnonzero(resid > FEASIBILITY_TOL * np.maximum(1.0, np.abs(cmap.b)))
+    if bad.size:
+        k = int(bad[0])
+        return f"primal point violates constraint {k}: residual {resid[k]:.3e}"
     return None
 
 
@@ -445,32 +532,20 @@ def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multiplier
     for n in problem.block_names:
         if n not in primal_blocks:
             raise ValidationError(f"primal point is missing block {n!r}")
-        lo = min_eigenvalue(align(primal_blocks[n], spaces[n]))
-        if lo < -FEASIBILITY_TOL:
-            raise ValidationError(
-                f"primal block {n!r} is not PSD: min eigenvalue {lo:.3e}"
-            )
-    for k, con in enumerate(problem.constraints):
-        val = sum(inner(op, primal_blocks[n]) for n, op in con.coeffs.items())
-        resid = abs(val - con.rhs)
-        if resid > FEASIBILITY_TOL * max(1.0, abs(con.rhs)):
-            raise ValidationError(
-                f"primal point violates constraint {k}: residual {resid:.3e}"
-            )
+    violation = _primal_violation(
+        problem, [align(primal_blocks[n], spaces[n]) for n in problem.block_names]
+    )
+    if violation:
+        raise ValidationError(violation)
+    cmap = problem.constraint_map
     y = np.asarray(dual_multipliers, dtype=float)
-    if y.shape != (len(problem.constraints),):
+    if y.shape != (cmap.m,):
         raise ValidationError("dual multiplier count does not match the constraints")
     sign = -1.0 if problem.sense == "min" else 1.0
-    for n in problem.block_names:
-        d = spaces[n].dim
-        slack = np.zeros((d, d), dtype=np.complex128)
-        for i, con in enumerate(problem.constraints):
-            op = con.coeffs.get(n)
-            if op is not None:
-                slack += sign * y[i] * op.entries
+    for n, slack in zip(problem.block_names, cmap.adjoint(sign * y)):
         cop = problem.objective.get(n)
         if cop is not None:
-            slack -= sign * cop.entries
+            slack = slack - sign * cop.entries
         lo = float(np.linalg.eigvalsh((slack + slack.conj().T) / 2)[0])
         if lo < -FEASIBILITY_TOL:
             raise ValidationError(
@@ -480,10 +555,7 @@ def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multiplier
         sum(inner(op, primal_blocks[n]) for n, op in problem.objective.items())
         + problem.offset
     )
-    dval = (
-        float(sum(y[i] * con.rhs for i, con in enumerate(problem.constraints)))
-        + problem.offset
-    )
+    dval = float(y @ cmap.b) + problem.offset
     if problem.sense == "max":
         if pval > dval + WEAK_DUALITY_SLACK:
             raise ValidationError(

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .games import OutcomeOperators
 from .operators import DensityOperator, HermitianOperator, KrausChannel
-from .sdp import DualWitness, ScalarConstraint, SdpProblem, SolveReport
+from .sdp import DualWitness, ScalarConstraint, SdpProblem
 from .spaces import SpaceList
 
 
@@ -218,21 +218,6 @@ def problem_from_json(data) -> SdpProblem:
         sense=data.get("sense", "max"),
         offset=float(data.get("offset", 0.0)),
     )
-
-
-def report_to_json(r: SolveReport) -> dict:
-    return {
-        "status": r.status,
-        "primal_value": r.primal_value,
-        "dual_value": r.dual_value,
-        "gap": r.gap,
-        "iterations": r.iterations,
-        "tol": r.tol,
-        "primal_blocks": {
-            name: operator_to_json(op) for name, op in r.primal_blocks.items()
-        },
-        "dual_multipliers": list(r.dual_multipliers),
-    }
 
 
 def dump_json(data, path):

@@ -14,6 +14,12 @@ predictor-corrector iteration (HKM search direction).  The dual is
 
 Primal infeasibility is certified through a Farkas ray (``A*(u) >= 0``
 with ``b . u < 0``) and never silently returned as a large value.
+
+The constraints come as a :class:`ConstraintMap`: per block, a row range
+whose ``F_i`` are ``P (I_pad (x) G_i) P^T``.  ``A``, ``A*`` and the
+Schur matrix work on the ``w x w`` matrices ``G_i``, so a Kronecker
+block of dimension ``d = pad * w`` costs ``O(pad^2 w^4 + m w^4 + m^2 w^2)``
+per Schur assembly instead of ``O(m d^3 + m^2 d^2)``.
 """
 from __future__ import annotations
 
@@ -62,57 +68,157 @@ def _max_step(chol_l: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / lam
 
 
-class _BlockProblem:
-    """Dense per-block views of the standard-form data."""
+class BlockMap:
+    """The constraint rows ``start:stop`` restricted to one PSD block.
 
-    def __init__(self, dims, c_blocks, f_blocks, b):
-        self.dims = dims
-        self.C = c_blocks                      # list of (d, d) arrays
-        self.F = f_blocks                      # list of (m, d, d) arrays
-        self.Fflat = [f.reshape(f.shape[0], -1) for f in f_blocks]
-        self.b = b
-        self.m = len(b)
-        self.nu = sum(dims)
+    Row ``i`` acts on the block as ``F_i = P (I_pad (x) G[i - start]) P^T``,
+    so ``G`` has shape ``(stop - start, w, w)`` and the block dimension is
+    ``pad * w``.  ``perm[k]`` is the block index of natural-order index
+    ``k`` (the pad factor first); ``perm=None`` means ``P = I``.
 
-    def apply(self, x_blocks) -> np.ndarray:
-        """A(X): vector of <F_i, X>."""
+    The Schur contribution ``Re Tr(F_i X F_j Z^-1)`` of the block is
+    assembled by whichever of two formulas needs fewer flops for its
+    shape: the Kronecker contraction, which never forms an ``F_i``, or
+    the batched ``X F_j Z^-1`` products over the expanded ``F_i``.
+    """
+
+    def __init__(self, start: int, stop: int, G, pad: int = 1, perm=None):
+        G = np.asarray(G, dtype=np.complex128)
+        count = stop - start
+        if count < 0 or G.ndim != 3 or G.shape[0] != count or G.shape[1] != G.shape[2]:
+            raise ValidationError(
+                f"block map rows {start}:{stop} do not match a G of shape {G.shape}"
+            )
+        if pad < 1:
+            raise ValidationError("pad dimension must be positive")
+        self.start, self.stop, self.pad, self.G = start, stop, pad, G
+        self.w = G.shape[1]
+        self.dim = pad * self.w
+        self.perm = None if perm is None else np.asarray(perm, dtype=np.intp)
+        self.inv = None if perm is None else np.argsort(self.perm)
+        self.gflat = G.reshape(count, -1)
+        self._eye = np.eye(pad)[:, None, :, None]
+        w2 = self.w * self.w
+        kron_flops = pad * pad * w2 * w2 + count * w2 * w2 + count * count * w2
+        batched_flops = 2 * count * self.dim**3 + count * count * self.dim**2
+        self.kron_schur = kron_flops < batched_flops
+        if self.kron_schur:
+            self._gt = G.transpose(0, 2, 1).reshape(count, -1)
+        else:
+            self._f = self.expand()
+            self._fflat = self._f.reshape(count, -1)
+
+    def expand(self) -> np.ndarray:
+        """Dense ``(stop - start, dim, dim)`` stack of the ``F_i``, block order."""
+        f = self.G if self.pad == 1 else np.kron(np.eye(self.pad), self.G)
+        return f if self.inv is None else f[:, self.inv[:, None], self.inv]
+
+    def natural(self, a: np.ndarray) -> np.ndarray:
+        """``P^T a P``: a block matrix in natural (pad-first) order."""
+        return a if self.perm is None else a[self.perm[:, None], self.perm]
+
+    def lift(self, s: np.ndarray) -> np.ndarray:
+        """``P (I_pad (x) s) P^T`` for a ``w x w`` matrix ``s``."""
+        if self.pad == 1:
+            full = s
+        else:
+            full = (self._eye * s[None, :, None, :]).reshape(self.dim, self.dim)
+        return full if self.inv is None else full[self.inv[:, None], self.inv]
+
+    def pad_trace(self, a: np.ndarray) -> np.ndarray:
+        """``Tr_pad(P^T a P)``, so that ``Tr(F_i a) = Tr(G_i pad_trace(a))``."""
+        a = self.natural(a)
+        if self.pad == 1:
+            return a
+        p, w = self.pad, self.w
+        return np.trace(a.reshape(p, w, p, w), axis1=0, axis2=2)
+
+    def schur(self, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+        """``Re Tr(F_i x F_j zi)`` over this block's rows."""
+        count = self.stop - self.start
+        if self.kron_schur:
+            # K[(b,a),(c,e)] = sum_{y,z} x[yb, zc] zi[ze, ya], then M = G^T K G
+            p, w = self.pad, self.w
+            x4 = self.natural(x).reshape(p, w, p, w)
+            z4 = self.natural(zi).reshape(p, w, p, w)
+            xs = x4.transpose(1, 3, 0, 2).reshape(w * w, p * p)
+            zs = z4.transpose(2, 0, 3, 1).reshape(p * p, w * w)
+            k = (xs @ zs).reshape(w, w, w, w).transpose(0, 2, 1, 3).reshape(w * w, w * w)
+            return (self._gt @ k @ self.gflat.T).real
+        t = x[None] @ self._f @ zi[None]
+        return (self._fflat @ t.transpose(0, 2, 1).reshape(count, -1).T).real
+
+
+class ConstraintMap:
+    """The constraints ``<F_i, X> = b_i`` of a standard-form problem: one
+    :class:`BlockMap` per PSD block, in block order, and the right-hand
+    side ``b``."""
+
+    def __init__(self, blocks, b):
+        self.blocks = tuple(blocks)
+        self.b = np.asarray(b, dtype=float)
+        self.m = len(self.b)
+        self.dims = [bm.dim for bm in self.blocks]
+        for bm in self.blocks:
+            if bm.stop > self.m:
+                raise ValidationError(f"block map rows {bm.start}:{bm.stop} exceed m={self.m}")
+
+    def apply(self, mats) -> np.ndarray:
+        """A(X): the vector of ``Re Tr(F_i X)`` (``X`` need not be Hermitian)."""
         out = np.zeros(self.m)
-        for fm, x in zip(self.Fflat, x_blocks):
-            out += (fm @ x.T.reshape(-1)).real
+        for bm, a in zip(self.blocks, mats):
+            out[bm.start : bm.stop] += (bm.gflat @ bm.pad_trace(a).T.reshape(-1)).real
         return out
 
-    def adjoint(self, y: np.ndarray):
-        """A*(y): block list of sum_i y_i F_i."""
-        return [np.tensordot(y, f, axes=(0, 0)) for f in self.F]
+    def compact_adjoint(self, y: np.ndarray):
+        """Per block ``sum_i y_i G_i``; ``A*(y)`` is its lift."""
+        return [(y[bm.start : bm.stop] @ bm.gflat).reshape(bm.w, bm.w) for bm in self.blocks]
 
-    def ip(self, a_blocks, b_blocks) -> float:
-        return float(sum(np.vdot(a, b).real for a, b in zip(a_blocks, b_blocks)))
+    def adjoint(self, y: np.ndarray):
+        """A*(y): block list of ``sum_i y_i F_i``."""
+        return [bm.lift(s) for bm, s in zip(self.blocks, self.compact_adjoint(y))]
+
+    def schur(self, X, Zi) -> np.ndarray:
+        """The HKM Schur matrix ``M_ij = Re Tr(F_i X F_j Z^-1)``."""
+        M = np.zeros((self.m, self.m))
+        for bm, x, zi in zip(self.blocks, X, Zi):
+            M[bm.start : bm.stop, bm.start : bm.stop] += bm.schur(x, zi)
+        return M
+
+    def max_row_norm(self) -> float:
+        """Largest Frobenius norm of one constraint restricted to one block."""
+        return max(
+            (
+                float(np.sqrt(bm.pad) * np.max(np.linalg.norm(bm.gflat, axis=1)))
+                for bm in self.blocks
+                if bm.stop > bm.start
+            ),
+            default=0.0,
+        )
+
+
+def _ip(a_blocks, b_blocks) -> float:
+    return float(sum(np.vdot(a, b).real for a, b in zip(a_blocks, b_blocks)))
 
 
 def interior_point(
-    dims,
     c_blocks,
-    f_blocks,
-    b,
+    constraints: ConstraintMap,
     tol: float = 1e-8,
     max_iter: int = 200,
     x_start=None,
     y_start=None,
 ):
     """Run the predictor-corrector iteration; returns a plain result dict."""
-    prob = _BlockProblem(list(dims), [np.asarray(c, dtype=np.complex128) for c in c_blocks],
-                         [np.asarray(f, dtype=np.complex128) for f in f_blocks],
-                         np.asarray(b, dtype=float))
-    if prob.m == 0:
+    A = constraints
+    C = [np.asarray(c, dtype=np.complex128) for c in c_blocks]
+    if A.m == 0:
         raise ValidationError("problem has no constraints")
-    m, nu = prob.m, prob.nu
+    m, nu, b = A.m, sum(A.dims), A.b
 
-    fnorm = max(
-        1.0,
-        max(float(np.linalg.norm(fm[i])) for fm in prob.Fflat for i in range(m)),
-    )
-    cnorm = max(1.0, max(float(np.linalg.norm(c)) for c in prob.C))
-    bnorm = max(1.0, float(np.max(np.abs(prob.b))))
+    fnorm = max(1.0, A.max_row_norm())
+    cnorm = max(1.0, max(float(np.linalg.norm(c)) for c in C))
+    bnorm = max(1.0, float(np.max(np.abs(b))))
 
     X = None
     if x_start is not None:
@@ -121,135 +227,127 @@ def interior_point(
             X = None
     if X is None:
         xi = max(10.0, np.sqrt(nu), nu * bnorm / fnorm)
-        X = [xi * np.eye(d, dtype=np.complex128) for d in prob.dims]
+        X = [xi * np.eye(d, dtype=np.complex128) for d in A.dims]
 
     y = None
     if y_start is not None:
         y = np.asarray(y_start, dtype=float).copy()
-        Z = [_herm(az - c) for az, c in zip(prob.adjoint(y), prob.C)]
+        Z = [_herm(az - c) for az, c in zip(A.adjoint(y), C)]
         if any(float(np.linalg.eigvalsh(z)[0]) <= 0.0 for z in Z):
             y = None
     if y is None:
         eta = max(10.0, np.sqrt(nu), (cnorm + fnorm) / np.sqrt(nu))
         y = np.zeros(m)
-        Z = [eta * np.eye(d, dtype=np.complex128) for d in prob.dims]
+        Z = [eta * np.eye(d, dtype=np.complex128) for d in A.dims]
 
     status = STATUS_ITERATION_LIMIT
     iterations = 0
     farkas = None
 
-    err_state = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    err_state.__enter__()
-    for iterations in range(1, max_iter + 1):
-        rp = prob.b - prob.apply(X)
-        Rd = [_herm(c - az + z) for c, az, z in zip(prob.C, prob.adjoint(y), Z)]
-        pobj = prob.ip(prob.C, X)
-        dobj = float(prob.b @ y)
-        gap = abs(pobj - dobj)
-        relgap = gap / max(1.0, (abs(pobj) + abs(dobj)) / 2)
-        prel = float(np.max(np.abs(rp))) / bnorm
-        drel = max(float(np.max(np.abs(r))) for r in Rd) / cnorm
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iterations in range(1, max_iter + 1):
+            rp = b - A.apply(X)
+            Rd = [_herm(c - az + z) for c, az, z in zip(C, A.adjoint(y), Z)]
+            pobj = _ip(C, X)
+            dobj = float(b @ y)
+            gap = abs(pobj - dobj)
+            relgap = gap / max(1.0, (abs(pobj) + abs(dobj)) / 2)
+            prel = float(np.max(np.abs(rp))) / bnorm
+            drel = max(float(np.max(np.abs(r))) for r in Rd) / cnorm
 
-        if relgap <= tol and prel <= tol and drel <= tol:
-            status = STATUS_OPTIMAL
-            break
+            if relgap <= tol and prel <= tol and drel <= tol:
+                status = STATUS_OPTIMAL
+                break
 
-        cert = _farkas_certificate(prob, y)
-        if cert is not None:
-            status = STATUS_INFEASIBLE
-            farkas = cert
-            break
+            cert = _farkas_certificate(A, y)
+            if cert is not None:
+                status = STATUS_INFEASIBLE
+                farkas = cert
+                break
 
-        mu = prob.ip(X, Z) / nu
-        if not np.isfinite(mu) or mu <= 0.0:
-            status = STATUS_NUMERICAL
-            break
+            mu = _ip(X, Z) / nu
+            if not np.isfinite(mu) or mu <= 0.0:
+                status = STATUS_NUMERICAL
+                break
 
-        try:
-            Lx = [_chol(x) for x in X]
-            Lz = [_chol(z) for z in Z]
-            Zi = [_herm(np.linalg.inv(z)) for z in Z]
-            if any(not np.all(np.isfinite(zi)) for zi in Zi):
-                raise NumericalError("dual slack inverse is not finite")
+            try:
+                Lx = [_chol(x) for x in X]
+                Lz = [_chol(z) for z in Z]
+                Zi = [_herm(np.linalg.inv(z)) for z in Z]
+                if any(not np.all(np.isfinite(zi)) for zi in Zi):
+                    raise NumericalError("dual slack inverse is not finite")
 
-            M = np.zeros((m, m))
-            for f, fm, x, zi in zip(prob.F, prob.Fflat, X, Zi):
-                t = x[None] @ f @ zi[None]
-                tm = t.transpose(0, 2, 1).reshape(m, -1)
-                M += (fm @ tm.T).real
+                M = A.schur(X, Zi)
 
-            def solve_m(rhs):
-                try:
-                    return np.linalg.solve(M, rhs)
-                except np.linalg.LinAlgError:
-                    return np.linalg.lstsq(M, rhs, rcond=None)[0]
+                def solve_m(rhs):
+                    try:
+                        return np.linalg.solve(M, rhs)
+                    except np.linalg.LinAlgError:
+                        return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
-            def rhs_vector(mu_target, second_order):
-                q = -prob.b.astype(float).copy()
-                for i_blk, (fm, x, zi, rd) in enumerate(zip(prob.Fflat, X, Zi, Rd)):
-                    g = mu_target * zi + x @ rd @ zi
-                    if second_order is not None:
-                        g = g - second_order[i_blk] @ zi
-                    q += (fm @ g.T.reshape(-1)).real
-                return q
+                def rhs_vector(mu_target, second_order):
+                    g = []
+                    for i_blk, (x, zi, rd) in enumerate(zip(X, Zi, Rd)):
+                        gb = mu_target * zi + x @ rd @ zi
+                        if second_order is not None:
+                            gb = gb - second_order[i_blk] @ zi
+                        g.append(gb)
+                    return A.apply(g) - b
 
-            def directions(mu_target, second_order):
-                dy = solve_m(rhs_vector(mu_target, second_order))
-                dZ = [
-                    _herm(az - rd) for az, rd in zip(prob.adjoint(dy), Rd)
-                ]
-                dX = []
-                for i_blk, (x, zi, dz) in enumerate(zip(X, Zi, dZ)):
-                    raw = mu_target * zi - x - x @ dz @ zi
-                    if second_order is not None:
-                        raw = raw - second_order[i_blk] @ zi
-                    dX.append(_herm(raw))
-                return dX, dy, dZ
+                def directions(mu_target, second_order):
+                    dy = solve_m(rhs_vector(mu_target, second_order))
+                    dZ = [_herm(az - rd) for az, rd in zip(A.adjoint(dy), Rd)]
+                    dX = []
+                    for i_blk, (x, zi, dz) in enumerate(zip(X, Zi, dZ)):
+                        raw = mu_target * zi - x - x @ dz @ zi
+                        if second_order is not None:
+                            raw = raw - second_order[i_blk] @ zi
+                        dX.append(_herm(raw))
+                    return dX, dy, dZ
 
-            dXa, dya, dZa = directions(0.0, None)
-            ap = min(1.0, *[_max_step(l, d) for l, d in zip(Lx, dXa)])
-            ad = min(1.0, *[_max_step(l, d) for l, d in zip(Lz, dZa)])
-            mu_aff = max(
-                0.0,
-                prob.ip(
-                    [x + ap * d for x, d in zip(X, dXa)],
-                    [z + ad * d for z, d in zip(Z, dZa)],
+                dXa, dya, dZa = directions(0.0, None)
+                ap = min(1.0, *[_max_step(l, d) for l, d in zip(Lx, dXa)])
+                ad = min(1.0, *[_max_step(l, d) for l, d in zip(Lz, dZa)])
+                mu_aff = max(
+                    0.0,
+                    _ip(
+                        [x + ap * d for x, d in zip(X, dXa)],
+                        [z + ad * d for z, d in zip(Z, dZa)],
+                    )
+                    / nu,
                 )
-                / nu,
-            )
-            sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3))
-            cross = [dx @ dz for dx, dz in zip(dXa, dZa)]
-            dX, dy, dZ = directions(sigma * mu, cross)
+                sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3))
+                cross = [dx @ dz for dx, dz in zip(dXa, dZa)]
+                dX, dy, dZ = directions(sigma * mu, cross)
 
-            gamma = _STEP_FRACTION_FLOOR + 0.09 * min(1.0, ap, ad)
-            ap = min(1.0, gamma * min(1.0e30, *[_max_step(l, d) for l, d in zip(Lx, dX)]))
-            ad = min(1.0, gamma * min(1.0e30, *[_max_step(l, d) for l, d in zip(Lz, dZ)]))
-        except (NumericalError, np.linalg.LinAlgError, FloatingPointError):
-            status = STATUS_NUMERICAL
-            break
+                gamma = _STEP_FRACTION_FLOOR + 0.09 * min(1.0, ap, ad)
+                ap = min(1.0, gamma * min(1.0e30, *[_max_step(l, d) for l, d in zip(Lx, dX)]))
+                ad = min(1.0, gamma * min(1.0e30, *[_max_step(l, d) for l, d in zip(Lz, dZ)]))
+            except (NumericalError, np.linalg.LinAlgError, FloatingPointError):
+                status = STATUS_NUMERICAL
+                break
 
-        if not (np.isfinite(ap) and np.isfinite(ad)) or max(ap, ad) < _MIN_STEP:
-            status = STATUS_NUMERICAL
-            break
+            if not (np.isfinite(ap) and np.isfinite(ad)) or max(ap, ad) < _MIN_STEP:
+                status = STATUS_NUMERICAL
+                break
 
-        X = [_herm(x + ap * d) for x, d in zip(X, dX)]
-        y = y + ad * dy
-        Z = [_herm(z + ad * d) for z, d in zip(Z, dZ)]
+            X = [_herm(x + ap * d) for x, d in zip(X, dX)]
+            y = y + ad * dy
+            Z = [_herm(z + ad * d) for z, d in zip(Z, dZ)]
 
-        if any(not np.all(np.isfinite(x)) for x in X) or not np.all(np.isfinite(y)):
-            status = STATUS_NUMERICAL
-            break
-    err_state.__exit__(None, None, None)
+            if any(not np.all(np.isfinite(x)) for x in X) or not np.all(np.isfinite(y)):
+                status = STATUS_NUMERICAL
+                break
 
     if status == STATUS_ITERATION_LIMIT:
-        cert = _farkas_certificate(prob, y)
+        cert = _farkas_certificate(A, y)
         if cert is not None:
             status = STATUS_INFEASIBLE
             farkas = cert
 
-    rp = prob.b - prob.apply(X)
-    pobj = prob.ip(prob.C, X)
-    dobj = float(prob.b @ y)
+    rp = b - A.apply(X)
+    pobj = _ip(C, X)
+    dobj = float(b @ y)
     return {
         "status": status,
         "X": X,
@@ -264,7 +362,7 @@ def interior_point(
     }
 
 
-def _farkas_certificate(prob: _BlockProblem, y: np.ndarray):
+def _farkas_certificate(A: ConstraintMap, y: np.ndarray):
     """Return a normalized infeasibility ray if ``y`` certifies one.
 
     Primal infeasibility: a ray ``u`` with ``A*(u) >= 0`` (within a tight
@@ -272,15 +370,16 @@ def _farkas_certificate(prob: _BlockProblem, y: np.ndarray):
     ray is sup-normalized and the margins are asymmetric (loose on the
     objective, tight on the eigenvalue) so a feasible problem cannot
     trip the test at desk scale: it would need a feasible point of trace
-    beyond their ratio.
+    beyond their ratio.  ``P (I (x) S) P^T`` has the entries and the
+    spectrum of ``S``, so the compact adjoint suffices.
     """
     scale = float(np.max(np.abs(y))) if y.size else 0.0
     if scale <= 0.0:
         return None
     u = y / scale
-    if float(prob.b @ u) > -_FARKAS_OBJ_TOL:
+    if float(A.b @ u) > -_FARKAS_OBJ_TOL:
         return None
-    blocks = prob.adjoint(u)
+    blocks = A.compact_adjoint(u)
     mag = max(1.0, max(float(np.max(np.abs(s))) for s in blocks))
     lo = min(float(np.linalg.eigvalsh(_herm(s))[0]) for s in blocks)
     if lo >= -_FARKAS_EIG_TOL * mag:

@@ -113,6 +113,22 @@ def test_parallel_consistency_sum(rng):
     assert_allclose(total.entries, aligned.entries, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_parallel_word_psd_check_uses_copy_spectra(hedging, monkeypatch, n):
+    # The n-fold words are checked PSD from products of the per-copy
+    # spectra: no eigensolve runs on a word, and the derived minimum
+    # eigenvalues are those of the words.
+    from hedgekit import games
+
+    solved = []
+    original = games.min_eigenvalue
+    monkeypatch.setattr(games, "min_eigenvalue", lambda op: solved.append(op) or original(op))
+    pg = parallel_game(hedging, n)
+    assert solved == []
+    expect = [np.linalg.eigvalsh(w.entries)[0] for w in pg.outcomes]
+    assert_allclose(games._word_min_eigenvalues(hedging, n), expect, atol=1e-12)
+
+
 def test_parallel_cap_enforced(hedging):
     with pytest.raises(ValidationError):
         parallel_game(hedging, 5)  # 4^5 = 1024 > 256

@@ -69,6 +69,77 @@ def test_hermitian_basis_orthonormal():
             assert np.vdot(a, b).real == pytest.approx(expect, abs=1e-12)
 
 
+def _map_case(name, hedging):
+    if name.startswith("hedging-n"):
+        n = int(name[-1])
+        pg = hedging if n == 1 else parallel_game(hedging, n)
+        return compile_primal(pg, threshold_objective(hedging, n, 1)), [True]
+    rng = np.random.default_rng(7)
+    if name == "qubit-game":
+        g = make_random_game(rng)
+        return compile_primal(g, g.outcomes[1]), [True]
+    _, _, stacked = make_r2_product_game(rng)
+    return compile_primal(stacked, stacked.outcomes[3]), [False, True]
+
+
+@pytest.mark.parametrize(
+    "name", ["hedging-n1", "hedging-n2", "hedging-n3", "qubit-game", "r2-product"]
+)
+def test_constraint_map_matches_dense_expansion(name, hedging):
+    # The structured apply, adjoint and Schur matrix against the dense
+    # operators of problem.constraints.  The r = 2 game has a pad-1 block
+    # (batched Schur) and a last block behind a nontrivial permutation.
+    prob, kron_schur = _map_case(name, hedging)
+    cmap = prob.constraint_map
+    assert [bm.kron_schur for bm in cmap.blocks] == kron_schur
+    rng = np.random.default_rng(11)
+    m = len(prob.constraints)
+    X, Zi, F = [], [], []
+    for n_blk, sp in prob.blocks:
+        d = sp.dim
+        f = np.zeros((m, d, d), dtype=np.complex128)
+        for i, con in enumerate(prob.constraints):
+            if n_blk in con.coeffs:
+                f[i] = con.coeffs[n_blk].entries
+        F.append(f)
+        for out in (X, Zi):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            out.append(a @ a.conj().T / d + np.eye(d))
+    y = rng.standard_normal(m)
+    dense_apply = sum(np.einsum("iab,ba->i", f, x).real for f, x in zip(F, X))
+    assert_allclose(cmap.apply(X), dense_apply, rtol=0, atol=1e-12)
+    for got, f in zip(cmap.adjoint(y), F):
+        assert_allclose(got, np.tensordot(y, f, axes=(0, 0)), rtol=0, atol=1e-12)
+    dense_m = sum(
+        np.einsum("iab,bc,jcd,da->ij", f, x, f, zi, optimize=True).real
+        for f, x, zi in zip(F, X, Zi)
+    )
+    scale = max(1.0, float(np.max(np.abs(dense_m))))
+    assert_allclose(cmap.schur(X, Zi), dense_m, rtol=0, atol=1e-12 * scale)
+
+
+def test_hedging_n4_solves_without_dense_constraints(hedging):
+    # d = m = 256: the solve neither expands the per-row operators nor
+    # allocates one (m, d, d) stack (256 MB); tracemalloc sees numpy's
+    # buffers.
+    import tracemalloc
+
+    prob = compile_primal(parallel_game(hedging, 4), threshold_objective(hedging, 4, 2))
+    m, d = prob.constraint_map.m, prob.block_space("X").dim
+    assert (m, d) == (256, 256)
+    tracemalloc.start()
+    try:
+        rep = solve(prob, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "optimal"
+    assert abs(rep.primal_value - 1.0) <= 10 * 1e-8
+    assert prob._constraints is None
+    assert peak < m * d * d * 16 / 8
+
+
+# ---------------------------------------------------------------------- solving
 # ---------------------------------------------------------------------- solving
 
 
