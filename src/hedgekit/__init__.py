@@ -54,10 +54,8 @@ from .games import (
     value_objective,
 )
 from .sdp import (
-    ConstraintFamily,
     DualWitness,
     FeasibilityReport,
-    ScalarConstraint,
     SdpProblem,
     SolveReport,
     check_dual_feasibility,

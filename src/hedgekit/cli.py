@@ -488,9 +488,5 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-def run() -> None:  # console-script entry point
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

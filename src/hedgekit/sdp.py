@@ -10,10 +10,11 @@ and its dual minimizes ``Tr(Y)`` over a chain of operator inequalities.
 Both are compiled to one scalarized standard form: every partial-trace
 equality is expanded against an orthonormal Hermitian basis of the
 constrained space, giving ``dim^2`` scalar equations per chain link.
-The equations are held as a :class:`~hedgekit.solver.ConstraintMap`: on
-the last chain block link ``j`` acts as ``I_{Y_j} (x) H_k`` up to a
-fixed factor permutation, so the solver never forms the ``d x d``
-operator of a row.
+A problem holds its equations only as a
+:class:`~hedgekit.solver.ConstraintMap`.  For the primal, link ``j``
+acts on the last chain block as ``I_{Y_j} (x) H_k`` up to a fixed factor
+permutation, so the solver never forms the ``d x d`` operator of a row;
+the dual's rows are built as operators and stacked with pad 1.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from . import solver as _solver
 from .errors import DomainError, SpaceError, ValidationError
 from .games import OutcomeOperators
 from .operators import (
+    HERMITICITY_TOL,
     HermitianOperator,
     align,
     identity,
@@ -43,8 +45,14 @@ WEAK_DUALITY_SLACK = 1e-7
 # -- scalarization machinery -----------------------------------------------------
 
 
-def _basis_stack(dim: int) -> np.ndarray:
-    """:func:`hermitian_basis` as one ``(dim^2, dim, dim)`` array."""
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal basis of the Hermitian matrices of a given dimension,
+    as one ``(dim^2, dim, dim)`` array.
+
+    Order: diagonal units first, then symmetric and antisymmetric pairs
+    in row-major order.  Deterministic, so scalarized constraints can be
+    mapped back to operator form.
+    """
     out = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
     diag = np.arange(dim)
     out[diag, diag, diag] = 1.0
@@ -58,34 +66,7 @@ def _basis_stack(dim: int) -> np.ndarray:
     return out
 
 
-def hermitian_basis(dim: int):
-    """Orthonormal basis of the Hermitian matrices of a given dimension.
-
-    Order: diagonal units first, then symmetric and antisymmetric pairs
-    in row-major order.  Deterministic, so scalarized constraints can be
-    mapped back to operator form.
-    """
-    yield from _basis_stack(dim)
-
-
-def operator_from_coefficients(coeffs, spaces: SpaceList) -> HermitianOperator:
-    """Rebuild an operator from its coordinates in :func:`hermitian_basis`."""
-    mat = np.zeros((spaces.dim, spaces.dim), dtype=np.complex128)
-    for c, h in zip(coeffs, hermitian_basis(spaces.dim)):
-        if c != 0.0:
-            mat += float(c) * h
-    return HermitianOperator(spaces, mat)
-
-
 # -- problem containers ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarConstraint:
-    """One scalar equality: sum over blocks of <coeff_b, X_b> = rhs."""
-
-    coeffs: dict
-    rhs: float
 
 
 @dataclass(frozen=True)
@@ -105,32 +86,29 @@ class SdpProblem:
         maximize (``sense="max"``) or minimize ``sum_b <objective_b, X_b> + offset``
         subject to ``sum_b <F_ib, X_b> = b_i`` and ``X_b >= 0``.
 
-    The equalities are held once, as :attr:`constraint_map`.  Hand-built
-    problems give them as a tuple of :class:`ScalarConstraint`, which is
-    mapped with pad dimension 1 and no permutation; compilers pass the
-    map, and :attr:`constraints` is then expanded from it on first
-    access only.
+    The equalities are the :class:`~hedgekit.solver.ConstraintMap`
+    ``constraint_map``, one block map per entry of ``blocks``.  Compilers
+    pass Kronecker-structured maps; a hand-built problem stacks its rows'
+    matrices with pad dimension 1.  Every ``G_i`` must be finite and
+    Hermitian and every ``b_i`` finite.
     """
 
     def __init__(
         self,
         blocks,
         objective,
-        constraints=None,
+        constraint_map,
         sense="max",
         offset=0.0,
         primal_start=None,
         dual_start=None,
         families=(),
-        *,
-        constraint_map=None,
     ):
-        if (constraints is None) == (constraint_map is None):
-            raise ValidationError("give exactly one of constraints and constraint_map")
         if sense not in ("max", "min"):
             raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
         self.blocks = tuple(blocks)
         self.objective = objective
+        self.constraint_map = constraint_map
         self.sense = sense
         self.offset = offset
         self.primal_start = primal_start
@@ -145,36 +123,13 @@ class SdpProblem:
                 raise ValidationError(f"objective references unknown block {name!r}")
             if op.spaces != spaces[name]:
                 raise SpaceError(f"objective block {name!r} has mismatched spaces")
-        if constraints is not None:
-            constraints = tuple(constraints)
-            for k, con in enumerate(constraints):
-                if not np.isfinite(con.rhs):
-                    raise ValidationError(f"constraint {k} has non-finite rhs")
-                for name, op in con.coeffs.items():
-                    if name not in spaces:
-                        raise ValidationError(
-                            f"constraint {k} references unknown block {name!r}"
-                        )
-                    if op.spaces != spaces[name]:
-                        raise SpaceError(
-                            f"constraint {k} block {name!r} has mismatched spaces"
-                        )
-            constraint_map = _map_from_constraints(self.blocks, constraints)
-        else:
-            if [bm.dim for bm in constraint_map.blocks] != [sp.dim for _, sp in self.blocks]:
-                raise SpaceError("constraint map blocks do not match the problem blocks")
-            bad = np.flatnonzero(~np.isfinite(constraint_map.b))
-            if bad.size:
-                raise ValidationError(f"constraint {bad[0]} has non-finite rhs")
-        self.constraint_map = constraint_map
-        self._constraints = constraints
-
-    @property
-    def constraints(self) -> tuple:
-        """The equalities as :class:`ScalarConstraint` rows (expanded lazily)."""
-        if self._constraints is None:
-            self._constraints = _constraints_from_map(self.blocks, self.constraint_map)
-        return self._constraints
+        if [bm.dim for bm in constraint_map.blocks] != [sp.dim for _, sp in self.blocks]:
+            raise SpaceError("constraint map blocks do not match the problem blocks")
+        bad = np.flatnonzero(~np.isfinite(constraint_map.b))
+        if bad.size:
+            raise ValidationError(f"constraint {bad[0]} has non-finite rhs")
+        for name, bm in zip(names, constraint_map.blocks):
+            _check_rows(name, bm)
 
     @property
     def block_names(self):
@@ -184,25 +139,28 @@ class SdpProblem:
         return dict(self.blocks)[name]
 
 
-def _map_from_constraints(blocks, constraints) -> _solver.ConstraintMap:
-    """Each block's rows span the constraints that reference it."""
-    maps = []
-    for name, sp in blocks:
-        rows = [i for i, con in enumerate(constraints) if name in con.coeffs]
-        start, stop = (rows[0], rows[-1] + 1) if rows else (0, 0)
-        G = np.zeros((stop - start, sp.dim, sp.dim), dtype=np.complex128)
-        for i in rows:
-            G[i - start] = constraints[i].coeffs[name].entries
-        maps.append(_solver.BlockMap(start, stop, G))
-    return _solver.ConstraintMap(maps, [con.rhs for con in constraints])
-
-
-def _constraints_from_map(blocks, cmap: _solver.ConstraintMap) -> tuple:
-    rows = [{} for _ in range(cmap.m)]
-    for (name, sp), bm in zip(blocks, cmap.blocks):
-        for k, f in enumerate(bm.expand()):
-            rows[bm.start + k][name] = HermitianOperator._wrap(sp, f)
-    return tuple(ScalarConstraint(coeffs, float(rhs)) for coeffs, rhs in zip(rows, cmap.b))
+def _check_rows(name: str, bm: _solver.BlockMap):
+    """Reject a non-finite or non-Hermitian ``G_i``, with the Hermiticity
+    tolerance of :class:`~hedgekit.operators.HermitianOperator`."""
+    G = bm.G
+    finite = np.isfinite(G).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(
+            f"constraint {bm.start + np.flatnonzero(~finite)[0]} block {name!r} "
+            "has non-finite coefficients"
+        )
+    drift = np.abs(G - G.conj().transpose(0, 2, 1))
+    if drift.max(initial=0.0) <= HERMITICITY_TOL:  # every row's scale is at least 1
+        return
+    drift = drift.max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2)))
+    bad = np.flatnonzero(drift > HERMITICITY_TOL * scale)
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(
+            f"constraint {bm.start + k} block {name!r} is not Hermitian: "
+            f"drift {drift[k]:.3e} exceeds tolerance"
+        )
 
 
 @dataclass(frozen=True)
@@ -306,7 +264,7 @@ def compile_primal(g: OutcomeOperators, objective: HermitianOperator) -> SdpProb
         w = _family_space(g, j)
         families.append(ConstraintFamily(f"Y{j}" if j > 1 else "Y", w, offset, w.dim**2))
         offset += w.dim**2
-    bases = [_basis_stack(fam.spaces.dim) for fam in families]
+    bases = [hermitian_basis(fam.spaces.dim) for fam in families]
     maps = []
     for j, (fam, basis) in enumerate(zip(families, bases), start=1):
         link = _chain_link_map(g, j, fam, basis)
@@ -376,7 +334,9 @@ def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProble
         blocks.append((f"S{j}", _block_space(g, j)))
     blocks = tuple(blocks)
     spaces = dict(blocks)
-    constraints = []
+    rows = {name: [] for name, _ in blocks}
+    first = {}
+    b = []
     for j in range(1, r + 1):
         v = _block_space(g, j)
         obj_aligned = align(objective, v) if j == r else None
@@ -397,7 +357,15 @@ def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProble
                 coeffs[f"Q{j + 1}"] = lifted * -1.0
             else:
                 rhs += inner(hop, obj_aligned)
-            constraints.append(ScalarConstraint(coeffs, rhs))
+            for name, op in coeffs.items():
+                first.setdefault(name, len(b))
+                rows[name].append(op.entries)
+            b.append(rhs)
+    # S_j spans family j, Q_1 family 1 and Q_{j+1} families j and j + 1
+    maps = [
+        _solver.BlockMap(first[name], first[name] + len(rows[name]), np.stack(rows[name]))
+        for name, _ in blocks
+    ]
     _, dual_chain = slater_points(g, objective)
     primal_start = {}
     for j in range(1, r + 1):
@@ -417,7 +385,7 @@ def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProble
     return SdpProblem(
         blocks=blocks,
         objective={"Q1": identity(spaces["Q1"])},
-        constraints=tuple(constraints),
+        constraint_map=_solver.ConstraintMap(maps, b),
         sense="min",
         offset=-shifts[0] * spaces["Q1"].dim,
         primal_start=primal_start,
@@ -569,11 +537,15 @@ def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multiplier
     return pval, dval
 
 
-def lift_chain_block(g: OutcomeOperators, j: int, block: HermitianOperator) -> HermitianOperator:
-    """Embed a chain block ``Y_j (x) I`` on the level-``j`` inequality space."""
-    target = _block_space(g, j)
+def _chain_inequality(g: OutcomeOperators, objective: HermitianOperator, chain, j: int):
+    """Level ``j`` of the chain dual on the block space: ``Y_j (x) I``
+    minus ``Tr_{X_{j+1}}(Y_{j+1})``, or minus the objective at the last
+    level."""
     id_y = identity(g.spaces.restrict(g.y_rounds[j - 1]))
-    return align(kron(block, id_y), target)
+    expr = align(kron(chain[j - 1], id_y), _block_space(g, j))
+    if j < g.rounds:
+        return expr - align(partial_trace(chain[j], set(g.x_rounds[j])), expr.spaces)
+    return expr - align(objective, expr.spaces)
 
 
 def check_dual_feasibility(
@@ -599,15 +571,10 @@ def check_dual_feasibility(
                 f"witness block {j} labels {sorted(block.spaces.labels)} do not match "
                 f"the chain space {want}"
             )
-    eigs = []
-    for j in range(1, g.rounds + 1):
-        expr = lift_chain_block(g, j, chain[j - 1])
-        if j < g.rounds:
-            reduced = partial_trace(chain[j], set(g.x_rounds[j]))
-            expr = expr - align(reduced, expr.spaces)
-        else:
-            expr = expr - align(objective, expr.spaces)
-        eigs.append(min_eigenvalue(expr))
+    eigs = [
+        min_eigenvalue(_chain_inequality(g, objective, chain, j))
+        for j in range(1, g.rounds + 1)
+    ]
     feasible = all(e >= -tol for e in eigs)
     return FeasibilityReport(
         feasible=feasible,
@@ -627,7 +594,8 @@ def dual_witness_from_report(
     chain = []
     for fam in problem.families:
         coeffs = y[fam.offset : fam.offset + fam.count]
-        chain.append(operator_from_coefficients(coeffs, fam.spaces))
+        mat = np.tensordot(coeffs, hermitian_basis(fam.spaces.dim), 1)
+        chain.append(HermitianOperator(fam.spaces, mat))
     return DualWitness(
         rounds=g.rounds,
         Y=chain[0],
@@ -647,13 +615,7 @@ def repair_witness(
     up to its tolerance; tensor constructions need a strict input)."""
     chain = list(w.chain())
     for j in range(g.rounds, 0, -1):
-        expr = lift_chain_block(g, j, chain[j - 1])
-        if j < g.rounds:
-            reduced = partial_trace(chain[j], set(g.x_rounds[j]))
-            expr = expr - align(reduced, expr.spaces)
-        else:
-            expr = expr - align(objective, expr.spaces)
-        lo = min_eigenvalue(expr)
+        lo = min_eigenvalue(_chain_inequality(g, objective, chain, j))
         if lo < margin:
             chain[j - 1] = chain[j - 1] + identity(chain[j - 1].spaces) * (margin - lo)
     return DualWitness(

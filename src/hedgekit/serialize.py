@@ -1,4 +1,4 @@
-"""JSON serialization for operators, channels, games, witnesses and SDPs.
+"""JSON serialization for operators, channels, games and witnesses.
 
 Number format: every complex number is a ``[re, im]`` pair and every
 matrix a row-major array of such pairs.  Operators carry their space
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .games import OutcomeOperators
 from .operators import DensityOperator, HermitianOperator, KrausChannel
-from .sdp import DualWitness, ScalarConstraint, SdpProblem
+from .sdp import DualWitness
 from .spaces import SpaceList
 
 
@@ -180,44 +180,7 @@ def witness_from_json(data) -> DualWitness:
     return w
 
 
-# -- problems and reports -------------------------------------------------------------
-
-
-def problem_to_json(p: SdpProblem) -> dict:
-    return {
-        "sense": p.sense,
-        "offset": p.offset,
-        "blocks": [[name, _spaces_to_json(sp)] for name, sp in p.blocks],
-        "objective": {name: operator_to_json(op) for name, op in p.objective.items()},
-        "constraints": [
-            {
-                "coeffs": {name: operator_to_json(op) for name, op in con.coeffs.items()},
-                "rhs": con.rhs,
-            }
-            for con in p.constraints
-        ],
-    }
-
-
-def problem_from_json(data) -> SdpProblem:
-    blocks = tuple((str(name), _spaces_from_json(sp)) for name, sp in data["blocks"])
-    objective = {
-        str(name): operator_from_json(op) for name, op in data.get("objective", {}).items()
-    }
-    constraints = tuple(
-        ScalarConstraint(
-            {str(name): operator_from_json(op) for name, op in con["coeffs"].items()},
-            float(con["rhs"]),
-        )
-        for con in data.get("constraints", ())
-    )
-    return SdpProblem(
-        blocks=blocks,
-        objective=objective,
-        constraints=constraints,
-        sense=data.get("sense", "max"),
-        offset=float(data.get("offset", 0.0)),
-    )
+# -- files -------------------------------------------------------------------------
 
 
 def dump_json(data, path):

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from hedgekit import (
     DualWitness,
-    ScalarConstraint,
     SdpProblem,
     check_dual_feasibility,
     check_weak_duality,
@@ -14,7 +13,6 @@ from hedgekit import (
     dual_witness_from_report,
     hermitian_basis,
     identity,
-    inner,
     min_eigenvalue,
     parallel_game,
     repair_witness,
@@ -24,8 +22,9 @@ from hedgekit import (
     threshold_objective,
     value_objective,
 )
-from hedgekit.errors import ValidationError
+from hedgekit.errors import SpaceError, ValidationError
 from hedgekit.hedging import WIN_PROBABILITY, hedging_optimal_witness
+from hedgekit.solver import BlockMap, ConstraintMap
 from hedgekit.witnesses import classical_optimum
 
 from conftest import make_r2_product_game, make_random_game
@@ -40,7 +39,7 @@ def test_compile_primal_shape_single_round(hedging):
     prob = compile_primal(hedging, hedging.outcomes[1])
     assert prob.block_names == ("X",)
     assert prob.block_space("X").dim == 4
-    assert len(prob.constraints) == 4
+    assert prob.constraint_map.m == 4
     assert prob.sense == "max"
 
 
@@ -48,16 +47,15 @@ def test_compile_primal_shape_two_copies(hedging):
     pg = parallel_game(hedging, 2)
     prob = compile_primal(pg, threshold_objective(hedging, 2, 1))
     assert prob.block_space("X").dim == 16
-    assert len(prob.constraints) == 16
+    assert prob.constraint_map.m == 16
 
 
 def test_uniform_point_is_feasible(hedging):
     # X = I / dim(Y) satisfies the scalarized partial-trace constraints.
     prob = compile_primal(hedging, hedging.outcomes[1])
     x = identity(prob.block_space("X")) * 0.5
-    for con in prob.constraints:
-        val = sum(inner(op, x) for name, op in con.coeffs.items())
-        assert val == pytest.approx(con.rhs, abs=1e-12)
+    cmap = prob.constraint_map
+    assert_allclose(cmap.apply([x.entries]), cmap.b, rtol=0, atol=1e-12)
 
 
 def test_hermitian_basis_orthonormal():
@@ -87,20 +85,19 @@ def _map_case(name, hedging):
 )
 def test_constraint_map_matches_dense_expansion(name, hedging):
     # The structured apply, adjoint and Schur matrix against the dense
-    # operators of problem.constraints.  The r = 2 game has a pad-1 block
-    # (batched Schur) and a last block behind a nontrivial permutation.
+    # expansion of each block map into its rows.  The r = 2 game has a
+    # pad-1 block (batched Schur) and a last block behind a nontrivial
+    # permutation.
     prob, kron_schur = _map_case(name, hedging)
     cmap = prob.constraint_map
     assert [bm.kron_schur for bm in cmap.blocks] == kron_schur
     rng = np.random.default_rng(11)
-    m = len(prob.constraints)
+    m = cmap.m
     X, Zi, F = [], [], []
-    for n_blk, sp in prob.blocks:
-        d = sp.dim
+    for bm in cmap.blocks:
+        d = bm.dim
         f = np.zeros((m, d, d), dtype=np.complex128)
-        for i, con in enumerate(prob.constraints):
-            if n_blk in con.coeffs:
-                f[i] = con.coeffs[n_blk].entries
+        f[bm.start : bm.stop] = bm.expand()
         F.append(f)
         for out in (X, Zi):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -119,9 +116,8 @@ def test_constraint_map_matches_dense_expansion(name, hedging):
 
 
 def test_hedging_n4_solves_without_dense_constraints(hedging):
-    # d = m = 256: the solve neither expands the per-row operators nor
-    # allocates one (m, d, d) stack (256 MB); tracemalloc sees numpy's
-    # buffers.
+    # d = m = 256: the solve never allocates one (m, d, d) stack
+    # (256 MB); tracemalloc sees numpy's buffers.
     import tracemalloc
 
     prob = compile_primal(parallel_game(hedging, 4), threshold_objective(hedging, 4, 2))
@@ -135,11 +131,9 @@ def test_hedging_n4_solves_without_dense_constraints(hedging):
         tracemalloc.stop()
     assert rep.status == "optimal"
     assert abs(rep.primal_value - 1.0) <= 10 * 1e-8
-    assert prob._constraints is None
     assert peak < m * d * d * 16 / 8
 
 
-# ---------------------------------------------------------------------- solving
 # ---------------------------------------------------------------------- solving
 
 
@@ -212,14 +206,9 @@ def test_solver_matches_lp_vertex_enumeration(rng):
         objective = {
             f"x{i}": HermitianOperator(sp1, [[complex(c[i])]]) for i in range(n)
         }
-        cons = tuple(
-            ScalarConstraint(
-                {f"x{i}": HermitianOperator(sp1, [[complex(a[j, i])]]) for i in range(n)},
-                float(b[j]),
-            )
-            for j in range(m)
-        )
-        rep = solve(SdpProblem(blocks=blocks, objective=objective, constraints=cons), 1e-8)
+        cmap = ConstraintMap([BlockMap(0, m, a[:, i, None, None]) for i in range(n)], b)
+        prob = SdpProblem(blocks=blocks, objective=objective, constraint_map=cmap)
+        rep = solve(prob, 1e-8)
         assert rep.status == "optimal"
         assert rep.primal_value == pytest.approx(best, abs=1e-6)
 
@@ -230,13 +219,29 @@ def test_infeasible_certified():
     prob = SdpProblem(
         blocks=(("B", sp),),
         objective={"B": eye},
-        constraints=(
-            ScalarConstraint({"B": eye}, 1.0),
-            ScalarConstraint({"B": eye}, 2.0),
-        ),
+        constraint_map=ConstraintMap([BlockMap(0, 2, [eye.entries] * 2)], [1.0, 2.0]),
     )
     rep = solve(prob, 1e-8)
     assert rep.status == "infeasible"
+
+
+def test_problem_rejects_malformed_constraint_map():
+    sp = space(("A", 2))
+    eye = identity(sp).entries
+
+    def problem(G, b=(1.0,)):
+        cmap = ConstraintMap([BlockMap(0, 1, [G])], b)
+        return SdpProblem(blocks=(("B", sp),), objective={}, constraint_map=cmap)
+
+    assert problem(eye).constraint_map.m == 1
+    with pytest.raises(SpaceError, match="do not match the problem blocks"):
+        problem(np.eye(3))
+    with pytest.raises(ValidationError, match="constraint 0 has non-finite rhs"):
+        problem(eye, (np.inf,))
+    with pytest.raises(ValidationError, match="constraint 0 block 'B' is not Hermitian"):
+        problem(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+    with pytest.raises(ValidationError, match="constraint 0 block 'B' has non-finite"):
+        problem(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 # ------------------------------------------------------------------------ duals
@@ -275,10 +280,8 @@ def test_slater_primal_strictly_feasible(hedging):
     primal, chain = slater_points(hedging, hedging.outcomes[1])
     x = primal["X"]
     assert min_eigenvalue(x) == pytest.approx(0.5)
-    prob = compile_primal(hedging, hedging.outcomes[1])
-    for con in prob.constraints:
-        val = sum(inner(op, x) for name, op in con.coeffs.items())
-        assert val == pytest.approx(con.rhs, abs=1e-12)
+    cmap = compile_primal(hedging, hedging.outcomes[1]).constraint_map
+    assert_allclose(cmap.apply([x.entries]), cmap.b, rtol=0, atol=1e-12)
 
 
 def test_slater_dual_margin_at_least_one(hedging):
@@ -316,7 +319,7 @@ def test_r2_product_game_end_to_end(rng):
     assert prob.block_names == ("X1", "X")
     # one family of dim(W_j)^2 scalar equalities per chain link:
     # W_1 = X1 (dim 2), W_2 = Y1 x X1 x X2 (dim 8)
-    assert len(prob.constraints) == 2**2 + 8**2
+    assert prob.constraint_map.m == 2**2 + 8**2
     rep = solve(prob, 1e-8)
     assert rep.status == "optimal"
     assert rep.primal_value == pytest.approx(p1 * p2, abs=1e-5)

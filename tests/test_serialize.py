@@ -1,7 +1,7 @@
 import pytest
 from numpy.testing import assert_allclose
 
-from hedgekit import compile_primal, solve, space
+from hedgekit import space
 from hedgekit.errors import ValidationError
 from hedgekit.hedging import hedging_game, hedging_optimal_witness
 from hedgekit.sampling import random_channel, random_density, random_hermitian
@@ -12,8 +12,6 @@ from hedgekit.serialize import (
     game_to_json,
     operator_from_json,
     operator_to_json,
-    problem_from_json,
-    problem_to_json,
     witness_from_json,
     witness_to_json,
 )
@@ -129,11 +127,3 @@ def test_witness_value_mismatch_rejected():
     with pytest.raises(ValidationError):
         witness_from_json(data)
 
-
-def test_problem_round_trip_solves_the_same(hedging):
-    prob = compile_primal(hedging, hedging.outcomes[1])
-    back = problem_from_json(problem_to_json(prob))
-    a = solve(prob, 1e-8)
-    b = solve(back, 1e-8)
-    # the round-tripped problem loses the warm starts but not the optimum
-    assert b.primal_value == pytest.approx(a.primal_value, abs=1e-6)
