@@ -31,7 +31,6 @@ from .operators import (
     identity_channel,
     inner,
     is_diagonal,
-    is_psd,
     kron,
     min_eigenvalue,
     partial_trace,

@@ -264,10 +264,6 @@ def min_eigenvalue(a: HermitianOperator) -> float:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 
 
-def is_psd(a: HermitianOperator, tol: float = PSD_TOL) -> bool:
-    return min_eigenvalue(a) >= -tol
-
-
 def choi(ch: KrausChannel) -> HermitianOperator:
     """Choi operator of a channel, living on output (x) input spaces.
 

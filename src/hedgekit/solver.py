@@ -20,6 +20,10 @@ whose ``F_i`` are ``P (I_pad (x) G_i) P^T``.  ``A``, ``A*`` and the
 Schur matrix work on the ``w x w`` matrices ``G_i``, so a Kronecker
 block of dimension ``d = pad * w`` costs ``O(pad^2 w^4 + m w^4 + m^2 w^2)``
 per Schur assembly instead of ``O(m d^3 + m^2 d^2)``.
+
+Each iteration factors each block of ``X`` and ``Z`` once, a Cholesky
+factor and its inverse, then every step length costs two matmuls and one
+``eigvalsh`` and ``Z^-1`` is the product of the inverse factors.
 """
 from __future__ import annotations
 
@@ -53,14 +57,21 @@ def _chol(mat: np.ndarray) -> np.ndarray:
             raise NumericalError("Cholesky factorization failed") from exc
 
 
-def _max_step(chol_l: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha with S + alpha * direction >= 0, given S = L L^dag."""
+def _inv_chol(mat: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the Cholesky factor ``mat = L L^dag``, checked finite."""
+    li = np.linalg.inv(_chol(mat))
+    if not np.all(np.isfinite(li)):
+        raise NumericalError("Cholesky factor inverse is not finite")
+    return li
+
+
+def _max_step(li: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha with S + alpha * direction >= 0, given ``li = L^-1``
+    for S = L L^dag: ``-1 / lambda_min(L^-1 direction L^-dag)``."""
     if not np.all(np.isfinite(direction)):
         raise NumericalError("search direction is not finite")
     try:
-        w = np.linalg.solve(chol_l, direction)
-        w = np.linalg.solve(chol_l, w.conj().T).conj().T
-        lam = float(np.linalg.eigvalsh(_herm(w))[0])
+        lam = float(np.linalg.eigvalsh(_herm(li @ direction @ li.conj().T))[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("step-length eigensolve failed") from exc
     if lam >= -1e-13:
@@ -96,17 +107,17 @@ class BlockMap:
         self.dim = pad * self.w
         self.perm = None if perm is None else np.asarray(perm, dtype=np.intp)
         self.inv = None if perm is None else np.argsort(self.perm)
-        self.gflat = G.reshape(count, -1)
-        self._eye = np.eye(pad)[:, None, :, None]
         w2 = self.w * self.w
+        self.gflat = G.reshape(count, w2)
+        self._eye = np.eye(pad)[:, None, :, None]
         kron_flops = pad * pad * w2 * w2 + count * w2 * w2 + count * count * w2
         batched_flops = 2 * count * self.dim**3 + count * count * self.dim**2
         self.kron_schur = kron_flops < batched_flops
         if self.kron_schur:
-            self._gt = G.transpose(0, 2, 1).reshape(count, -1)
+            self._gt = G.transpose(0, 2, 1).reshape(count, w2)
         else:
             self._f = self.expand()
-            self._fflat = self._f.reshape(count, -1)
+            self._fflat = self._f.reshape(count, self.dim * self.dim)
 
     def expand(self) -> np.ndarray:
         """Dense ``(stop - start, dim, dim)`` stack of the ``F_i``, block order."""
@@ -146,7 +157,7 @@ class BlockMap:
             k = (xs @ zs).reshape(w, w, w, w).transpose(0, 2, 1, 3).reshape(w * w, w * w)
             return (self._gt @ k @ self.gflat.T).real
         t = x[None] @ self._f @ zi[None]
-        return (self._fflat @ t.transpose(0, 2, 1).reshape(count, -1).T).real
+        return (self._fflat @ t.transpose(0, 2, 1).reshape(count, self.dim * self.dim).T).real
 
 
 class ConstraintMap:
@@ -195,6 +206,10 @@ class ConstraintMap:
             ),
             default=0.0,
         )
+
+
+class _FarkasRay(Exception):
+    """A singular Schur system exposed the infeasibility ray ``args[0]``."""
 
 
 def _ip(a_blocks, b_blocks) -> float:
@@ -271,11 +286,9 @@ def interior_point(
                 break
 
             try:
-                Lx = [_chol(x) for x in X]
-                Lz = [_chol(z) for z in Z]
-                Zi = [_herm(np.linalg.inv(z)) for z in Z]
-                if any(not np.all(np.isfinite(zi)) for zi in Zi):
-                    raise NumericalError("dual slack inverse is not finite")
+                Lxi = [_inv_chol(x) for x in X]
+                Lzi = [_inv_chol(z) for z in Z]
+                Zi = [_herm(li.conj().T @ li) for li in Lzi]
 
                 M = A.schur(X, Zi)
 
@@ -283,31 +296,32 @@ def interior_point(
                     try:
                         return np.linalg.solve(M, rhs)
                     except np.linalg.LinAlgError:
-                        return np.linalg.lstsq(M, rhs, rcond=None)[0]
+                        dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
+                        # rhs is A(.) - b and null(M) = null(A*), so the part of
+                        # rhs that M cannot reach is a ray u with A*(u) = 0, b.u < 0
+                        ray = _farkas_certificate(A, rhs - M @ dy)
+                        if ray is not None:
+                            raise _FarkasRay(ray)
+                        return dy
 
-                def rhs_vector(mu_target, second_order):
-                    g = []
-                    for i_blk, (x, zi, rd) in enumerate(zip(X, Zi, Rd)):
-                        gb = mu_target * zi + x @ rd @ zi
-                        if second_order is not None:
-                            gb = gb - second_order[i_blk] @ zi
-                        g.append(gb)
-                    return A.apply(g) - b
+                xrz = [x @ rd @ zi for x, rd, zi in zip(X, Rd, Zi)]
 
                 def directions(mu_target, second_order):
-                    dy = solve_m(rhs_vector(mu_target, second_order))
+                    # second_order[k] is dXa dZa Z^-1 on block k (zero in the predictor)
+                    dy = solve_m(
+                        A.apply([mu_target * zi + g - s for zi, g, s in zip(Zi, xrz, second_order)])
+                        - b
+                    )
                     dZ = [_herm(az - rd) for az, rd in zip(A.adjoint(dy), Rd)]
-                    dX = []
-                    for i_blk, (x, zi, dz) in enumerate(zip(X, Zi, dZ)):
-                        raw = mu_target * zi - x - x @ dz @ zi
-                        if second_order is not None:
-                            raw = raw - second_order[i_blk] @ zi
-                        dX.append(_herm(raw))
+                    dX = [
+                        _herm(mu_target * zi - x - x @ dz @ zi - s)
+                        for x, zi, dz, s in zip(X, Zi, dZ, second_order)
+                    ]
                     return dX, dy, dZ
 
-                dXa, dya, dZa = directions(0.0, None)
-                ap = min(1.0, *[_max_step(l, d) for l, d in zip(Lx, dXa)])
-                ad = min(1.0, *[_max_step(l, d) for l, d in zip(Lz, dZa)])
+                dXa, dya, dZa = directions(0.0, [0.0] * len(X))
+                ap = min(1.0, *[_max_step(li, d) for li, d in zip(Lxi, dXa)])
+                ad = min(1.0, *[_max_step(li, d) for li, d in zip(Lzi, dZa)])
                 mu_aff = max(
                     0.0,
                     _ip(
@@ -317,12 +331,16 @@ def interior_point(
                     / nu,
                 )
                 sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3))
-                cross = [dx @ dz for dx, dz in zip(dXa, dZa)]
+                cross = [dx @ dz @ zi for dx, dz, zi in zip(dXa, dZa, Zi)]
                 dX, dy, dZ = directions(sigma * mu, cross)
 
                 gamma = _STEP_FRACTION_FLOOR + 0.09 * min(1.0, ap, ad)
-                ap = min(1.0, gamma * min(1.0e30, *[_max_step(l, d) for l, d in zip(Lx, dX)]))
-                ad = min(1.0, gamma * min(1.0e30, *[_max_step(l, d) for l, d in zip(Lz, dZ)]))
+                ap = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lxi, dX)]))
+                ad = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lzi, dZ)]))
+            except _FarkasRay as exc:
+                status = STATUS_INFEASIBLE
+                farkas = exc.args[0]
+                break
             except (NumericalError, np.linalg.LinAlgError, FloatingPointError):
                 status = STATUS_NUMERICAL
                 break

@@ -1,0 +1,152 @@
+"""The interior-point kernel: factored step lengths, Z^-1 from the inverse
+Cholesky factor, the Newton step's residual identities, and the
+constraint-map edge cases the kernel must accept or certify."""
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from hedgekit import solver
+from hedgekit.errors import NumericalError
+from hedgekit.solver import BlockMap, ConstraintMap, interior_point
+
+
+def random_pd(rng, d):
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return b @ b.conj().T / d + 0.1 * np.eye(d)
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+def reference_step(s, direction):
+    """Largest alpha with s + alpha * direction >= 0, from S^-1/2 by eigh."""
+    w, v = np.linalg.eigh(s)
+    root_inv = (v / np.sqrt(w)) @ v.conj().T
+    lam = np.linalg.eigvalsh(root_inv @ direction @ root_inv)[0]
+    return np.inf if lam >= 0 else -1.0 / lam
+
+
+@pytest.mark.parametrize("d", [4, 16, 64])
+def test_max_step_matches_eigh_reference(d):
+    rng = np.random.default_rng(600 + d)
+    s = random_pd(rng, d)
+    li = solver._inv_chol(s)
+    for _ in range(3):
+        direction = random_hermitian(rng, d)
+        alpha = solver._max_step(li, direction)
+        assert alpha == pytest.approx(reference_step(s, direction), rel=1e-10)
+        assert np.linalg.eigvalsh(s + alpha * direction)[0] == pytest.approx(0.0, abs=1e-9)
+    psd = random_pd(rng, d) - 0.1 * np.eye(d)
+    assert solver._max_step(li, psd) == np.inf
+
+
+@pytest.mark.parametrize("d", [4, 16, 64])
+def test_inverse_cholesky_factor_gives_inverse(d):
+    z = random_pd(np.random.default_rng(700 + d), d)
+    li = solver._inv_chol(z)
+    assert_allclose(li.conj().T @ li, np.linalg.inv(z), rtol=0, atol=1e-10 * np.abs(np.linalg.inv(z)).max())
+
+
+def test_inverse_cholesky_rejects_indefinite_and_non_finite():
+    with pytest.raises(NumericalError, match="Cholesky"):
+        solver._inv_chol(np.diag([1.0, -1.0]).astype(complex))
+    with pytest.raises(NumericalError):
+        solver._inv_chol(np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex))
+
+
+def random_problem(rng):
+    """A feasible, bounded problem with a pad-1 block and a pad-2 Kronecker
+    block behind a permutation: row 0 fixes the trace, the rest are random."""
+    m, w = 6, 3
+    g1 = [np.eye(2)] + [random_hermitian(rng, 2) for _ in range(m - 1)]
+    g2 = [np.eye(w)] + [random_hermitian(rng, w) for _ in range(m - 1)]
+    blocks = [BlockMap(0, m, g1), BlockMap(0, m, g2, pad=2, perm=rng.permutation(2 * w))]
+    feasible = ConstraintMap(blocks, np.zeros(m)).apply([random_pd(rng, 2), random_pd(rng, 2 * w)])
+    c = [random_hermitian(rng, 2), random_hermitian(rng, 2 * w)]
+    return c, ConstraintMap(blocks, feasible)
+
+
+def test_each_step_shrinks_the_residuals_along_themselves():
+    # From an infeasible start, A(dX) = b - A(X) and A*(dy) - dZ = Rd hold for
+    # the corrector step, so each step scales both residuals by 1 - alpha.
+    c, A = random_problem(np.random.default_rng(11))
+    iterates = [interior_point(c, A, max_iter=k) for k in range(4)]
+
+    def residuals(it):
+        rp = A.b - A.apply(it["X"])
+        rd = np.concatenate(
+            [(ci - az + z).ravel() for ci, az, z in zip(c, A.adjoint(it["y"]), it["Z"])]
+        )
+        return rp, rd
+
+    ref = [np.linalg.norm(r) for r in residuals(iterates[0])]
+    partial_steps = 0
+    for prev, cur in zip(iterates, iterates[1:]):
+        for r0, r1, size in zip(residuals(prev), residuals(cur), ref):
+            scale = 0.0
+            if np.linalg.norm(r0) > 1e-9 * size:
+                scale = np.vdot(r0, r1).real / np.vdot(r0, r0).real
+                assert -1e-12 <= scale <= 1.0
+                partial_steps += scale > 1e-3
+            assert np.linalg.norm(r1 - scale * r0) <= 1e-9 * size
+    assert partial_steps >= 1
+
+
+def test_factored_kernel_matches_the_optimum_of_its_dual():
+    c, A = random_problem(np.random.default_rng(12))
+    res = interior_point(c, A, tol=1e-9)
+    assert res["status"] == solver.STATUS_OPTIMAL
+    assert res["primal_value"] == pytest.approx(res["dual_value"], abs=1e-7)
+
+
+def test_indefinite_iterate_ends_in_numerical_failure(monkeypatch):
+    c, A = random_problem(np.random.default_rng(13))
+    chol = solver._chol
+    calls = []
+
+    def chol_flipped_from_third_iteration(mat):
+        calls.append(None)
+        return chol(mat if len(calls) <= 8 else -mat)
+
+    monkeypatch.setattr(solver, "_chol", chol_flipped_from_third_iteration)
+    res = interior_point(c, A)
+    assert res["status"] == solver.STATUS_NUMERICAL
+    assert res["iterations"] == 3
+
+
+@pytest.mark.parametrize("scale, b2", [(1.0, 2.0), (0.7, 1.5), (1.7, 1.5), (3.0, 3.0), (5.0, 2.0)])
+def test_dependent_rows_with_inconsistent_rhs_are_infeasible(scale, b2):
+    # Two copies of one row make the Schur matrix singular; b outside the
+    # range of A must be certified whatever the rounding of its LU pivots.
+    row = scale * np.eye(2)
+    A = ConstraintMap([BlockMap(0, 2, [row, row])], [1.0, b2])
+    res = interior_point([np.eye(2)], A)
+    assert res["status"] == solver.STATUS_INFEASIBLE
+    u = res["farkas"]
+    assert A.b @ u < 0
+    assert np.linalg.eigvalsh(A.adjoint(u)[0])[0] >= -1e-12
+
+
+def test_dependent_rows_with_consistent_rhs_solve():
+    sz = np.diag([1.0, -1.0])
+    A = ConstraintMap([BlockMap(0, 3, [np.eye(2), sz, np.eye(2) + sz])], [1.0, 0.2, 1.2])
+    res = interior_point([-np.eye(2)], A)
+    assert res["status"] == solver.STATUS_OPTIMAL
+    assert res["primal_value"] == pytest.approx(-1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+def test_block_without_rows_is_legal(pad):
+    empty = BlockMap(0, 0, np.zeros((0, 2, 2)), pad=pad)
+    assert empty.expand().shape == (0, 2 * pad, 2 * pad)
+    A = ConstraintMap([BlockMap(0, 1, [np.eye(1)]), empty], [1.0])
+    eye = [np.eye(1), np.eye(2 * pad)]
+    assert_allclose(A.apply(eye), [1.0])
+    assert_allclose(A.adjoint(np.ones(1))[1], np.zeros((2 * pad, 2 * pad)))
+    assert_allclose(A.schur(eye, eye), [[1.0]])
+    assert A.max_row_norm() == 1.0
+    res = interior_point([np.eye(1), -np.eye(2 * pad)], A)
+    assert res["status"] == solver.STATUS_OPTIMAL
+    assert res["primal_value"] == pytest.approx(1.0, abs=1e-7)
