@@ -21,7 +21,6 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     KrausChannel,
-    align,
     apply_channel,
     choi,
     dephase,
@@ -30,7 +29,6 @@ from .operators import (
     identity,
     identity_channel,
     inner,
-    is_diagonal,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -43,18 +41,15 @@ from .games import (
     StrategyChoi,
     dephase_game,
     group_outcomes,
-    is_diagonal_game,
     outcome_operators_single_round,
     outcome_probabilities,
     parallel_game,
-    rep_label,
     strategy_from_channel,
     threshold_objective,
     value_objective,
 )
 from .sdp import (
     DualWitness,
-    FeasibilityReport,
     SdpProblem,
     SolveReport,
     check_dual_feasibility,
@@ -94,6 +89,5 @@ from .hedging import (
     hedging_game,
     hedging_game_spec,
     hedging_optimal_witness,
-    phase_flip_channel,
     phase_flip_strategy,
 )

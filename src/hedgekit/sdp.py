@@ -173,6 +173,8 @@ class SolveReport:
     dual_multipliers: tuple
     iterations: int
     tol: float
+    #: ``u`` with ``A*(u) >= 0`` and ``b . u < 0``; None unless infeasible
+    farkas_ray: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -453,6 +455,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     dval = sign * raw["dual_value"] + problem.offset
     mults = tuple(float(sign * v) for v in raw["y"])
     status = raw["status"]
+    ray = None if raw["farkas"] is None else tuple(float(v) for v in raw["farkas"])
     # re-verify the optimal-status contract; downgrade on violation
     if status == _solver.STATUS_OPTIMAL and _primal_violation(
         problem, [primal_blocks[n] for n in names]
@@ -467,6 +470,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
         dual_multipliers=mults,
         iterations=raw["iterations"],
         tol=tol,
+        farkas_ray=ray,
     )
 
 
