@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
         if args.wins is None:
             raise _CliError("threshold objective needs --wins", EXIT_INPUT)
         g2 = _grouped(game, winning)
-        target_game = g2 if n == 1 else parallel_game(g2, n)
+        target_game = parallel_game(g2, n)
         objective = threshold_objective(g2, n, args.wins)
         detail = {"objective": "threshold", "reps": n, "wins": args.wins}
     else:
@@ -193,7 +193,7 @@ def cmd_solve(args) -> int:
             raise _CliError(
                 f"{len(values)} values for {game.outcome_count} outcomes", EXIT_INPUT
             )
-        target_game = game if n == 1 else parallel_game(game, n)
+        target_game = parallel_game(game, n)
         objective = value_objective(game, values, n)
         detail = {"objective": "value", "reps": n, "values": list(values)}
     try:
@@ -280,13 +280,13 @@ def cmd_certify(args) -> int:
     if kind == "value":
         values = tuple(witness.meta.get("values", (0.0, 1.0)))
         base = game if len(values) == game.outcome_count else _grouped(game, winning)
-        target_game = base if n == 1 else parallel_game(base, n)
+        target_game = parallel_game(base, n)
         objective = value_objective(base, values, n)
     else:
         g2 = _grouped(game, winning)
         if k is None:
             raise _CliError("certification needs --wins (or witness metadata)", EXIT_INPUT)
-        target_game = g2 if n == 1 else parallel_game(g2, n)
+        target_game = parallel_game(g2, n)
         objective = threshold_objective(g2, n, k)
     try:
         feas = check_dual_feasibility(target_game, objective, witness, tol=args.tol)

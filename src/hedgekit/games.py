@@ -11,6 +11,14 @@ Multi-round games are ingested directly as outcome operators (the data
 is validated, not compiled), while single-round games are compiled here
 from a concrete description: an initial question/memory state and a
 final measurement.
+
+Parallel repetition is one builder: :func:`repetitions` fixes the labels
+of the copies (``L#1 ... L#n``, while a single copy keeps ``L``),
+:func:`tensor_word` tensors per-copy operators under those labels and
+:func:`word_sum` sums the words over the bit strings in ``{0,1}^n`` whose
+count of ones passes a predicate.  :func:`parallel_game`, the objectives
+and every witness of :mod:`hedgekit.witnesses` are built from them, so
+they pair for every ``n``.
 """
 from __future__ import annotations
 
@@ -31,6 +39,7 @@ from .operators import (
     dephase,
     identity,
     inner,
+    is_diagonal,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -181,14 +190,6 @@ class OutcomeOperators:
     def outcome_count(self) -> int:
         return len(self.outcomes)
 
-    def x_labels(self, upto: int | None = None) -> tuple[str, ...]:
-        upto = self.rounds if upto is None else upto
-        return tuple(l for grp in self.x_rounds[:upto] for l in grp)
-
-    def y_labels(self, upto: int | None = None) -> tuple[str, ...]:
-        upto = self.rounds if upto is None else upto
-        return tuple(l for grp in self.y_rounds[:upto] for l in grp)
-
 
 @dataclass(frozen=True)
 class StrategyChoi:
@@ -299,81 +300,77 @@ def _verify_against_simulation(g: SingleRoundGameSpec, game: OutcomeOperators):
 # -- parallel repetition ----------------------------------------------------------
 
 
-def rep_label(label: str, rep: int) -> str:
+def repetitions(n: int) -> tuple:
+    """Repetition indices of ``n`` copies, the one labelling rule behind
+    every n-fold game, objective and witness: copy ``m`` relabels ``L`` to
+    ``L#m``, and a single copy (index ``None``) keeps its labels."""
+    if n < 1:
+        raise ValidationError(f"repetition count must be >= 1, got {n}")
+    return (None,) if n == 1 else tuple(range(1, n + 1))
+
+
+def rep_label(label: str, rep: int | None) -> str:
     """Deterministic, collision-free per-repetition label."""
-    return f"{label}#{rep}"
+    return label if rep is None else f"{label}#{rep}"
 
 
-def _rep_mapping(labels, rep: int) -> dict:
-    return {l: rep_label(l, rep) for l in labels}
+def tensor_word(ops, reps) -> HermitianOperator:
+    """The word ``ops[0] (x) ops[1] (x) ...`` with ``ops[m]`` relabelled to
+    repetition ``reps[m]``."""
+    word = None
+    for op, rep in zip(ops, reps):
+        if rep is not None:
+            op = op.relabel({l: rep_label(l, rep) for l in op.spaces.labels})
+        word = op if word is None else kron(word, op)
+    return word
+
+
+def word_sum(f0, f1, reps, passes) -> HermitianOperator:
+    """Sum of the tensor words over the bit strings ``b`` in
+    ``{0,1}^len(reps)`` whose count of ones passes ``passes``: slot ``m``
+    carries ``f1`` where ``b[m] = 1`` and ``f0`` where it is 0."""
+    total = None
+    for bits in itertools.product((0, 1), repeat=len(reps)):
+        if passes(sum(bits)):
+            word = tensor_word([f1 if b else f0 for b in bits], reps)
+            total = word if total is None else total + word
+    return total
 
 
 def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
-    """Tensor ``n`` independent copies of a game.
+    """Tensor ``n`` independent copies of a game, labelled by
+    :func:`repetitions`.
 
     Outcomes are indexed by tuples of single-copy outcome keys; the
     operator for a tuple is the tensor word of the per-copy operators.
     The words are checked PSD through their spectra, which are the
     products of the per-copy spectra, not by an eigensolve each.
     """
-    if n < 1:
-        raise ValidationError("repetition count must be >= 1")
+    reps = repetitions(n)
     if g.spaces.dim**n > DESK_DIM_CAP:
         raise ValidationError(
             f"parallel game dimension {g.spaces.dim ** n} exceeds the desk-scale "
             f"cap {DESK_DIM_CAP}"
         )
-    copies = [
-        {
-            "outcomes": [p.relabel(_rep_mapping(g.spaces.labels, m)) for p in g.outcomes],
-            "rho": g.rho.relabel(_rep_mapping(g.spaces.labels, m)),
-            "r_blocks": [r.relabel(_rep_mapping(g.spaces.labels, m)) for r in g.r_blocks],
-        }
-        for m in range(1, n + 1)
-    ]
-    t = g.outcome_count
-    ops = []
-    keys = []
-    for idx in itertools.product(range(t), repeat=n):
-        word = copies[0]["outcomes"][idx[0]]
-        for m in range(1, n):
-            word = kron(word, copies[m]["outcomes"][idx[m]])
-        ops.append(word)
-        keys.append(tuple(g.outcome_keys[i] for i in idx))
-    word_min_eigenvalues = _word_min_eigenvalues(g, n)
-    rho = copies[0]["rho"]
-    for m in range(1, n):
-        rho = kron(rho, copies[m]["rho"])
-    rho = DensityOperator(rho.spaces, rho.entries)
-    r_blocks = []
-    for j in range(g.rounds - 1):
-        blk = copies[0]["r_blocks"][j]
-        for m in range(1, n):
-            blk = kron(blk, copies[m]["r_blocks"][j])
-        r_blocks.append(blk)
-    spaces = ops[0].spaces
-    x_rounds = tuple(
-        tuple(rep_label(l, m) for m in range(1, n + 1) for l in grp)
-        for grp in g.x_rounds
-    )
-    y_rounds = tuple(
-        tuple(rep_label(l, m) for m in range(1, n + 1) for l in grp)
-        for grp in g.y_rounds
-    )
+    idxs = list(itertools.product(range(g.outcome_count), repeat=n))
+    # Each copy's outcomes are relabelled once; the words keep those labels.
+    copies = [[tensor_word([p], (m,)) for p in g.outcomes] for m in reps]
+    ops = [tensor_word([c[i] for c, i in zip(copies, idx)], (None,) * n) for idx in idxs]
+    rho = tensor_word([g.rho] * n, reps)
     game = object.__new__(OutcomeOperators)
     fields = {
         "rounds": g.rounds,
-        "spaces": spaces,
-        "x_rounds": x_rounds,
-        "y_rounds": y_rounds,
+        "spaces": ops[0].spaces,
+        "x_rounds": tuple(tuple(rep_label(l, m) for m in reps for l in grp) for grp in g.x_rounds),
+        "y_rounds": tuple(tuple(rep_label(l, m) for m in reps for l in grp) for grp in g.y_rounds),
         "outcomes": tuple(ops),
-        "rho": rho,
-        "r_blocks": tuple(r_blocks),
-        "outcome_keys": tuple(keys),
+        "rho": DensityOperator(rho.spaces, rho.entries),
+        "r_blocks": tuple(tensor_word([r] * n, reps) for r in g.r_blocks),
+        "outcome_keys": tuple(tuple(g.outcome_keys[i] for i in idx) for idx in idxs),
     }
     for f in dataclasses.fields(OutcomeOperators):
         object.__setattr__(game, f.name, fields[f.name])
-    game._validate(word_min_eigenvalues)
+    game._validate(_word_min_eigenvalues(g, n))
     return game
 
 
@@ -421,15 +418,6 @@ def group_outcomes(g: OutcomeOperators, winning) -> OutcomeOperators:
     )
 
 
-def _parallel_word(g: OutcomeOperators, idx) -> HermitianOperator:
-    if len(idx) == 1:
-        return g.outcomes[idx[0]]
-    word = g.outcomes[idx[0]].relabel(_rep_mapping(g.spaces.labels, 1))
-    for m, i in enumerate(idx[1:], start=2):
-        word = kron(word, g.outcomes[i].relabel(_rep_mapping(g.spaces.labels, m)))
-    return word
-
-
 def threshold_objective(g: OutcomeOperators, n: int, k: int) -> HermitianOperator:
     """Objective for winning at least ``k`` of ``n`` repetitions: the sum of
     all tensor words whose index tuples carry at least ``k`` wins."""
@@ -441,13 +429,7 @@ def threshold_objective(g: OutcomeOperators, n: int, k: int) -> HermitianOperato
         raise ValidationError(f"threshold {k} out of range 0..{n}")
     if g.spaces.dim**n > DESK_DIM_CAP:
         raise ValidationError("parallel dimension exceeds the desk-scale cap")
-    total = None
-    for idx in itertools.product((0, 1), repeat=n):
-        if sum(idx) < k:
-            continue
-        word = _parallel_word(g, idx)
-        total = word if total is None else total + word
-    return total
+    return word_sum(g.outcomes[0], g.outcomes[1], repetitions(n), lambda ones: ones >= k)
 
 
 def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
@@ -458,6 +440,7 @@ def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
         raise ValidationError(
             f"need one value per outcome ({g.outcome_count}), got {len(values)}"
         )
+    reps = repetitions(n)
     if g.spaces.dim**n > DESK_DIM_CAP:
         raise ValidationError("parallel dimension exceeds the desk-scale cap")
     total = None
@@ -465,10 +448,10 @@ def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
         weight = sum(values[i] for i in idx) / n
         if weight == 0.0:
             continue
-        word = _parallel_word(g, idx) * weight
+        word = tensor_word([g.outcomes[i] for i in idx], reps) * weight
         total = word if total is None else total + word
     if total is None:
-        sp = _parallel_word(g, (0,) * n).spaces
+        sp = tensor_word([g.outcomes[0]] * n, reps).spaces
         total = HermitianOperator._wrap(sp, np.zeros((sp.dim, sp.dim), dtype=np.complex128))
     return total
 
@@ -522,7 +505,5 @@ def dephase_game(g: OutcomeOperators) -> OutcomeOperators:
 
 
 def is_diagonal_game(g: OutcomeOperators, tol: float = 1e-12) -> bool:
-    from .operators import is_diagonal
-
     ops = list(g.outcomes) + [g.rho] + list(g.r_blocks)
     return all(is_diagonal(op, tol) for op in ops)

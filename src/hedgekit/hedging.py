@@ -19,6 +19,7 @@ from .games import (
     StrategyChoi,
     outcome_operators_single_round,
     rep_label,
+    repetitions,
     strategy_from_channel,
 )
 from .operators import DensityOperator, HermitianOperator, KrausChannel
@@ -75,11 +76,11 @@ def hedging_optimal_witness() -> DualWitness:
 
 def phase_flip_channel(n: int = 2) -> KrausChannel:
     """Joint unitary on the ``n`` received question qubits that flips the
-    sign of the all-zeros basis state."""
-    if n < 1:
-        raise ValueError("need at least one repetition")
-    in_sp = SpaceList(tuple((rep_label(QUESTION_LABEL, m), 2) for m in range(1, n + 1)))
-    out_sp = SpaceList(tuple((rep_label(ANSWER_LABEL, m), 2) for m in range(1, n + 1)))
+    sign of the all-zeros basis state, labelled as in
+    :func:`~hedgekit.games.parallel_game`."""
+    reps = repetitions(n)
+    in_sp = SpaceList(tuple((rep_label(QUESTION_LABEL, m), 2) for m in reps))
+    out_sp = SpaceList(tuple((rep_label(ANSWER_LABEL, m), 2) for m in reps))
     u = np.eye(2**n)
     u[0, 0] = -1.0
     return KrausChannel(in_sp, out_sp, (u,))

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .games import OutcomeOperators
+from .games import OutcomeOperators, SingleRoundGameSpec, outcome_operators_single_round
 from .operators import DensityOperator, HermitianOperator, KrausChannel
 from .sdp import DualWitness
 from .spaces import SpaceList
@@ -102,8 +102,6 @@ def single_round_game_to_json(sigma, measurement, winning) -> dict:
 
 def game_from_json(data) -> tuple[OutcomeOperators, tuple]:
     """Load a game description; returns ``(game, winning outcome keys)``."""
-    from .games import SingleRoundGameSpec, outcome_operators_single_round
-
     if not isinstance(data, dict) or "type" not in data:
         raise ValidationError("game JSON needs a 'type' field")
     kind = data["type"]

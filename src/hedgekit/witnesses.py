@@ -11,6 +11,12 @@ candidate for the n-fold dual and is checked, never assumed, via
 * ``witness_classical_binomial`` - diagonal games only; the dephase +
   entrywise-clamp reduction whose trace is the binomial tail.
 
+Every n-fold block is a tensor word or a word sum from the builder in
+:mod:`hedgekit.games` (:func:`~hedgekit.games.repetitions`,
+:func:`~hedgekit.games.tensor_word`, :func:`~hedgekit.games.word_sum`), so
+the witnesses carry the labels of :func:`~hedgekit.games.parallel_game`
+for every ``n``, a single copy included.
+
 The positivity engine behind the threshold constructions is the
 monotone-set operator inequality checked by
 :func:`verify_monotone_inequality`.
@@ -23,13 +29,21 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .games import OutcomeOperators, is_diagonal_game, rep_label, value_objective
+from .games import (
+    OutcomeOperators,
+    is_diagonal_game,
+    repetitions,
+    tensor_word,
+    value_objective,
+    word_sum,
+)
 from .operators import (
     HermitianOperator,
     dephase,
     is_diagonal,
     kron,
     min_eigenvalue,
+    permute_systems,
 )
 from .sdp import (
     DualWitness,
@@ -88,41 +102,6 @@ def _game_chain(g: OutcomeOperators):
     return (g.rho,) + tuple(g.r_blocks)
 
 
-def _rep(block: HermitianOperator, rep: int | None) -> HermitianOperator:
-    """Relabel a block for one repetition; ``None`` keeps the original
-    labels (the n = 1 problems live on the unrepeated spaces)."""
-    if rep is None:
-        return block
-    return block.relabel({l: rep_label(l, rep) for l in block.spaces.labels})
-
-
-def _rep_list(n: int):
-    return [None] if n == 1 else list(range(1, n + 1))
-
-
-def _word(blocks) -> HermitianOperator:
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = kron(out, b)
-    return out
-
-
-def _sum_words(f0, f1, reps, bits_iter) -> HermitianOperator:
-    total = None
-    for bits in bits_iter:
-        word = _word([_rep(f1 if b else f0, m) for b, m in zip(bits, reps)])
-        total = word if total is None else total + word
-    return total
-
-
-def _exact_bits(n: int, ones: int):
-    return (bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) == ones)
-
-
-def _at_least_bits(n: int, ones: int):
-    return (bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) >= ones)
-
-
 # -- constructions ------------------------------------------------------------------
 
 
@@ -133,21 +112,17 @@ def witness_average(
     factor and ``n - 1`` game-consistency factors per term, averaged.
     Its trace equals ``Tr(Y)`` exactly (the consistency blocks have unit
     trace)."""
-    if n < 1:
-        raise ValidationError("repetition count must be >= 1")
+    reps = repetitions(n)
     if values is None:
         values = w.meta.get("values")
     if values is not None:
         _verify_input(w, g, value_objective(g, values, 1))
     game_chain = _game_chain(g)
-    reps = _rep_list(n)
     chain = []
     for yop, rop in zip(w.chain(), game_chain):
         total = None
         for slot in range(n):
-            word = _word(
-                [_rep(yop if pos == slot else rop, rep) for pos, rep in enumerate(reps)]
-            )
+            word = tensor_word([yop if pos == slot else rop for pos in range(n)], reps)
             total = word if total is None else total + word
         chain.append(total * (1.0 / n))
     meta = dict(w.meta)
@@ -159,12 +134,11 @@ def witness_average(
 
 def witness_tensor_power(w: DualWitness, n: int, g: OutcomeOperators | None = None) -> DualWitness:
     """Tensor-power witness for the threshold ``k = n``; trace ``Tr(Y)^n``."""
-    if n < 1:
-        raise ValidationError("repetition count must be >= 1")
+    reps = repetitions(n)
     if g is not None:
         _require_two_outcomes(g)
         _verify_input(w, g, g.outcomes[1])
-    chain = [_word([_rep(yop, m) for m in _rep_list(n)]) for yop in w.chain()]
+    chain = [tensor_word([yop] * n, reps) for yop in w.chain()]
     meta = dict(w.meta)
     meta.update({"construction": "tensor-power", "n": n, "k": n})
     return DualWitness(rounds=w.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
@@ -177,11 +151,10 @@ def witness_naive(w: DualWitness, g: OutcomeOperators, n: int, k: int) -> DualWi
         raise ValidationError(f"threshold {k} out of range 0..{n}")
     _require_two_outcomes(g)
     _verify_input(w, g, g.outcomes[1])
-    game_chain = _game_chain(g)
-    reps = _rep_list(n)
+    reps = repetitions(n)
     chain = [
-        _sum_words(rop, yop, reps, _at_least_bits(n, k))
-        for yop, rop in zip(w.chain(), game_chain)
+        word_sum(rop, yop, reps, lambda ones: ones >= k)
+        for yop, rop in zip(w.chain(), _game_chain(g))
     ]
     meta = dict(w.meta)
     meta.update({"construction": "naive", "n": n, "k": k})
@@ -203,18 +176,20 @@ def witness_recursive_snk(w: DualWitness, g: OutcomeOperators, n: int, k: int) -
     def build(reps, kk):
         m = len(reps)
         if kk == 0:
-            return [_word([_rep(f0, r) for r in reps]) for f0, _ in levels]
+            return [tensor_word([f0] * m, reps) for f0, _ in levels]
         if kk == m:
-            return [_word([_rep(f1, r) for r in reps]) for _, f1 in levels]
-        first, rest = reps[0], reps[1:]
+            return [tensor_word([f1] * m, reps) for _, f1 in levels]
+        first, rest = reps[:1], reps[1:]
         sub = build(rest, kk)
         out = []
         for (f0, f1), sub_level in zip(levels, sub):
-            tail = _sum_words(f0, f1, rest, _exact_bits(len(rest), kk - 1))
-            out.append(kron(_rep(f0, first), sub_level) + kron(_rep(f1, first), tail))
+            tail = word_sum(f0, f1, rest, lambda ones: ones == kk - 1)
+            out.append(
+                kron(tensor_word([f0], first), sub_level) + kron(tensor_word([f1], first), tail)
+            )
         return out
 
-    chain = build(_rep_list(n), k)
+    chain = build(repetitions(n), k)
     meta = dict(w.meta)
     meta.update({"construction": "snk", "n": n, "k": k})
     return DualWitness(rounds=g.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
@@ -265,14 +240,14 @@ def witness_classical_binomial(
         for yop, rop in zip(w.chain(), game_chain)
     ]
     p_clamped = clamped[0].trace()
-    reps = _rep_list(n)
+    reps = repetitions(n)
     chain = []
     for rop, yop in zip(game_chain, clamped):
         f0 = rop - yop
         lo = min_eigenvalue(f0)
         if lo < -1e-10:
             raise DomainError(f"clamped block exceeds its consistency block ({lo:.3e})")
-        chain.append(_sum_words(f0, yop, reps, _at_least_bits(n, k)))
+        chain.append(word_sum(f0, yop, reps, lambda ones: ones >= k))
     meta = dict(w.meta)
     meta.update(
         {"construction": "classical-binomial", "n": n, "k": k, "p_clamped": p_clamped}
@@ -355,8 +330,6 @@ def classical_optimum(g: OutcomeOperators) -> float:
     if not is_diagonal_game(g):
         raise DomainError("the enumeration oracle requires a diagonal game")
     ordered = g.spaces.restrict(g.y_rounds[0]).concat(g.spaces.restrict(g.x_rounds[0]))
-    from .operators import permute_systems
-
     p1 = permute_systems(g.outcomes[1], ordered.labels)
     dy = g.spaces.restrict(g.y_rounds[0]).dim
     dx = g.spaces.restrict(g.x_rounds[0]).dim

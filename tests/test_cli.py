@@ -91,6 +91,24 @@ def test_certify_classical_binomial_refused_on_quantum_game(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "hedging", "--construction", "naive", "--reps", "0", "--wins", "0"),
+        ("certify", "hedging", "--construction", "snk", "--reps", "0", "--wins", "0"),
+        ("certify", "hedging", "--construction", "tensor-power", "--reps", "0"),
+        ("solve", "hedging", "--objective", "threshold", "--reps", "0", "--wins", "0"),
+        ("solve", "hedging", "--objective", "value", "--values", "0,1", "--reps", "0"),
+    ],
+    ids=["naive", "snk", "tensor-power", "threshold", "value"],
+)
+def test_zero_repetitions_is_input_error(argv, capsys):
+    assert run(*argv, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "hedgekit: error:" in err
+    assert "Traceback" not in err
+
+
 def test_certify_witness_round_trip(tmp_path):
     wfile = tmp_path / "w.json"
     first = tmp_path / "r1.json"

@@ -81,10 +81,15 @@ def test_incomplete_measurement_rejected(rng):
 # ------------------------------------------------------------------- parallel
 
 
-def test_parallel_single_copy_relabels(hedging):
+def test_parallel_single_copy_keeps_labels(hedging):
     pg = parallel_game(hedging, 1)
-    assert pg.spaces.labels == ("Y1#1", "X1#1")
-    assert_allclose(pg.outcomes[1].entries, hedging.outcomes[1].entries)
+    assert pg.spaces == hedging.spaces
+    assert (pg.x_rounds, pg.y_rounds) == (hedging.x_rounds, hedging.y_rounds)
+    assert pg.outcome_keys == ((0,), (1,))
+    for p, q in zip(pg.outcomes, hedging.outcomes):
+        assert p.spaces == q.spaces
+        assert np.array_equal(p.entries, q.entries)
+    assert np.array_equal(pg.rho.entries, hedging.rho.entries)
 
 
 def test_parallel_two_copies_tensor_words(hedging):

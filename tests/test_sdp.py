@@ -373,11 +373,11 @@ def test_tensor_power_witness_value(hedging):
 def test_conjecture_style_witness_is_infeasible(hedging):
     # Summing (rho - Y) / Y words gives the independent-play tail value
     # 1 - (1 - p)^2 ~ 0.9786 < 1, so by weak duality it cannot be feasible.
-    from hedgekit.witnesses import _at_least_bits, _sum_words
+    from hedgekit.games import repetitions, word_sum
 
     w0 = hedging_optimal_witness()
     f0 = hedging.rho - w0.Y
-    y = _sum_words(f0, w0.Y, [1, 2], _at_least_bits(2, 1))
+    y = word_sum(f0, w0.Y, repetitions(2), lambda ones: ones >= 1)
     w = DualWitness(rounds=1, Y=y)
     pg = parallel_game(hedging, 2)
     feas = check_dual_feasibility(pg, threshold_objective(hedging, 2, 1), w, 1e-9)

@@ -10,6 +10,7 @@ from hedgekit import (
     classical_optimum,
     compile_primal,
     dephase,
+    dephase_game,
     elementwise_min,
     parallel_game,
     single_round_witness,
@@ -26,7 +27,12 @@ from hedgekit import (
 )
 from hedgekit.error_reduction import binomial_tail
 from hedgekit.errors import DomainError, ValidationError
-from hedgekit.hedging import WIN_PROBABILITY, hedging_game, hedging_optimal_witness
+from hedgekit.hedging import (
+    WIN_PROBABILITY,
+    hedging_game,
+    hedging_optimal_witness,
+    phase_flip_channel,
+)
 from hedgekit.operators import HermitianOperator
 from hedgekit.sampling import random_monotone_instance, random_psd
 
@@ -320,3 +326,50 @@ def test_solver_extracted_witness_constructions(seed):
         feas = check_dual_feasibility(pg, threshold_objective(g, 2, k), cand, 1e-9)
         assert feas.feasible
         assert feas.value == pytest.approx(expect, abs=1e-9)
+
+
+# ------------------------------------------------- one labelling rule for every n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_parallel_game_pairs_with_objectives_and_witnesses(game, w_opt, n):
+    # parallel_game, the objectives and the witnesses share one labelling
+    # rule, so they pair for every n, a single copy included.
+    pg = parallel_game(game, n)
+    known = {(1, 1): P, (2, 1): 1.0, (2, 2): P**2, (3, 1): 1.0, (3, 3): P**3}
+    for k in range(1, n + 1):
+        objective = threshold_objective(game, n, k)
+        rep = solve(compile_primal(pg, objective), 1e-8)
+        assert rep.status == "optimal"
+        if (n, k) in known:
+            assert rep.primal_value == pytest.approx(known[(n, k)], abs=1e-6)
+        naive = sum(math.comb(n, t) * P**t for t in range(k, n + 1))
+        for w, value in (
+            (witness_naive(w_opt, game, n, k), naive),
+            (witness_recursive_snk(w_opt, game, n, k), math.comb(n, k) * P**k),
+        ):
+            feas = check_dual_feasibility(pg, objective, w, 1e-9)
+            assert feas.feasible
+            assert feas.value == pytest.approx(value, abs=1e-12)
+            assert rep.primal_value <= feas.value + 1e-7
+    rep = solve(compile_primal(pg, value_objective(game, (0.0, 1.0), n)), 1e-8)
+    assert rep.status == "optimal"
+    assert rep.primal_value == pytest.approx(P, abs=1e-5)
+
+
+def test_zero_repetitions_rejected(game, w_opt):
+    dg = dephase_game(game)
+    wd = single_round_witness(dg, dg.outcomes[1], tol=1e-9)
+    for build in (
+        lambda: parallel_game(game, 0),
+        lambda: threshold_objective(game, 0, 0),
+        lambda: value_objective(game, (0.0, 1.0), 0),
+        lambda: witness_average(w_opt, game, 0, values=(0.0, 1.0)),
+        lambda: witness_tensor_power(w_opt, 0, game),
+        lambda: witness_naive(w_opt, game, 0, 0),
+        lambda: witness_recursive_snk(w_opt, game, 0, 0),
+        lambda: witness_classical_binomial(wd, dg, 0, 0),
+        lambda: phase_flip_channel(0),
+    ):
+        with pytest.raises(ValidationError, match="repetition count"):
+            build()
