@@ -37,6 +37,7 @@ from .operators import (
 )
 from .games import (
     OutcomeOperators,
+    Rounds,
     SingleRoundGameSpec,
     StrategyChoi,
     dephase_game,
@@ -44,6 +45,7 @@ from .games import (
     outcome_operators_single_round,
     outcome_probabilities,
     parallel_game,
+    parallel_rounds,
     strategy_from_channel,
     threshold_objective,
     value_objective,

@@ -32,6 +32,7 @@ from .games import (
     group_outcomes,
     outcome_probabilities,
     parallel_game,
+    parallel_rounds,
     threshold_objective,
     value_objective,
 )
@@ -175,15 +176,16 @@ def cmd_solve(args) -> int:
     n = args.reps
     t0 = time.perf_counter()
     if args.objective == "win":
-        g2 = _grouped(game, winning)
-        target_game, objective = g2, g2.outcomes[1]
+        if n != 1:
+            raise _CliError("--objective win solves one copy; use --objective threshold --wins N")
+        base = _grouped(game, winning)
+        objective = base.outcomes[1]
         detail = {"objective": "win"}
     elif args.objective == "threshold":
         if args.wins is None:
             raise _CliError("threshold objective needs --wins", EXIT_INPUT)
-        g2 = _grouped(game, winning)
-        target_game = parallel_game(g2, n)
-        objective = threshold_objective(g2, n, args.wins)
+        base = _grouped(game, winning)
+        objective = threshold_objective(base, n, args.wins)
         detail = {"objective": "threshold", "reps": n, "wins": args.wins}
     else:
         if args.values is None:
@@ -193,11 +195,11 @@ def cmd_solve(args) -> int:
             raise _CliError(
                 f"{len(values)} values for {game.outcome_count} outcomes", EXIT_INPUT
             )
-        target_game = parallel_game(game, n)
+        base = game
         objective = value_objective(game, values, n)
         detail = {"objective": "value", "reps": n, "values": list(values)}
     try:
-        problem = compile_primal(target_game, objective)
+        problem = compile_primal(parallel_rounds(base, n), objective)
     except HedgekitError as exc:
         raise _CliError(f"cannot compile the program: {exc}", EXIT_INPUT)
     run.phase("compile", t0)
@@ -280,16 +282,14 @@ def cmd_certify(args) -> int:
     if kind == "value":
         values = tuple(witness.meta.get("values", (0.0, 1.0)))
         base = game if len(values) == game.outcome_count else _grouped(game, winning)
-        target_game = parallel_game(base, n)
         objective = value_objective(base, values, n)
     else:
-        g2 = _grouped(game, winning)
+        base = _grouped(game, winning)
         if k is None:
             raise _CliError("certification needs --wins (or witness metadata)", EXIT_INPUT)
-        target_game = parallel_game(g2, n)
-        objective = threshold_objective(g2, n, k)
+        objective = threshold_objective(base, n, k)
     try:
-        feas = check_dual_feasibility(target_game, objective, witness, tol=args.tol)
+        feas = check_dual_feasibility(parallel_rounds(base, n), objective, witness, tol=args.tol)
     except HedgekitError as exc:
         raise _CliError(f"cannot check the witness: {exc}", EXIT_INPUT)
     run.phase("check", t0)

@@ -7,6 +7,12 @@ r=1 marginal) and the chain blocks ``R_2 ... R_r``.  The probability of
 outcome ``i`` against a prover strategy ``X`` is the Hilbert-Schmidt
 inner product of ``P_i`` with ``X``.
 
+The strategy SDP reads a game only through its :class:`Rounds`, the
+labels of each round and the chain spaces built from them.
+:class:`OutcomeOperators` extends it with the operators, and
+:func:`parallel_rounds` gives the rounds of ``n`` copies without their
+outcome words.
+
 Multi-round games are ingested directly as outcome operators (the data
 is validated, not compiled), while single-round games are compiled here
 from a concrete description: an initial question/memory state and a
@@ -16,9 +22,10 @@ Parallel repetition is one builder: :func:`repetitions` fixes the labels
 of the copies (``L#1 ... L#n``, while a single copy keeps ``L``),
 :func:`tensor_word` tensors per-copy operators under those labels and
 :func:`word_sum` sums the words over the bit strings in ``{0,1}^n`` whose
-count of ones passes a predicate.  :func:`parallel_game`, the objectives
-and every witness of :mod:`hedgekit.witnesses` are built from them, so
-they pair for every ``n``.
+count of ones passes a predicate.  :func:`parallel_rounds`,
+:func:`parallel_game`, the objectives and every witness of
+:mod:`hedgekit.witnesses` are built from them, so they pair for every
+``n``.
 """
 from __future__ import annotations
 
@@ -111,44 +118,69 @@ class SingleRoundGameSpec:
 
 
 @dataclass(frozen=True)
-class OutcomeOperators:
-    """A game in SDP-ready form.
-
-    ``x_rounds[j]`` / ``y_rounds[j]`` list the question / answer labels of
-    round ``j+1``; a round may span several labels (parallel repetition
-    produces one label per repetition).
-    """
+class Rounds:
+    """The round structure of an interaction: all its strategy SDP reads
+    apart from the objective.  ``x_rounds[j]`` / ``y_rounds[j]`` list the
+    question / answer labels of round ``j+1`` (parallel repetition gives
+    a round one label per copy) and partition ``spaces``.  The methods
+    number rounds from 1."""
 
     rounds: int
     spaces: SpaceList
     x_rounds: tuple[tuple[str, ...], ...]
     y_rounds: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        r = self.rounds
+        if r < 1:
+            raise ValidationError("rounds must be >= 1")
+        if len(self.x_rounds) != r or len(self.y_rounds) != r:
+            raise ValidationError("round label groups must match the round count")
+        declared = [l for grp in zip(self.y_rounds, self.x_rounds) for part in grp for l in part]
+        if sorted(declared) != sorted(self.spaces.labels):
+            raise SpaceError("round label groups must partition the game space")
+
+    def question(self, j: int) -> SpaceList:
+        """The question space ``X_j``."""
+        return self.spaces.restrict(self.x_rounds[j - 1])
+
+    def answer(self, j: int) -> SpaceList:
+        """The answer space ``Y_j``."""
+        return self.spaces.restrict(self.y_rounds[j - 1])
+
+    def block(self, j: int) -> SpaceList:
+        """``Y_1 X_1 ... Y_j X_j``: the space of chain block ``X_j``."""
+        labels = [l for m in range(j) for grp in (self.y_rounds[m], self.x_rounds[m]) for l in grp]
+        return self.spaces.restrict(labels).reorder(labels)
+
+    def family(self, j: int) -> SpaceList:
+        """``block(j - 1)`` then ``X_j``: the space constrained by link ``j``."""
+        return self.block(j).drop(self.y_rounds[j - 1])
+
+
+@dataclass(frozen=True)
+class OutcomeOperators(Rounds):
+    """A game in SDP-ready form: its :class:`Rounds` with the outcome
+    operators on ``spaces`` and the consistency data."""
+
     outcomes: tuple[HermitianOperator, ...]
     rho: DensityOperator
     r_blocks: tuple[HermitianOperator, ...] = ()
     outcome_keys: tuple = ()
 
     def __post_init__(self):
+        super().__post_init__()
         self._validate()
 
     def _validate(self, outcome_min_eigenvalues=None):
-        """Structure, PSD and consistency checks.  The smallest outcome
-        eigenvalues are computed here unless the caller derived them
-        exactly (see :func:`parallel_game`)."""
-        r = self.rounds
-        if r < 1:
-            raise ValidationError("rounds must be >= 1")
-        if len(self.x_rounds) != r or len(self.y_rounds) != r:
-            raise ValidationError("round label groups must match the round count")
-        if len(self.r_blocks) != r - 1:
+        """PSD and consistency checks, with the smallest outcome eigenvalues
+        from the caller when it derived them exactly (:func:`parallel_game`)."""
+        if len(self.r_blocks) != self.rounds - 1:
             raise ValidationError("expected R_2..R_r consistency blocks")
         if not self.outcome_keys:
             object.__setattr__(self, "outcome_keys", tuple(range(len(self.outcomes))))
         if len(self.outcome_keys) != len(self.outcomes):
             raise ValidationError("outcome keys must match the outcome operators")
-        declared = [l for grp in zip(self.y_rounds, self.x_rounds) for part in grp for l in part]
-        if sorted(declared) != sorted(self.spaces.labels):
-            raise SpaceError("round label groups must partition the game space")
         if sorted(self.rho.spaces.labels) != sorted(self.x_rounds[0]):
             raise SpaceError("rho must live on the first-round question space")
         for k, p in enumerate(self.outcomes):
@@ -167,7 +199,7 @@ class OutcomeOperators:
         for p in self.outcomes[1:]:
             total = total + p
         last = self.rho if self.rounds == 1 else self.r_blocks[-1]
-        expect = kron(identity(self.spaces.restrict(self.y_rounds[-1])), last)
+        expect = kron(identity(self.answer(self.rounds)), last)
         drift = _max_abs_diff(align(total, self.spaces), align(expect, self.spaces))
         if drift > CONSISTENCY_TOL:
             raise ValidationError(
@@ -179,7 +211,7 @@ class OutcomeOperators:
             rj = self.r_blocks[j - 2]
             reduced = partial_trace(rj, set(self.x_rounds[j - 1]))
             prev = self.rho if j == 2 else self.r_blocks[j - 3]
-            expect = kron(identity(self.spaces.restrict(self.y_rounds[j - 2])), prev)
+            expect = kron(identity(self.answer(j - 1)), prev)
             drift = _max_abs_diff(align(reduced, expect.spaces), expect)
             if drift > CONSISTENCY_TOL:
                 raise ValidationError(
@@ -281,8 +313,7 @@ def outcome_operators_single_round(
 def _verify_against_simulation(g: SingleRoundGameSpec, game: OutcomeOperators):
     """Cross-check <P_k, J(Phi)> against Tr[Q_k (Phi (x) 1)(sigma)]."""
     rng = np.random.default_rng(20110301)
-    in_sp = game.spaces.restrict(game.x_rounds[0])
-    out_sp = game.spaces.restrict(game.y_rounds[0])
+    in_sp, out_sp = game.question(1), game.answer(1)
     for _ in range(3):
         ch = random_channel(rng, in_sp, out_sp)
         j = choi(ch)
@@ -307,6 +338,17 @@ def repetitions(n: int) -> tuple:
     if n < 1:
         raise ValidationError(f"repetition count must be >= 1, got {n}")
     return (None,) if n == 1 else tuple(range(1, n + 1))
+
+
+def _capped_repetitions(g: Rounds, n: int) -> tuple:
+    """:func:`repetitions` for ``n`` copies of ``g``, refused past the desk cap."""
+    reps = repetitions(n)
+    if g.spaces.dim**n > DESK_DIM_CAP:
+        raise ValidationError(
+            f"parallel game dimension {g.spaces.dim ** n} exceeds the desk-scale "
+            f"cap {DESK_DIM_CAP}"
+        )
+    return reps
 
 
 def rep_label(label: str, rep: int | None) -> str:
@@ -337,21 +379,29 @@ def word_sum(f0, f1, reps, passes) -> HermitianOperator:
     return total
 
 
+def parallel_rounds(g: Rounds, n: int) -> Rounds:
+    """The rounds of ``n`` copies of ``g``, labelled by :func:`repetitions`;
+    round ``j`` holds every copy's round ``j``.  No outcome word is built."""
+    reps = _capped_repetitions(g, n)
+    return Rounds(
+        rounds=g.rounds,
+        spaces=SpaceList(tuple((rep_label(l, m), d) for m in reps for l, d in g.spaces)),
+        x_rounds=tuple(tuple(rep_label(l, m) for m in reps for l in grp) for grp in g.x_rounds),
+        y_rounds=tuple(tuple(rep_label(l, m) for m in reps for l in grp) for grp in g.y_rounds),
+    )
+
+
 def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
-    """Tensor ``n`` independent copies of a game, labelled by
-    :func:`repetitions`.
+    """Tensor ``n`` independent copies of a game, with the rounds of
+    :func:`parallel_rounds`.
 
     Outcomes are indexed by tuples of single-copy outcome keys; the
     operator for a tuple is the tensor word of the per-copy operators.
     The words are checked PSD through their spectra, which are the
     products of the per-copy spectra, not by an eigensolve each.
     """
+    rounds = parallel_rounds(g, n)
     reps = repetitions(n)
-    if g.spaces.dim**n > DESK_DIM_CAP:
-        raise ValidationError(
-            f"parallel game dimension {g.spaces.dim ** n} exceeds the desk-scale "
-            f"cap {DESK_DIM_CAP}"
-        )
     idxs = list(itertools.product(range(g.outcome_count), repeat=n))
     # Each copy's outcomes are relabelled once; the words keep those labels.
     copies = [[tensor_word([p], (m,)) for p in g.outcomes] for m in reps]
@@ -359,10 +409,8 @@ def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
     rho = tensor_word([g.rho] * n, reps)
     game = object.__new__(OutcomeOperators)
     fields = {
-        "rounds": g.rounds,
+        **vars(rounds),
         "spaces": ops[0].spaces,
-        "x_rounds": tuple(tuple(rep_label(l, m) for m in reps for l in grp) for grp in g.x_rounds),
-        "y_rounds": tuple(tuple(rep_label(l, m) for m in reps for l in grp) for grp in g.y_rounds),
         "outcomes": tuple(ops),
         "rho": DensityOperator(rho.spaces, rho.entries),
         "r_blocks": tuple(tensor_word([r] * n, reps) for r in g.r_blocks),
@@ -406,16 +454,7 @@ def group_outcomes(g: OutcomeOperators, winning) -> OutcomeOperators:
             win = win + p
         else:
             lose = lose + p
-    return OutcomeOperators(
-        rounds=g.rounds,
-        spaces=g.spaces,
-        x_rounds=g.x_rounds,
-        y_rounds=g.y_rounds,
-        outcomes=(lose, win),
-        rho=g.rho,
-        r_blocks=g.r_blocks,
-        outcome_keys=(0, 1),
-    )
+    return dataclasses.replace(g, outcomes=(lose, win), outcome_keys=(0, 1))
 
 
 def threshold_objective(g: OutcomeOperators, n: int, k: int) -> HermitianOperator:
@@ -427,9 +466,7 @@ def threshold_objective(g: OutcomeOperators, n: int, k: int) -> HermitianOperato
         )
     if not 0 <= k <= n:
         raise ValidationError(f"threshold {k} out of range 0..{n}")
-    if g.spaces.dim**n > DESK_DIM_CAP:
-        raise ValidationError("parallel dimension exceeds the desk-scale cap")
-    return word_sum(g.outcomes[0], g.outcomes[1], repetitions(n), lambda ones: ones >= k)
+    return word_sum(g.outcomes[0], g.outcomes[1], _capped_repetitions(g, n), lambda ones: ones >= k)
 
 
 def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
@@ -440,9 +477,7 @@ def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
         raise ValidationError(
             f"need one value per outcome ({g.outcome_count}), got {len(values)}"
         )
-    reps = repetitions(n)
-    if g.spaces.dim**n > DESK_DIM_CAP:
-        raise ValidationError("parallel dimension exceeds the desk-scale cap")
+    reps = _capped_repetitions(g, n)
     total = None
     for idx in itertools.product(range(g.outcome_count), repeat=n):
         weight = sum(values[i] for i in idx) / n
@@ -492,15 +527,11 @@ def outcome_probabilities(g: OutcomeOperators, s: StrategyChoi):
 def dephase_game(g: OutcomeOperators) -> OutcomeOperators:
     """Classicalize a game: dephase every outcome operator and every
     consistency block."""
-    return OutcomeOperators(
-        rounds=g.rounds,
-        spaces=g.spaces,
-        x_rounds=g.x_rounds,
-        y_rounds=g.y_rounds,
+    return dataclasses.replace(
+        g,
         outcomes=tuple(dephase(p) for p in g.outcomes),
         rho=DensityOperator(g.rho.spaces, dephase(g.rho).entries),
         r_blocks=tuple(dephase(r) for r in g.r_blocks),
-        outcome_keys=g.outcome_keys,
     )
 
 

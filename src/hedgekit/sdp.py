@@ -15,9 +15,14 @@ A problem holds its equations only as a
 acts on the last chain block as ``I_{Y_j} (x) H_k`` up to a fixed factor
 permutation, so the solver never forms the ``d x d`` operator of a row;
 the dual's rows are built as operators and stacked with pad 1.
+
+Compilation and the witness checks read a game only through its
+:class:`~hedgekit.games.Rounds` and take a game or a bare ``Rounds``,
+such as :func:`~hedgekit.games.parallel_rounds`, alike.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import DomainError, SpaceError, ValidationError
-from .games import OutcomeOperators
+from .games import Rounds
 from .operators import (
     HERMITICITY_TOL,
     HermitianOperator,
@@ -69,17 +74,6 @@ def hermitian_basis(dim: int) -> np.ndarray:
 # -- problem containers ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstraintFamily:
-    """Metadata tying a run of scalarized constraints back to one chain
-    link (used to reconstruct dual witness blocks from multipliers)."""
-
-    name: str
-    spaces: SpaceList
-    offset: int
-    count: int
-
-
 class SdpProblem:
     """A standard-form Hermitian SDP over the PSD blocks ``blocks``:
 
@@ -102,7 +96,6 @@ class SdpProblem:
         offset=0.0,
         primal_start=None,
         dual_start=None,
-        families=(),
     ):
         if sense not in ("max", "min"):
             raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -113,7 +106,6 @@ class SdpProblem:
         self.offset = offset
         self.primal_start = primal_start
         self.dual_start = dual_start
-        self.families = tuple(families)
         names = [name for name, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate block names")
@@ -210,32 +202,11 @@ class FeasibilityReport:
     tol: float
 
 
-# -- game-side space bookkeeping ---------------------------------------------------
-
-
-def _interleaved_labels(g: OutcomeOperators, upto: int):
-    labels = []
-    for m in range(upto):
-        labels.extend(g.y_rounds[m])
-        labels.extend(g.x_rounds[m])
-    return tuple(labels)
-
-
-def _block_space(g: OutcomeOperators, j: int) -> SpaceList:
-    labels = _interleaved_labels(g, j)
-    return g.spaces.restrict(labels).reorder(labels)
-
-
-def _family_space(g: OutcomeOperators, j: int) -> SpaceList:
-    labels = _interleaved_labels(g, j - 1) + tuple(g.x_rounds[j - 1])
-    return g.spaces.restrict(labels).reorder(labels)
-
-
-def _block_name(g: OutcomeOperators, j: int) -> str:
+def _block_name(g: Rounds, j: int) -> str:
     return "X" if j == g.rounds else f"X{j}"
 
 
-def _check_objective(g: OutcomeOperators, objective: HermitianOperator):
+def _check_objective(g: Rounds, objective: HermitianOperator):
     if sorted(objective.spaces.labels) != sorted(g.spaces.labels):
         raise SpaceError(
             f"objective labels {sorted(objective.spaces.labels)} do not match the "
@@ -246,7 +217,7 @@ def _check_objective(g: OutcomeOperators, objective: HermitianOperator):
 # -- compilation -------------------------------------------------------------------
 
 
-def compile_primal(g: OutcomeOperators, objective: HermitianOperator) -> SdpProblem:
+def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     """Compile the prover's maximization over strategies.
 
     One PSD block per chain level; the partial-trace chain becomes
@@ -259,28 +230,23 @@ def compile_primal(g: OutcomeOperators, objective: HermitianOperator) -> SdpProb
     """
     _check_objective(g, objective)
     r = g.rounds
-    blocks = tuple((_block_name(g, j), _block_space(g, j)) for j in range(1, r + 1))
-    families = []
-    offset = 0
-    for j in range(1, r + 1):
-        w = _family_space(g, j)
-        families.append(ConstraintFamily(f"Y{j}" if j > 1 else "Y", w, offset, w.dim**2))
-        offset += w.dim**2
-    bases = [hermitian_basis(fam.spaces.dim) for fam in families]
+    blocks = tuple((_block_name(g, j), g.block(j)) for j in range(1, r + 1))
+    families = [g.family(j) for j in range(1, r + 1)]
+    bases = [hermitian_basis(w.dim) for w in families]
+    offsets = [0, *itertools.accumulate(len(basis) for basis in bases)]
     maps = []
-    for j, (fam, basis) in enumerate(zip(families, bases), start=1):
-        link = _chain_link_map(g, j, fam, basis)
+    for j, basis in enumerate(bases, start=1):
+        link = _chain_link_map(g, j, families[j - 1], offsets[j - 1], basis)
         if j < r:
-            nxt = families[j]
             d = blocks[j - 1][1].dim
-            x = g.spaces.restrict(g.x_rounds[j]).dim
+            x = g.question(j + 1).dim
             coupling = -np.trace(bases[j].reshape(-1, d, x, d, x), axis1=2, axis2=4)
             link = _solver.BlockMap(
-                fam.offset, nxt.offset + nxt.count, np.concatenate([link.expand(), coupling])
+                offsets[j - 1], offsets[j + 1], np.concatenate([link.expand(), coupling])
             )
         maps.append(link)
-    b = np.zeros(offset)
-    b[: families[0].count] = np.trace(bases[0], axis1=1, axis2=2).real
+    b = np.zeros(offsets[-1])
+    b[: len(bases[0])] = np.trace(bases[0], axis1=1, axis2=2).real
     primal_point, dual_chain = slater_points(g, objective)
     dual_start = np.concatenate(
         [
@@ -295,24 +261,24 @@ def compile_primal(g: OutcomeOperators, objective: HermitianOperator) -> SdpProb
         sense="max",
         primal_start=primal_point,
         dual_start=dual_start,
-        families=tuple(families),
     )
 
 
-def _chain_link_map(g: OutcomeOperators, j: int, fam: ConstraintFamily, basis):
-    """Link ``j``'s rows on block ``X_j``: ``P (I_{Y_j} (x) H_k) P^T``, where
-    ``P`` moves the factors from ``Y_j, W_j`` order to the block's."""
-    block = _block_space(g, j)
-    natural = tuple(g.y_rounds[j - 1]) + fam.spaces.labels
+def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int, basis):
+    """Link ``j``'s rows on block ``X_j``, from row ``start``:
+    ``P (I_{Y_j} (x) H_k) P^T``, where ``P`` moves the factors from
+    ``Y_j, W_j`` order to the block's (``w = W_j``)."""
+    block = g.block(j)
+    natural = tuple(g.y_rounds[j - 1]) + w.labels
     perm = None
     if natural != block.labels:
         axes = [block.position(label) for label in natural]
         perm = np.arange(block.dim).reshape(block.dims).transpose(axes).reshape(-1)
-    pad = g.spaces.restrict(g.y_rounds[j - 1]).dim
-    return _solver.BlockMap(fam.offset, fam.offset + fam.count, basis, pad=pad, perm=perm)
+    pad = g.answer(j).dim
+    return _solver.BlockMap(start, start + len(basis), basis, pad=pad, perm=perm)
 
 
-def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProblem:
+def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     """Compile the chain dual (minimize ``Tr(Y)``) to standard form.
 
     For a PSD objective every feasible chain block is itself PSD (the
@@ -329,21 +295,21 @@ def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProble
     if min_eigenvalue(objective) < -1e-12:
         shifts[r - 1] = float(np.linalg.norm(objective.entries, 2))
         for j in range(r - 1, 0, -1):
-            shifts[j - 1] = shifts[j] * g.spaces.restrict(g.x_rounds[j]).dim
+            shifts[j - 1] = shifts[j] * g.question(j + 1).dim
     blocks = []
     for j in range(1, r + 1):
-        blocks.append((f"Q{j}", _family_space(g, j)))
-        blocks.append((f"S{j}", _block_space(g, j)))
+        blocks.append((f"Q{j}", g.family(j)))
+        blocks.append((f"S{j}", g.block(j)))
     blocks = tuple(blocks)
     spaces = dict(blocks)
     rows = {name: [] for name, _ in blocks}
     first = {}
     b = []
     for j in range(1, r + 1):
-        v = _block_space(g, j)
+        v = g.block(j)
         obj_aligned = align(objective, v) if j == r else None
         if j < r:
-            const = shifts[j - 1] - shifts[j] * g.spaces.restrict(g.x_rounds[j]).dim
+            const = shifts[j - 1] - shifts[j] * g.question(j + 1).dim
         else:
             const = shifts[j - 1]
         for h in hermitian_basis(v.dim):
@@ -353,7 +319,7 @@ def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProble
             rhs = const * float(np.trace(h).real)
             if j < r:
                 lifted = align(
-                    kron(hop, identity(g.spaces.restrict(g.x_rounds[j]))),
+                    kron(hop, identity(g.question(j + 1))),
                     spaces[f"Q{j + 1}"],
                 )
                 coeffs[f"Q{j + 1}"] = lifted * -1.0
@@ -374,7 +340,7 @@ def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProble
         q = dual_chain[j - 1] + identity(spaces[f"Q{j}"]) * shifts[j - 1]
         primal_start[f"Q{j}"] = q
         slack = align(
-            kron(dual_chain[j - 1], identity(g.spaces.restrict(g.y_rounds[j - 1]))),
+            kron(dual_chain[j - 1], identity(g.answer(j))),
             spaces[f"S{j}"],
         )
         if j < r:
@@ -392,11 +358,10 @@ def compile_dual(g: OutcomeOperators, objective: HermitianOperator) -> SdpProble
         offset=-shifts[0] * spaces["Q1"].dim,
         primal_start=primal_start,
         dual_start=None,
-        families=(),
     )
 
 
-def slater_points(g: OutcomeOperators, objective: HermitianOperator):
+def slater_points(g: Rounds, objective: HermitianOperator):
     """Strictly feasible points for the compiled primal and the chain dual.
 
     Primal: each chain block a multiple of the identity,
@@ -410,16 +375,15 @@ def slater_points(g: OutcomeOperators, objective: HermitianOperator):
     primal = {}
     denom = 1
     for j in range(1, r + 1):
-        denom *= g.spaces.restrict(g.y_rounds[j - 1]).dim
-        sp = _block_space(g, j)
-        primal[_block_name(g, j)] = identity(sp) * (1.0 / denom)
+        denom *= g.answer(j).dim
+        primal[_block_name(g, j)] = identity(g.block(j)) * (1.0 / denom)
     norm = float(np.linalg.norm(objective.entries, 2))
     scale = norm + 1.0
     chain = [None] * r
     for j in range(r, 0, -1):
-        chain[j - 1] = identity(_family_space(g, j)) * scale
+        chain[j - 1] = identity(g.family(j)) * scale
         if j > 1:
-            scale *= 2 * g.spaces.restrict(g.x_rounds[j - 1]).dim
+            scale *= 2 * g.question(j).dim
     return primal, tuple(chain)
 
 
@@ -541,19 +505,18 @@ def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multiplier
     return pval, dval
 
 
-def _chain_inequality(g: OutcomeOperators, objective: HermitianOperator, chain, j: int):
+def _chain_inequality(g: Rounds, objective: HermitianOperator, chain, j: int):
     """Level ``j`` of the chain dual on the block space: ``Y_j (x) I``
     minus ``Tr_{X_{j+1}}(Y_{j+1})``, or minus the objective at the last
     level."""
-    id_y = identity(g.spaces.restrict(g.y_rounds[j - 1]))
-    expr = align(kron(chain[j - 1], id_y), _block_space(g, j))
+    expr = align(kron(chain[j - 1], identity(g.answer(j))), g.block(j))
     if j < g.rounds:
         return expr - align(partial_trace(chain[j], set(g.x_rounds[j])), expr.spaces)
     return expr - align(objective, expr.spaces)
 
 
 def check_dual_feasibility(
-    g: OutcomeOperators,
+    g: Rounds,
     objective: HermitianOperator,
     w: DualWitness,
     tol: float = 1e-9,
@@ -569,7 +532,7 @@ def check_dual_feasibility(
         raise SpaceError(f"witness has {w.rounds} rounds, game has {g.rounds}")
     chain = w.chain()
     for j, block in enumerate(chain, start=1):
-        want = sorted(_family_space(g, j).labels)
+        want = sorted(g.family(j).labels)
         if sorted(block.spaces.labels) != want:
             raise SpaceError(
                 f"witness block {j} labels {sorted(block.spaces.labels)} do not match "
@@ -589,17 +552,21 @@ def check_dual_feasibility(
 
 
 def dual_witness_from_report(
-    g: OutcomeOperators, problem: SdpProblem, report: SolveReport, meta=None
+    g: Rounds, problem: SdpProblem, report: SolveReport, meta=None
 ) -> DualWitness:
-    """Reconstruct chain-form dual blocks from a solved compiled primal."""
-    if not problem.families:
-        raise DomainError("problem carries no scalarization metadata")
+    """Reconstruct chain-form dual blocks from a solved
+    ``compile_primal(g, ...)``: link ``j`` owns the next
+    ``family(j).dim^2`` multipliers, in Hermitian-basis order."""
+    spaces = [g.family(j) for j in range(1, g.rounds + 1)]
+    counts = [w.dim**2 for w in spaces]
+    blocks = tuple((_block_name(g, j), g.block(j)) for j in range(1, g.rounds + 1))
+    if problem.blocks != blocks or problem.constraint_map.m != sum(counts):
+        raise DomainError("problem is not the compiled primal of this game")
     y = np.asarray(report.dual_multipliers, dtype=float)
-    chain = []
-    for fam in problem.families:
-        coeffs = y[fam.offset : fam.offset + fam.count]
-        mat = np.tensordot(coeffs, hermitian_basis(fam.spaces.dim), 1)
-        chain.append(HermitianOperator(fam.spaces, mat))
+    chain = [
+        HermitianOperator(w, np.tensordot(coeffs, hermitian_basis(w.dim), 1))
+        for w, coeffs in zip(spaces, np.split(y, np.cumsum(counts)[:-1]))
+    ]
     return DualWitness(
         rounds=g.rounds,
         Y=chain[0],
@@ -609,7 +576,7 @@ def dual_witness_from_report(
 
 
 def repair_witness(
-    g: OutcomeOperators,
+    g: Rounds,
     objective: HermitianOperator,
     w: DualWitness,
     margin: float = 1e-11,

@@ -14,7 +14,7 @@ candidate for the n-fold dual and is checked, never assumed, via
 Every n-fold block is a tensor word or a word sum from the builder in
 :mod:`hedgekit.games` (:func:`~hedgekit.games.repetitions`,
 :func:`~hedgekit.games.tensor_word`, :func:`~hedgekit.games.word_sum`), so
-the witnesses carry the labels of :func:`~hedgekit.games.parallel_game`
+the witnesses carry the labels of :func:`~hedgekit.games.parallel_rounds`
 for every ``n``, a single copy included.
 
 The positivity engine behind the threshold constructions is the
@@ -329,10 +329,9 @@ def classical_optimum(g: OutcomeOperators) -> float:
         raise ValidationError("the enumeration oracle handles single-round games only")
     if not is_diagonal_game(g):
         raise DomainError("the enumeration oracle requires a diagonal game")
-    ordered = g.spaces.restrict(g.y_rounds[0]).concat(g.spaces.restrict(g.x_rounds[0]))
-    p1 = permute_systems(g.outcomes[1], ordered.labels)
-    dy = g.spaces.restrict(g.y_rounds[0]).dim
-    dx = g.spaces.restrict(g.x_rounds[0]).dim
+    p1 = permute_systems(g.outcomes[1], g.answer(1).concat(g.question(1)).labels)
+    dy = g.answer(1).dim
+    dx = g.question(1).dim
     if dy**dx > 2_000_000:
         raise ValidationError("response-function alphabet exceeds desk scale")
     table = np.diag(p1.entries).real.reshape(dy, dx)

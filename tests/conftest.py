@@ -65,6 +65,23 @@ def make_r2_product_game(rng) -> tuple:
     return g1, g2, stacked
 
 
+def parallel_base(name) -> OutcomeOperators:
+    """A single-copy game whose n-fold rounds the tests compare with its
+    n-fold game, for each name in ``PARALLEL_CASES``."""
+    if name == "hedging":
+        from hedgekit import hedging_game
+
+        return hedging_game()
+    if name == "three-outcome":
+        return make_random_game(np.random.default_rng(7), outcomes=3)
+    return make_r2_product_game(np.random.default_rng(1))[2]
+
+
+PARALLEL_CASES = [("hedging", n) for n in (1, 2, 3, 4)] + [
+    (name, n) for name in ("three-outcome", "product") for n in (1, 2)
+]
+
+
 @pytest.fixture(scope="session")
 def hedging():
     from hedgekit import hedging_game

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hedgekit.cli import main
@@ -99,14 +100,50 @@ def test_certify_classical_binomial_refused_on_quantum_game(capsys):
         ("certify", "hedging", "--construction", "tensor-power", "--reps", "0"),
         ("solve", "hedging", "--objective", "threshold", "--reps", "0", "--wins", "0"),
         ("solve", "hedging", "--objective", "value", "--values", "0,1", "--reps", "0"),
+        # the win objective is one copy: --reps 4 must not solve it silently
+        ("solve", "hedging", "--reps", "4"),
     ],
-    ids=["naive", "snk", "tensor-power", "threshold", "value"],
+    ids=["naive", "snk", "tensor-power", "threshold", "value", "win-reps"],
 )
 def test_zero_repetitions_is_input_error(argv, capsys):
     assert run(*argv, "--quiet") == 1
     err = capsys.readouterr().err
     assert "hedgekit: error:" in err
     assert "Traceback" not in err
+
+
+def test_solve_and_certify_build_no_parallel_game(tmp_path, monkeypatch):
+    # The strategy SDP reads only the rounds, so solve and certify compile
+    # and check against parallel_rounds; the demo still evaluates a
+    # strategy on the outcome words of parallel_game.
+    from hedgekit import cli
+    from hedgekit.sampling import random_diagonal_density, random_diagonal_measurement
+    from hedgekit.serialize import single_round_game_to_json
+    from hedgekit.spaces import space
+
+    rng = np.random.default_rng(3)
+    sigma = random_diagonal_density(rng, space(("X1", 2), ("Z", 2)))
+    meas = random_diagonal_measurement(rng, space(("Y1", 2), ("Z", 2)), 2)
+    diagonal = tmp_path / "diagonal.json"
+    dump_json(single_round_game_to_json(sigma, meas, [1]), diagonal)
+
+    def refuse(*args):
+        raise AssertionError("parallel_game was called")
+
+    monkeypatch.setattr(cli, "parallel_game", refuse)
+    runs = [
+        ("solve", "hedging", "--objective", "threshold", "--wins", "2"),
+        ("solve", "hedging", "--objective", "value", "--values", "0,1"),
+        ("certify", "hedging", "--construction", "average"),
+        ("certify", "hedging", "--construction", "tensor-power"),
+        ("certify", "hedging", "--construction", "naive", "--wins", "2"),
+        ("certify", "hedging", "--construction", "snk", "--wins", "2"),
+        ("certify", str(diagonal), "--construction", "classical-binomial", "--wins", "2"),
+    ]
+    for argv in runs:
+        assert run(*argv, "--reps", "4", "--quiet") == 0, argv
+    with pytest.raises(AssertionError, match="parallel_game"):
+        run("hedging-demo", "--quiet")
 
 
 def test_certify_witness_round_trip(tmp_path):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from hedgekit import (
     KrausChannel,
+    Rounds,
     SingleRoundGameSpec,
     StrategyChoi,
     apply_channel,
@@ -19,6 +20,7 @@ from hedgekit import (
     outcome_operators_single_round,
     outcome_probabilities,
     parallel_game,
+    parallel_rounds,
     permute_systems,
     space,
     strategy_from_channel,
@@ -31,7 +33,7 @@ from hedgekit.hedging import WIN_PROBABILITY, hedging_game, phase_flip_strategy
 
 from hedgekit.sampling import random_channel, random_density, random_measurement
 
-from conftest import make_random_game
+from conftest import PARALLEL_CASES, make_random_game, parallel_base
 
 
 # ------------------------------------------------------- single-round compile
@@ -137,6 +139,36 @@ def test_parallel_word_psd_check_uses_copy_spectra(hedging, monkeypatch, n):
 def test_parallel_cap_enforced(hedging):
     with pytest.raises(ValidationError):
         parallel_game(hedging, 5)  # 4^5 = 1024 > 256
+
+
+@pytest.mark.parametrize("name,n", PARALLEL_CASES)
+def test_parallel_rounds_match_parallel_game(name, n):
+    g = parallel_base(name)
+    rounds, game = parallel_rounds(g, n), parallel_game(g, n)
+    assert type(rounds) is Rounds
+    assert rounds.rounds == game.rounds == g.rounds
+    assert (rounds.x_rounds, rounds.y_rounds) == (game.x_rounds, game.y_rounds)
+    assert sorted(rounds.spaces) == sorted(game.spaces)  # same labels, same dims
+
+
+def test_rounds_spaces():
+    r = Rounds(2, space(("Y1", 3), ("X1", 2), ("X2", 5), ("Y2", 7)), (("X1",), ("X2",)),
+               (("Y1",), ("Y2",)))
+    assert (r.question(2).dim, r.answer(1).dim) == (5, 3)
+    assert r.block(1).labels == ("Y1", "X1")
+    assert r.block(2).labels == ("Y1", "X1", "Y2", "X2")
+    assert r.family(1).labels == ("X1",)
+    assert r.family(2).labels == ("Y1", "X1", "X2")
+
+
+def test_rounds_validated(hedging):
+    with pytest.raises(ValidationError):
+        parallel_rounds(hedging, 5)  # the desk cap, as for parallel_game
+    sp = space(("Y1", 2), ("X1", 2))
+    with pytest.raises(ValidationError):
+        Rounds(2, sp, (("X1",),), (("Y1",),))  # one group for two rounds
+    with pytest.raises(SpaceError):
+        Rounds(1, sp, (("X1",),), (("Z",),))  # Y1 missing, Z unknown
 
 
 # ------------------------------------------------------------------ objectives

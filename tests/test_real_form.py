@@ -96,7 +96,6 @@ def phase_rotated(prob: SdpProblem) -> SdpProblem:
         offset=prob.offset,
         primal_start=start,
         dual_start=prob.dual_start,
-        families=prob.families,
     )
 
 

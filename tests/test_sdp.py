@@ -15,6 +15,7 @@ from hedgekit import (
     identity,
     min_eigenvalue,
     parallel_game,
+    parallel_rounds,
     repair_witness,
     slater_points,
     solve,
@@ -22,12 +23,12 @@ from hedgekit import (
     threshold_objective,
     value_objective,
 )
-from hedgekit.errors import SpaceError, ValidationError
+from hedgekit.errors import DomainError, SpaceError, ValidationError
 from hedgekit.hedging import WIN_PROBABILITY, hedging_optimal_witness
 from hedgekit.solver import BlockMap, ConstraintMap
 from hedgekit.witnesses import classical_optimum
 
-from conftest import make_r2_product_game, make_random_game
+from conftest import PARALLEL_CASES, make_r2_product_game, make_random_game, parallel_base
 
 P = WIN_PROBABILITY
 
@@ -48,6 +49,31 @@ def test_compile_primal_shape_two_copies(hedging):
     prob = compile_primal(pg, threshold_objective(hedging, 2, 1))
     assert prob.block_space("X").dim == 16
     assert prob.constraint_map.m == 16
+
+
+def _problem_bytes(prob):
+    out = [prob.blocks, prob.sense, prob.offset, prob.constraint_map.b.tobytes(),
+           prob.dual_start.tobytes()]
+    for bm in prob.constraint_map.blocks:
+        perm = None if bm.perm is None else bm.perm.tobytes()
+        out += [bm.start, bm.stop, bm.pad, bm.G.dtype, bm.G.shape, bm.G.tobytes(), perm]
+    for ops in (prob.objective, prob.primal_start):
+        out += [(name, op.spaces, op.entries.tobytes()) for name, op in sorted(ops.items())]
+    return out
+
+
+@pytest.mark.parametrize("name,n", PARALLEL_CASES)
+def test_compile_from_parallel_rounds_matches_parallel_game(name, n):
+    # The strategy SDP reads only the rounds: the n-fold game's outcome
+    # words add nothing to the compiled problem.
+    g = parallel_base(name)
+    if g.outcome_count == 2:
+        objective = threshold_objective(g, n, (n + 1) // 2)
+    else:
+        objective = value_objective(g, np.linspace(0.0, 1.0, g.outcome_count), n)
+    from_rounds = compile_primal(parallel_rounds(g, n), objective)
+    from_game = compile_primal(parallel_game(g, n), objective)
+    assert _problem_bytes(from_rounds) == _problem_bytes(from_game)
 
 
 def test_uniform_point_is_feasible(hedging):
@@ -308,6 +334,20 @@ def test_slater_cascade_scaling_r2(rng):
 
 
 # ----------------------------------------------------------- multi-round games
+
+
+def test_dual_witness_from_report_refuses_other_problems(hedging):
+    objective = hedging.outcomes[1]
+    dual = compile_dual(hedging, objective)
+    with pytest.raises(DomainError):
+        dual_witness_from_report(hedging, dual, solve(dual, 1e-8))
+    doubled = compile_primal(parallel_rounds(hedging, 2), threshold_objective(hedging, 2, 1))
+    with pytest.raises(DomainError):
+        dual_witness_from_report(hedging, doubled, solve(doubled, 1e-8))
+    _, _, stacked = make_r2_product_game(np.random.default_rng(1))
+    two_rounds = compile_primal(stacked, stacked.outcomes[3])
+    with pytest.raises(DomainError):
+        dual_witness_from_report(hedging, two_rounds, solve(two_rounds, 1e-8))
 
 
 def test_r2_product_game_end_to_end(rng):
