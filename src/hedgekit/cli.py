@@ -160,6 +160,12 @@ def _grouped(game, winning):
         raise _CliError(f"cannot group outcomes: {exc}", EXIT_INPUT)
 
 
+def _win_values(game, winning):
+    """Value 1 on the outcomes :func:`_grouped` counts as a win, 0 elsewhere."""
+    won = set(winning) or {game.outcome_keys[1]}
+    return tuple(float(key in won) for key in game.outcome_keys)
+
+
 def _parse_values(text: str):
     try:
         return tuple(float(v) for v in text.split(","))
@@ -244,14 +250,11 @@ def _build_witness(args, game, winning):
     name = args.construction
     g2 = _grouped(game, winning)
     if name == "average":
-        values = _parse_values(args.values) if args.values else (0.0, 1.0)
+        values = _parse_values(args.values) if args.values else _win_values(game, winning)
         base = single_round_witness(
-            game if args.values else g2,
-            value_objective(game if args.values else g2, values, 1),
-            tol=1e-9,
-            meta={"values": list(values)},
+            game, value_objective(game, values, 1), tol=1e-9, meta={"values": list(values)}
         )
-        return witness_average(base, game if args.values else g2, n), n, None, "value"
+        return witness_average(base, game, n), n, None, "value"
     base = single_round_witness(g2, g2.outcomes[1], tol=1e-9)
     if name == "tensor-power":
         return witness_tensor_power(base, n, g2), n, n, "threshold"
@@ -280,7 +283,7 @@ def cmd_certify(args) -> int:
     run.phase("construct", t0)
     t0 = time.perf_counter()
     if kind == "value":
-        values = tuple(witness.meta.get("values", (0.0, 1.0)))
+        values = tuple(witness.meta["values"])
         base = game if len(values) == game.outcome_count else _grouped(game, winning)
         objective = value_objective(base, values, n)
     else:
@@ -447,7 +450,7 @@ def build_parser() -> _Parser:
     src.add_argument("--construction", choices=_CONSTRUCTIONS)
     pc.add_argument("--reps", type=int, default=1)
     pc.add_argument("--wins", type=int)
-    pc.add_argument("--values", help="comma-separated values (average construction)")
+    pc.add_argument("--values", help="comma-separated values (average construction, default 1 on a win)")
     pc.add_argument("--emit-witness", help="also write the witness JSON here")
     _add_common(pc)
     pc.set_defaults(func=cmd_certify)

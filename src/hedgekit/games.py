@@ -22,10 +22,13 @@ Parallel repetition is one builder: :func:`repetitions` fixes the labels
 of the copies (``L#1 ... L#n``, while a single copy keeps ``L``),
 :func:`tensor_word` tensors per-copy operators under those labels and
 :func:`word_sum` sums the words over the bit strings in ``{0,1}^n`` whose
-count of ones passes a predicate.  :func:`parallel_rounds`,
-:func:`parallel_game`, the objectives and every witness of
-:mod:`hedgekit.witnesses` are built from them, so they pair for every
-``n``.
+count of ones passes a predicate.  :func:`parallel_rounds` and
+:func:`parallel_game` label their copies with them, and every n-fold
+objective and witness is one word sum: the threshold objective sums
+``(P_0, P_1)`` over the counts ``>= k``, the value objective is ``1/n``
+times the words with ``sum_i v_i P_i`` in one slot and ``sum_i P_i`` in the
+others, and each witness of :mod:`hedgekit.witnesses` is one word sum per
+chain level.  So they pair for every ``n``.
 """
 from __future__ import annotations
 
@@ -226,7 +229,8 @@ class OutcomeOperators(Rounds):
 @dataclass(frozen=True)
 class StrategyChoi:
     """A prover strategy: the Choi-style block ``X`` with its intermediates,
-    satisfying the causality chain of partial-trace constraints."""
+    satisfying the causality chain of partial-trace constraints.  Its round
+    groups are checked as the :class:`Rounds` of ``X``'s space."""
 
     rounds: int
     X: HermitianOperator
@@ -235,24 +239,18 @@ class StrategyChoi:
     y_rounds: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
+        structure = Rounds(self.rounds, self.X.spaces, self.x_rounds, self.y_rounds)
         if len(self.intermediates) != self.rounds - 1:
             raise ValidationError("expected X_1..X_{r-1} intermediate blocks")
-        if len(self.x_rounds) != self.rounds or len(self.y_rounds) != self.rounds:
-            raise ValidationError("round label groups must match the round count")
         blocks = self.intermediates + (self.X,)
         for b in blocks:
             if min_eigenvalue(b) < -CHAIN_TOL:
                 raise ValidationError("strategy block is not PSD")
         for j in range(1, self.rounds + 1):
-            xj = blocks[j - 1]
-            reduced = partial_trace(xj, set(l for l in self.y_rounds[j - 1]))
-            if j == 1:
-                expect = identity(xj.spaces.restrict(self.x_rounds[0]))
-            else:
-                expect = kron(
-                    blocks[j - 2],
-                    identity(xj.spaces.restrict(self.x_rounds[j - 1])),
-                )
+            reduced = partial_trace(blocks[j - 1], set(self.y_rounds[j - 1]))
+            expect = identity(structure.question(j))
+            if j > 1:
+                expect = kron(blocks[j - 2], expect)
             drift = _max_abs_diff(align(reduced, expect.spaces), expect)
             if drift > CHAIN_TOL:
                 raise ValidationError(
@@ -471,24 +469,19 @@ def threshold_objective(g: OutcomeOperators, n: int, k: int) -> HermitianOperato
 
 def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
     """Objective for the average value per repetition: each tuple of
-    outcomes contributes the mean of its per-copy values."""
+    outcomes contributes the mean of its per-copy values.  Summed over the
+    tuples, that is the mean over the copies of the words with the valued
+    sum ``sum_i v_i P_i`` in one slot and ``sum_i P_i`` in the others."""
     values = [float(v) for v in values]
     if len(values) != g.outcome_count:
         raise ValidationError(
             f"need one value per outcome ({g.outcome_count}), got {len(values)}"
         )
     reps = _capped_repetitions(g, n)
-    total = None
-    for idx in itertools.product(range(g.outcome_count), repeat=n):
-        weight = sum(values[i] for i in idx) / n
-        if weight == 0.0:
-            continue
-        word = tensor_word([g.outcomes[i] for i in idx], reps) * weight
-        total = word if total is None else total + word
-    if total is None:
-        sp = tensor_word([g.outcomes[0]] * n, reps).spaces
-        total = HermitianOperator._wrap(sp, np.zeros((sp.dim, sp.dim), dtype=np.complex128))
-    return total
+    ops = g.outcomes
+    total = sum(ops[1:], ops[0])
+    valued = sum((p * v for p, v in zip(ops[1:], values[1:])), ops[0] * values[0])
+    return word_sum(total, valued, reps, lambda ones: ones == 1) * (1.0 / n)
 
 
 # -- strategies -------------------------------------------------------------------

@@ -2,18 +2,24 @@
 
 Each construction turns a feasible single-round dual solution into a
 candidate for the n-fold dual and is checked, never assumed, via
-:func:`hedgekit.sdp.check_dual_feasibility`:
+:func:`hedgekit.sdp.check_dual_feasibility`.  Each is one word sum per
+chain level: level ``j`` sums the tensor words over the bit strings ``b``
+in ``{0,1}^n`` whose count of ones ``|b|`` passes the construction's
+predicate, with the witness block ``Y_j`` where ``b`` has a one and the
+game's consistency block (``rho``, ``R_j``) where it has a zero:
 
-* ``witness_average``      - value problems; trace stays ``Tr(Y)``.
-* ``witness_tensor_power`` - threshold ``k = n``; trace ``Tr(Y)^n``.
-* ``witness_naive``        - any threshold; trace ``sum_t C(n,t) Tr(Y)^t``.
-* ``witness_recursive_snk``- any threshold; trace ``Tr(Y)^k C(n,k)``.
-* ``witness_classical_binomial`` - diagonal games only; the dephase +
-  entrywise-clamp reduction whose trace is the binomial tail.
+* ``witness_average``      - ``|b| = 1``, divided by ``n``; value problems;
+  trace ``Tr(Y)``.
+* ``witness_tensor_power`` - ``|b| = n``, the naive witness at ``k = n``;
+  trace ``Tr(Y)^n``.
+* ``witness_naive``        - ``|b| >= k``; trace ``sum_{t>=k} C(n,t) Tr(Y)^t``.
+* ``witness_recursive_snk``- ``|b| = k``; trace ``Tr(Y)^k C(n,k)``.
+* ``witness_classical_binomial`` - ``|b| >= k`` on the clamped pair
+  ``(R - C, C)`` with ``C = min(dephase(Y), R)`` entrywise; diagonal games
+  only; trace the binomial tail at ``Tr(C_1)``.
 
-Every n-fold block is a tensor word or a word sum from the builder in
-:mod:`hedgekit.games` (:func:`~hedgekit.games.repetitions`,
-:func:`~hedgekit.games.tensor_word`, :func:`~hedgekit.games.word_sum`), so
+The words come from the builder in :mod:`hedgekit.games`
+(:func:`~hedgekit.games.repetitions`, :func:`~hedgekit.games.word_sum`), so
 the witnesses carry the labels of :func:`~hedgekit.games.parallel_rounds`
 for every ``n``, a single copy included.
 
@@ -33,7 +39,6 @@ from .games import (
     OutcomeOperators,
     is_diagonal_game,
     repetitions,
-    tensor_word,
     value_objective,
     word_sum,
 )
@@ -41,7 +46,6 @@ from .operators import (
     HermitianOperator,
     dephase,
     is_diagonal,
-    kron,
     min_eigenvalue,
     permute_systems,
 )
@@ -97,9 +101,36 @@ def _verify_input(w: DualWitness, g: OutcomeOperators, objective: HermitianOpera
         )
 
 
+def _check_threshold(w: DualWitness, g: OutcomeOperators, n: int, k: int):
+    if not 0 <= k <= n:
+        raise ValidationError(f"threshold {k} out of range 0..{n}")
+    _require_two_outcomes(g)
+    _verify_input(w, g, g.outcomes[1])
+
+
 def _game_chain(g: OutcomeOperators):
     """Game-side chain blocks (rho, R_2, ..., R_r) matching the witness chain."""
     return (g.rho,) + tuple(g.r_blocks)
+
+
+def _word_witness(
+    w: DualWitness, g: OutcomeOperators, n: int, passes, construction: str,
+    pairs=None, mean=False, **meta,
+) -> DualWitness:
+    """The n-fold witness whose chain level ``j`` is the
+    :func:`~hedgekit.games.word_sum` of the level-``j`` pair ``(f0, f1)``
+    over the bit strings whose count of ones passes ``passes``, divided by
+    ``n`` if ``mean``.  The pairs default to (consistency block, witness
+    block); ``meta`` follows ``construction`` and ``n`` in the input's
+    metadata."""
+    reps = repetitions(n)
+    if pairs is None:
+        pairs = zip(_game_chain(g), w.chain())
+    chain = [word_sum(f0, f1, reps, passes) for f0, f1 in pairs]
+    if mean:
+        chain = [level * (1.0 / n) for level in chain]
+    meta = {**w.meta, "construction": construction, "n": n, **meta}
+    return DualWitness(rounds=g.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
 
 
 # -- constructions ------------------------------------------------------------------
@@ -108,91 +139,43 @@ def _game_chain(g: OutcomeOperators):
 def witness_average(
     w: DualWitness, g: OutcomeOperators, n: int, values=None
 ) -> DualWitness:
-    """Symmetrized witness for the n-fold average-value dual: one ``Y``
-    factor and ``n - 1`` game-consistency factors per term, averaged.
-    Its trace equals ``Tr(Y)`` exactly (the consistency blocks have unit
-    trace)."""
-    reps = repetitions(n)
+    """Symmetrized witness for the n-fold average-value dual: the words
+    with exactly one ``Y`` factor and ``n - 1`` game-consistency factors,
+    averaged.  Its trace equals ``Tr(Y)`` exactly (the consistency blocks
+    have unit trace)."""
     if values is None:
         values = w.meta.get("values")
+    meta = {}
     if values is not None:
         _verify_input(w, g, value_objective(g, values, 1))
-    game_chain = _game_chain(g)
-    chain = []
-    for yop, rop in zip(w.chain(), game_chain):
-        total = None
-        for slot in range(n):
-            word = tensor_word([yop if pos == slot else rop for pos in range(n)], reps)
-            total = word if total is None else total + word
-        chain.append(total * (1.0 / n))
-    meta = dict(w.meta)
-    meta.update({"construction": "average", "n": n})
-    if values is not None:
         meta["values"] = [float(v) for v in values]
-    return DualWitness(rounds=g.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
+    return _word_witness(w, g, n, lambda ones: ones == 1, "average", mean=True, **meta)
 
 
-def witness_tensor_power(w: DualWitness, n: int, g: OutcomeOperators | None = None) -> DualWitness:
-    """Tensor-power witness for the threshold ``k = n``; trace ``Tr(Y)^n``."""
-    reps = repetitions(n)
-    if g is not None:
-        _require_two_outcomes(g)
-        _verify_input(w, g, g.outcomes[1])
-    chain = [tensor_word([yop] * n, reps) for yop in w.chain()]
-    meta = dict(w.meta)
-    meta.update({"construction": "tensor-power", "n": n, "k": n})
-    return DualWitness(rounds=w.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
+def witness_tensor_power(w: DualWitness, n: int, g: OutcomeOperators) -> DualWitness:
+    """Tensor-power witness for the threshold ``k = n``: the naive witness
+    at ``k = n``, whose one word is ``Y^(x)n``; trace ``Tr(Y)^n``."""
+    _check_threshold(w, g, n, n)
+    return _word_witness(w, g, n, lambda ones: ones >= n, "tensor-power", k=n)
 
 
 def witness_naive(w: DualWitness, g: OutcomeOperators, n: int, k: int) -> DualWitness:
     """Sum of tensor words with the game's consistency blocks in the
-    losing slots; trace ``sum_{t >= k} C(n,t) Tr(Y)^t``."""
-    if not 0 <= k <= n:
-        raise ValidationError(f"threshold {k} out of range 0..{n}")
-    _require_two_outcomes(g)
-    _verify_input(w, g, g.outcomes[1])
-    reps = repetitions(n)
-    chain = [
-        word_sum(rop, yop, reps, lambda ones: ones >= k)
-        for yop, rop in zip(w.chain(), _game_chain(g))
-    ]
-    meta = dict(w.meta)
-    meta.update({"construction": "naive", "n": n, "k": k})
-    return DualWitness(rounds=g.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
+    losing slots, over the words with at least ``k`` witness factors;
+    trace ``sum_{t >= k} C(n,t) Tr(Y)^t``."""
+    _check_threshold(w, g, n, k)
+    return _word_witness(w, g, n, lambda ones: ones >= k, "naive", k=k)
 
 
 def witness_recursive_snk(w: DualWitness, g: OutcomeOperators, n: int, k: int) -> DualWitness:
-    """Recursive threshold witness: a fresh repetition either carries the
-    consistency block against the sub-solution for the same threshold, or
-    the witness block against all words with exactly ``k - 1`` remaining
-    wins.  Trace ``Tr(Y)^k C(n,k)``."""
-    if not 0 <= k <= n:
-        raise ValidationError(f"threshold {k} out of range 0..{n}")
-    _require_two_outcomes(g)
-    _verify_input(w, g, g.outcomes[1])
-    game_chain = _game_chain(g)
-    levels = list(zip(game_chain, w.chain()))
-
-    def build(reps, kk):
-        m = len(reps)
-        if kk == 0:
-            return [tensor_word([f0] * m, reps) for f0, _ in levels]
-        if kk == m:
-            return [tensor_word([f1] * m, reps) for _, f1 in levels]
-        first, rest = reps[:1], reps[1:]
-        sub = build(rest, kk)
-        out = []
-        for (f0, f1), sub_level in zip(levels, sub):
-            tail = word_sum(f0, f1, rest, lambda ones: ones == kk - 1)
-            out.append(
-                kron(tensor_word([f0], first), sub_level) + kron(tensor_word([f1], first), tail)
-            )
-        return out
-
-    chain = build(repetitions(n), k)
-    meta = dict(w.meta)
-    meta.update({"construction": "snk", "n": n, "k": k})
-    return DualWitness(rounds=g.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
+    """Recursive threshold witness ``S(n,k) = F0 (x) S(n-1,k) + F1 (x)
+    E(n-1,k-1)``: a fresh repetition carries the consistency block ``F0``
+    against the sub-solution, or the witness block ``F1`` against ``E``,
+    the words with exactly ``k - 1`` witness factors.  It telescopes to
+    the words with exactly ``k`` witness factors, which are summed here.
+    Trace ``Tr(Y)^k C(n,k)``."""
+    _check_threshold(w, g, n, k)
+    return _word_witness(w, g, n, lambda ones: ones == k, "snk", k=k)
 
 
 # -- classical (diagonal) reduction -------------------------------------------------
@@ -228,31 +211,21 @@ def witness_classical_binomial(
     """Diagonal-game witness: dephase the input, clamp each block below
     the matching consistency block, then sum losing/winning words.  The
     trace is the binomial tail at ``p~ = Tr(min(Y, rho))``."""
-    if not 0 <= k <= n:
-        raise ValidationError(f"threshold {k} out of range 0..{n}")
-    _require_two_outcomes(g)
+    _check_threshold(w, g, n, k)
     if not is_diagonal_game(g):
         raise DomainError("classical binomial witness requires a diagonal game")
-    _verify_input(w, g, g.outcomes[1])
-    game_chain = _game_chain(g)
-    clamped = [
-        elementwise_min(dephase(yop), rop)
-        for yop, rop in zip(w.chain(), game_chain)
-    ]
-    p_clamped = clamped[0].trace()
-    reps = repetitions(n)
-    chain = []
-    for rop, yop in zip(game_chain, clamped):
-        f0 = rop - yop
+    pairs = []
+    for rop, yop in zip(_game_chain(g), w.chain()):
+        clamped = elementwise_min(dephase(yop), rop)
+        f0 = rop - clamped
         lo = min_eigenvalue(f0)
         if lo < -1e-10:
             raise DomainError(f"clamped block exceeds its consistency block ({lo:.3e})")
-        chain.append(word_sum(f0, yop, reps, lambda ones: ones >= k))
-    meta = dict(w.meta)
-    meta.update(
-        {"construction": "classical-binomial", "n": n, "k": k, "p_clamped": p_clamped}
+        pairs.append((f0, clamped))
+    return _word_witness(
+        w, g, n, lambda ones: ones >= k, "classical-binomial", pairs,
+        k=k, p_clamped=pairs[0][1].trace(),
     )
-    return DualWitness(rounds=g.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
 
 
 # -- the monotone-set operator inequality -------------------------------------------

@@ -84,6 +84,36 @@ def test_certify_tensor_power(tmp_path):
     assert read(out)["results"]["witness_value"]["value"] == pytest.approx(P**2, abs=1e-6)
 
 
+def test_certify_average_scores_the_winning_set(tmp_path):
+    # The bundled game with its outcomes reversed wins on outcome 0; without
+    # --values the averaged witness is built and checked for that win rate.
+    from importlib import resources
+
+    with resources.as_file(
+        resources.files("hedgekit.data").joinpath("hedging_game.json")
+    ) as path:
+        data = load_json(path)
+    data["measurement"] = data["measurement"][::-1]
+    data["winning"] = [0]
+    game = tmp_path / "reversed.json"
+    dump_json(data, game)
+    out, wfile, again = tmp_path / "r.json", tmp_path / "w.json", tmp_path / "r2.json"
+    code = run(
+        "certify", str(game), "--construction", "average", "--reps", "2",
+        "--emit-witness", str(wfile), "--quiet", "--out", str(out),
+    )
+    assert code == 0
+    res = read(out)["results"]
+    assert res["feasible"] is True
+    assert res["witness_value"]["value"] == pytest.approx(P, abs=1e-8)
+    code = run("certify", str(game), "--witness", str(wfile), "--quiet", "--out", str(again))
+    assert code == 0
+    assert read(again)["results"]["feasible"] is True
+    assert read(again)["results"]["witness_value"]["value"] == pytest.approx(
+        res["witness_value"]["value"], abs=1e-12
+    )
+
+
 def test_certify_classical_binomial_refused_on_quantum_game(capsys):
     code = run(
         "certify", "hedging", "--construction", "classical-binomial",
@@ -168,12 +198,12 @@ def test_certify_witness_round_trip(tmp_path):
 
 def test_certify_infeasible_witness(tmp_path):
     # a too-small scaled witness cannot dominate the threshold objective
-    from hedgekit.hedging import hedging_optimal_witness
+    from hedgekit.hedging import hedging_game, hedging_optimal_witness
     from hedgekit.serialize import witness_to_json
     from hedgekit import DualWitness
     from hedgekit.witnesses import witness_tensor_power
 
-    w = witness_tensor_power(hedging_optimal_witness(), 2)
+    w = witness_tensor_power(hedging_optimal_witness(), 2, hedging_game())
     shrunk = DualWitness(rounds=1, Y=0.5 * w.Y, meta={"n": 2, "k": 2})
     wfile = tmp_path / "w.json"
     dump_json(witness_to_json(shrunk), wfile)

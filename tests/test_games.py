@@ -353,6 +353,16 @@ def test_probabilities_affine_in_strategy(rng):
         assert a == pytest.approx(0.5 * b + 0.5 * c, abs=1e-12)
 
 
+def test_strategy_round_groups_must_partition_its_space(rng):
+    s = strategy_from_channel(random_channel(rng, space(("X1", 2)), space(("Y1", 2))))
+    for x_rounds, y_rounds in (
+        ((("X1",),), (("Y1", "X1"),)),  # X1 asked and answered
+        ((("X1",),), (("Z",),)),  # Y1 missing, Z unknown
+    ):
+        with pytest.raises(SpaceError, match="partition"):
+            StrategyChoi(rounds=1, X=s.X, x_rounds=x_rounds, y_rounds=y_rounds)
+
+
 def test_two_round_product_strategy_probabilities(rng):
     from conftest import make_r2_product_game
     from hedgekit import StrategyChoi, choi

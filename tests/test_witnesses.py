@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from hedgekit import (
     DualWitness,
+    group_outcomes,
     check_dual_feasibility,
     classical_optimum,
     compile_primal,
@@ -13,6 +14,7 @@ from hedgekit import (
     dephase_game,
     elementwise_min,
     parallel_game,
+    parallel_rounds,
     single_round_witness,
     solve,
     space,
@@ -36,7 +38,7 @@ from hedgekit.hedging import (
 from hedgekit.operators import HermitianOperator
 from hedgekit.sampling import random_monotone_instance, random_psd
 
-from conftest import make_random_diagonal_game, make_random_game
+from conftest import make_r2_product_game, make_random_diagonal_game, make_random_game
 
 P = WIN_PROBABILITY
 
@@ -97,6 +99,21 @@ def test_tensor_power_matches_solver_optimum(game, game2, w_opt):
     rep = solve(compile_primal(game2, threshold_objective(game, 2, 2)), 1e-8)
     w = witness_tensor_power(w_opt, 2, game)
     assert rep.primal_value == pytest.approx(w.value, abs=1e-5)
+
+
+def test_tensor_power_bounds_the_n4_optimum_at_tight_tol(game, w_opt):
+    # The paper's k = n case at n = 4: the solver reaches p^4 at tol 1e-10
+    # and the tensor-power witness certifies it from above.
+    tol = 1e-10
+    rounds = parallel_rounds(game, 4)
+    objective = threshold_objective(game, 4, 4)
+    rep = solve(compile_primal(rounds, objective), tol)
+    assert rep.status == "optimal"
+    assert abs(rep.primal_value - P**4) <= 10 * tol
+    feas = check_dual_feasibility(rounds, objective, witness_tensor_power(w_opt, 4, game), 1e-9)
+    assert feas.feasible
+    assert feas.value == pytest.approx(P**4, abs=1e-12)
+    assert rep.primal_value <= feas.value
 
 
 # --------------------------------------------------------------------- naive
@@ -326,6 +343,36 @@ def test_solver_extracted_witness_constructions(seed):
         feas = check_dual_feasibility(pg, threshold_objective(g, 2, k), cand, 1e-9)
         assert feas.feasible
         assert feas.value == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_constructions_on_a_two_round_game(seed):
+    # Every construction reaches the second chain level: n = 2 copies of a
+    # seeded 2-round product game, grouped to "win both".
+    g = group_outcomes(make_r2_product_game(np.random.default_rng(seed))[2], [(1, 1)])
+    rounds = parallel_rounds(g, 2)
+    w = single_round_witness(g, g.outcomes[1], tol=1e-9)
+    p = w.value
+    cases = [
+        (witness_average(w, g, 2, values=(0.0, 1.0)), value_objective(g, (0.0, 1.0), 2), p),
+        (witness_tensor_power(w, 2, g), threshold_objective(g, 2, 2), p**2),
+    ]
+    for k in range(3):
+        objective = threshold_objective(g, 2, k)
+        naive = sum(math.comb(2, t) * p**t for t in range(k, 3))
+        cases.append((witness_naive(w, g, 2, k), objective, naive))
+        cases.append((witness_recursive_snk(w, g, 2, k), objective, math.comb(2, k) * p**k))
+    dg = dephase_game(g)
+    wd = single_round_witness(dg, dg.outcomes[1], tol=1e-9)
+    for k in range(3):
+        cand = witness_classical_binomial(wd, dg, 2, k)
+        tail = binomial_tail(cand.meta["p_clamped"], 2, k)
+        cases.append((cand, threshold_objective(dg, 2, k), tail))
+    for cand, objective, value in cases:
+        assert len(cand.Y_blocks) == 1
+        feas = check_dual_feasibility(rounds, objective, cand, 1e-9)
+        assert feas.feasible, cand.meta["construction"]
+        assert feas.value == pytest.approx(value, abs=1e-12), cand.meta["construction"]
 
 
 # ------------------------------------------------- one labelling rule for every n
