@@ -16,7 +16,7 @@ from .errors import (
     SpaceError,
     ValidationError,
 )
-from .spaces import DESK_DIM_CAP, SpaceList, space
+from .spaces import SpaceList, space
 from .operators import (
     DensityOperator,
     HermitianOperator,
@@ -24,16 +24,12 @@ from .operators import (
     apply_channel,
     choi,
     dephase,
-    dephasing_channel,
-    fidelity,
     identity,
-    identity_channel,
     inner,
     kron,
     min_eigenvalue,
     partial_trace,
     permute_systems,
-    unitary_channel,
 )
 from .games import (
     OutcomeOperators,
@@ -46,7 +42,6 @@ from .games import (
     outcome_probabilities,
     parallel_game,
     parallel_rounds,
-    strategy_from_channel,
     threshold_objective,
     value_objective,
 )
@@ -55,18 +50,13 @@ from .sdp import (
     SdpProblem,
     SolveReport,
     check_dual_feasibility,
-    check_weak_duality,
-    compile_dual,
     compile_primal,
     dual_witness_from_report,
-    hermitian_basis,
     repair_witness,
-    slater_points,
     solve,
 )
 from .witnesses import (
     classical_optimum,
-    elementwise_min,
     single_round_witness,
     verify_monotone_inequality,
     witness_average,
@@ -89,7 +79,6 @@ from .error_reduction import (
 from .hedging import (
     WIN_PROBABILITY,
     hedging_game,
-    hedging_game_spec,
     hedging_optimal_witness,
     phase_flip_strategy,
 )

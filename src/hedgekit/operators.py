@@ -4,8 +4,8 @@ Operators are stored as dense complex matrices tagged with a
 :class:`~hedgekit.spaces.SpaceList`.  Hermiticity is enforced on
 construction by symmetrizing away floating-point drift; drift beyond
 tolerance is an error, not silently absorbed.  Eigendecomposition
-(``numpy.linalg.eigh``) is the single numerical kernel behind
-positivity tests, operator square roots and the trace norm.
+(``numpy.linalg.eigvalsh``) is the single numerical kernel behind
+positivity tests.
 """
 from __future__ import annotations
 
@@ -165,29 +165,6 @@ def identity(spaces) -> HermitianOperator:
     return HermitianOperator._wrap(spaces, np.eye(spaces.dim, dtype=np.complex128))
 
 
-def identity_channel(spaces) -> KrausChannel:
-    if not isinstance(spaces, SpaceList):
-        spaces = SpaceList(spaces)
-    return KrausChannel(spaces, spaces, (np.eye(spaces.dim),))
-
-
-def dephasing_channel(spaces) -> KrausChannel:
-    """Channel that zeroes all off-diagonal entries of its input."""
-    if not isinstance(spaces, SpaceList):
-        spaces = SpaceList(spaces)
-    d = spaces.dim
-    ops = []
-    for i in range(d):
-        op = np.zeros((d, d))
-        op[i, i] = 1.0
-        ops.append(op)
-    return KrausChannel(spaces, spaces, tuple(ops))
-
-
-def unitary_channel(input_spaces, output_spaces, unitary) -> KrausChannel:
-    return KrausChannel(input_spaces, output_spaces, (np.asarray(unitary),))
-
-
 # -- core operations -----------------------------------------------------------
 
 
@@ -333,32 +310,6 @@ def dephase(a: HermitianOperator) -> HermitianOperator:
 def is_diagonal(a: HermitianOperator, tol: float = 1e-12) -> bool:
     off = a.entries - np.diag(np.diag(a.entries))
     return float(np.max(np.abs(off))) <= tol if off.size else True
-
-
-def _psd_sqrt(a: HermitianOperator, tol: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(a.entries)
-    if vals[0] < -tol:
-        raise ValidationError(
-            f"operator has negative eigenvalue {vals[0]:.3e} beyond tolerance"
-        )
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def fidelity(p: HermitianOperator, q: HermitianOperator, tol: float = PSD_TOL) -> float:
-    """Trace-norm fidelity of two positive semidefinite operators.
-
-    The trace norm rides the same eigendecomposition kernel as the
-    square roots: singular values of M are the root eigenvalues of
-    M^dag M.
-    """
-    if p.dim != q.dim:
-        raise SpaceError("fidelity arguments must have equal dimension")
-    sp = _psd_sqrt(p, tol)
-    sq = _psd_sqrt(q, tol)
-    m = sp @ sq
-    vals = np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0.0, None)
-    return float(np.sum(np.sqrt(vals)))
 
 
 def inner(a: HermitianOperator, b: HermitianOperator) -> float:

@@ -1,4 +1,4 @@
-"""JSON serialization for operators, channels, games and witnesses.
+"""JSON serialization for operators, games and witnesses.
 
 Number format: every complex number is a ``[re, im]`` pair and every
 matrix a row-major array of such pairs.  Operators carry their space
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .games import OutcomeOperators, SingleRoundGameSpec, outcome_operators_single_round
-from .operators import DensityOperator, HermitianOperator, KrausChannel
+from .operators import DensityOperator, HermitianOperator
 from .sdp import DualWitness
 from .spaces import SpaceList
 
@@ -53,24 +53,6 @@ def operator_from_json(data, density: bool = False) -> HermitianOperator:
     mat = _pairs_to_matrix(data["entries"], spaces.dim, spaces.dim)
     cls = DensityOperator if density else HermitianOperator
     return cls(spaces, mat)
-
-
-def channel_to_json(ch: KrausChannel) -> dict:
-    return {
-        "in_spaces": _spaces_to_json(ch.input_spaces),
-        "out_spaces": _spaces_to_json(ch.output_spaces),
-        "kraus": [_matrix_to_pairs(op) for op in ch.kraus],
-    }
-
-
-def channel_from_json(data) -> KrausChannel:
-    for key in ("in_spaces", "out_spaces", "kraus"):
-        if key not in data:
-            raise ValidationError(f"channel JSON needs the {key!r} field")
-    in_sp = _spaces_from_json(data["in_spaces"])
-    out_sp = _spaces_from_json(data["out_spaces"])
-    ops = [_pairs_to_matrix(p, out_sp.dim, in_sp.dim) for p in data["kraus"]]
-    return KrausChannel(in_sp, out_sp, ops)
 
 
 # -- games -------------------------------------------------------------------------

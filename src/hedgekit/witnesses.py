@@ -30,7 +30,6 @@ monotone-set operator inequality checked by
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -182,27 +181,13 @@ def witness_recursive_snk(w: DualWitness, g: OutcomeOperators, n: int, k: int) -
 
 
 def elementwise_min(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Entrywise minimum of two diagonal operators, generalized to
-    commuting pairs by clamping eigenvalues in a shared eigenbasis.
-    Refuses non-commuting inputs."""
+    """Entrywise minimum of two diagonal operators; refuses any other pair."""
     if a.spaces.dim != b.spaces.dim:
         raise ValidationError("operands must have equal dimension")
-    if is_diagonal(a) and is_diagonal(b):
-        mat = np.diag(np.minimum(np.diag(a.entries).real, np.diag(b.entries).real))
-        return HermitianOperator(a.spaces, mat.astype(np.complex128))
-    comm = a.entries @ b.entries - b.entries @ a.entries
-    scale = max(1.0, float(np.max(np.abs(a.entries))), float(np.max(np.abs(b.entries))))
-    if float(np.max(np.abs(comm))) > 1e-10 * scale:
-        raise DomainError("operators neither diagonal nor commuting; refusing to clamp")
-    _, basis = np.linalg.eigh(a.entries + math.sqrt(2.0) * b.entries)
-    da = basis.conj().T @ a.entries @ basis
-    db = basis.conj().T @ b.entries @ basis
-    for name, mat in (("first", da), ("second", db)):
-        off = mat - np.diag(np.diag(mat))
-        if float(np.max(np.abs(off))) > 1e-8 * scale:
-            raise DomainError(f"shared eigenbasis failed to diagonalize the {name} operand")
-    mind = np.minimum(np.diag(da).real, np.diag(db).real)
-    return HermitianOperator(a.spaces, basis @ np.diag(mind).astype(np.complex128) @ basis.conj().T)
+    if not (is_diagonal(a) and is_diagonal(b)):
+        raise DomainError("operators are not both diagonal; refusing to clamp")
+    mat = np.diag(np.minimum(np.diag(a.entries).real, np.diag(b.entries).real))
+    return HermitianOperator(a.spaces, mat.astype(np.complex128))
 
 
 def witness_classical_binomial(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hedgekit.cli import main
-from hedgekit.serialize import dump_json, load_json
+from hedgekit.serialize import dump_json, game_to_json, load_json
+
+from conftest import make_random_game
 
 P = math.cos(math.pi / 8) ** 2
 
@@ -112,6 +114,25 @@ def test_certify_average_scores_the_winning_set(tmp_path):
     assert read(again)["results"]["witness_value"]["value"] == pytest.approx(
         res["witness_value"]["value"], abs=1e-12
     )
+
+
+def test_certify_average_with_values_needs_no_winning_set(tmp_path, capsys):
+    # a three-outcome game with no 'winning' set: the value objective reads
+    # --values alone, so certify accepts the game that solve accepts
+    game = tmp_path / "three.json"
+    dump_json(game_to_json(make_random_game(np.random.default_rng(7), outcomes=3)), game)
+    values = ("--values", "0.2,0.5,1", "--reps", "2", "--quiet")
+    solved, checked = tmp_path / "s.json", tmp_path / "c.json"
+    assert run("solve", str(game), "--objective", "value", *values, "--out", str(solved)) == 0
+    code = run("certify", str(game), "--construction", "average", *values, "--out", str(checked))
+    assert code == 0
+    res = read(checked)["results"]
+    assert res["feasible"] is True
+    assert res["witness_value"]["value"] >= read(solved)["results"]["primal_value"]["value"]
+    # without --values the default reads the winning set, which is missing
+    code = run("certify", str(game), "--construction", "average", "--reps", "2", "--quiet")
+    assert code == 1
+    assert "no 'winning' set" in capsys.readouterr().err
 
 
 def test_certify_classical_binomial_refused_on_quantum_game(capsys):
@@ -224,6 +245,14 @@ def test_hedging_demo(tmp_path):
     )
 
 
+def test_hedging_demo_reports_a_stalled_solve(tmp_path):
+    out = tmp_path / "demo.json"
+    assert run("hedging-demo", "--max-iter", "2", "--quiet", "--out", str(out)) == 3
+    res = read(out)["results"]
+    assert res["single_rep_solve"] == {"status": "iteration-limit", "iterations": 2}
+    assert res["two_rep_solve"]["status"] == "iteration-limit"
+
+
 def test_error_reduction_plan(tmp_path):
     out = tmp_path / "plan.json"
     code = run(
@@ -245,6 +274,17 @@ def test_error_reduction_condition_fails(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "0.3257" in err  # diagnostic carries the computed threshold
+
+
+def test_error_reduction_refused_plan_is_domain_outcome(capsys):
+    # the threshold condition holds, but no threshold fraction below alpha
+    # makes the soundness bound decay: a refused reduction, not bad input
+    code = run(
+        "error-reduction", "--alpha", "0.9", "--beta", "0.69", "--epsilon", "1e-3",
+        "--quiet",
+    )
+    assert code == 2
+    assert "no admissible threshold fraction" in capsys.readouterr().err
 
 
 def test_error_reduction_epsilon_out_of_range():

@@ -23,12 +23,11 @@ from hedgekit import (
     parallel_rounds,
     permute_systems,
     space,
-    strategy_from_channel,
     threshold_objective,
-    unitary_channel,
     value_objective,
 )
 from hedgekit.errors import SpaceError, ValidationError
+from hedgekit.games import strategy_from_channel
 from hedgekit.hedging import WIN_PROBABILITY, hedging_game, phase_flip_strategy
 
 from hedgekit.sampling import random_channel, random_density, random_measurement
@@ -41,7 +40,7 @@ from conftest import PARALLEL_CASES, make_random_game, parallel_base
 
 def test_hedging_identity_strategy_wins_cos2():
     g = hedging_game()
-    ch = unitary_channel(space(("X1", 2)), space(("Y1", 2)), np.eye(2))
+    ch = KrausChannel(space(("X1", 2)), space(("Y1", 2)), (np.eye(2),))
     assert inner(g.outcomes[1], choi(ch)) == pytest.approx(WIN_PROBABILITY, abs=1e-12)
 
 
@@ -247,7 +246,7 @@ def test_value_objective_length_mismatch(hedging):
 
 
 def test_strategy_from_identity_channel():
-    ch = unitary_channel(space(("X1", 2)), space(("Y1", 2)), np.eye(2))
+    ch = KrausChannel(space(("X1", 2)), space(("Y1", 2)), (np.eye(2),))
     s = strategy_from_channel(ch)
     expect = np.zeros((4, 4))
     for i in range(2):
@@ -284,7 +283,7 @@ def test_invalid_strategy_chain_rejected():
 
 def test_hedging_identity_probabilities():
     g = hedging_game()
-    ch = unitary_channel(space(("X1", 2)), space(("Y1", 2)), np.eye(2))
+    ch = KrausChannel(space(("X1", 2)), space(("Y1", 2)), (np.eye(2),))
     lose, win = outcome_probabilities(g, strategy_from_channel(ch))
     assert win == pytest.approx(WIN_PROBABILITY, abs=1e-12)
     assert lose == pytest.approx(1 - WIN_PROBABILITY, abs=1e-12)
@@ -329,7 +328,7 @@ def test_product_strategy_probabilities_factorize(rng):
 
 
 def test_probabilities_space_mismatch(hedging):
-    ch = unitary_channel(space(("X9", 2)), space(("Y9", 2)), np.eye(2))
+    ch = KrausChannel(space(("X9", 2)), space(("Y9", 2)), (np.eye(2),))
     with pytest.raises(SpaceError):
         outcome_probabilities(hedging, strategy_from_channel(ch))
 

@@ -10,17 +10,13 @@ from hedgekit import (
     apply_channel,
     choi,
     dephase,
-    dephasing_channel,
-    fidelity,
     identity,
-    identity_channel,
     inner,
     kron,
     min_eigenvalue,
     partial_trace,
     permute_systems,
     space,
-    unitary_channel,
 )
 from hedgekit.errors import SpaceError, ValidationError
 from hedgekit.sampling import random_channel, random_density, random_hermitian, random_psd
@@ -193,7 +189,7 @@ def test_min_eigenvalue_examples(rng):
 
 
 def test_choi_identity_channel():
-    j = choi(unitary_channel(A2, B2, np.eye(2)))
+    j = choi(KrausChannel(A2, B2, (np.eye(2),)))
     expect = np.zeros((4, 4))
     for i in range(2):
         for k in range(2):
@@ -204,7 +200,7 @@ def test_choi_identity_channel():
 
 
 def test_choi_dephasing_channel():
-    j = choi(dephasing_channel(A2))
+    j = choi(KrausChannel(A2, A2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))))
     assert_allclose(j.entries, np.diag([1.0, 0.0, 0.0, 1.0]))
 
 
@@ -228,14 +224,15 @@ def test_choi_multiplicative_under_tensor(rng):
 
 def test_apply_identity_channel(rng):
     rho = random_density(rng, space(("A", 2), ("R", 3)))
-    out = apply_channel(identity_channel(A2), rho, {"A"})
+    out = apply_channel(KrausChannel(A2, A2, (np.eye(2),)), rho, {"A"})
     assert_allclose(out.entries, rho.entries, atol=1e-13)
     assert out.spaces.labels == ("A", "R")
 
 
 def test_apply_dephasing_matches_dephase(rng):
     rho = random_density(rng, A2)
-    out = apply_channel(dephasing_channel(A2), rho)
+    dephasing = KrausChannel(A2, A2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    out = apply_channel(dephasing, rho)
     assert_allclose(out.entries, dephase(rho).entries, atol=1e-13)
 
 
@@ -273,7 +270,7 @@ def test_phase_flip_on_two_copies_overlap():
 def test_apply_channel_dimension_mismatch():
     rho = random_density(np.random.default_rng(0), space(("A", 3)))
     with pytest.raises(SpaceError):
-        apply_channel(identity_channel(A2), rho, {"A"})
+        apply_channel(KrausChannel(A2, A2, (np.eye(2),)), rho, {"A"})
 
 
 # --------------------------------------------------------------------- dephase
@@ -294,51 +291,6 @@ def test_dephase_idempotent(rng):
     once = dephase(a)
     assert_allclose(dephase(once).entries, once.entries)
     assert once.trace() == pytest.approx(a.trace(), abs=1e-12)
-
-
-# -------------------------------------------------------------------- fidelity
-
-
-def test_fidelity_self_is_one(rng):
-    rho = random_density(rng, space(("A", 3)))
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_fidelity_pinned_value():
-    c2 = np.cos(np.pi / 8) ** 2
-    q = op((("A", 2),), np.diag([c2, 1 - c2]))
-    r = op((("A", 2),), np.diag([0.5, 0.5]))
-    assert fidelity(q, r) ** 2 == pytest.approx(c2, abs=1e-12)
-
-
-def test_fidelity_orthogonal_states():
-    p = op((("A", 2),), np.diag([1.0, 0.0]))
-    q = op((("A", 2),), np.diag([0.0, 1.0]))
-    assert fidelity(p, q) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fidelity_symmetric_and_bounded(rng):
-    p = random_psd(rng, A2)
-    q = random_psd(rng, A2)
-    f = fidelity(p, q)
-    assert f == pytest.approx(fidelity(q, p), abs=1e-10)
-    assert -1e-12 <= f <= np.sqrt(p.trace() * q.trace()) + 1e-10
-
-
-def test_fidelity_monotone_under_partial_trace(rng):
-    sp = space(("A", 2), ("B", 2))
-    for _ in range(10):
-        p = random_psd(rng, sp)
-        q = random_psd(rng, sp)
-        whole = fidelity(p, q)
-        reduced = fidelity(partial_trace(p, {"B"}), partial_trace(q, {"B"}))
-        assert reduced >= whole - 1e-8
-
-
-def test_fidelity_rejects_negative_input(rng):
-    bad = op((("A", 2),), np.diag([1.0, -0.5]))
-    with pytest.raises(ValidationError):
-        fidelity(bad, identity(A2))
 
 
 # ----------------------------------------------------------------------- inner

@@ -7,7 +7,6 @@ import pytest
 from hedgekit import (
     HermitianOperator,
     SdpProblem,
-    check_weak_duality,
     compile_primal,
     parallel_game,
     solve,
@@ -16,6 +15,7 @@ from hedgekit import (
     value_objective,
 )
 from hedgekit import solver
+from hedgekit.sdp import check_weak_duality
 from hedgekit.solver import BlockMap, ConstraintMap, interior_point
 
 from conftest import make_random_diagonal_game

@@ -6,18 +6,14 @@ from hedgekit import (
     DualWitness,
     SdpProblem,
     check_dual_feasibility,
-    check_weak_duality,
-    compile_dual,
     compile_primal,
     dephase_game,
     dual_witness_from_report,
-    hermitian_basis,
     identity,
     min_eigenvalue,
     parallel_game,
     parallel_rounds,
     repair_witness,
-    slater_points,
     solve,
     space,
     threshold_objective,
@@ -25,6 +21,7 @@ from hedgekit import (
 )
 from hedgekit.errors import DomainError, SpaceError, ValidationError
 from hedgekit.hedging import WIN_PROBABILITY, hedging_optimal_witness
+from hedgekit.sdp import check_weak_duality, compile_dual, hermitian_basis, slater_points
 from hedgekit.solver import BlockMap, ConstraintMap
 from hedgekit.witnesses import classical_optimum
 

@@ -4,10 +4,8 @@ from numpy.testing import assert_allclose
 from hedgekit import space
 from hedgekit.errors import ValidationError
 from hedgekit.hedging import hedging_game, hedging_optimal_witness
-from hedgekit.sampling import random_channel, random_density, random_hermitian
+from hedgekit.sampling import random_density, random_hermitian
 from hedgekit.serialize import (
-    channel_from_json,
-    channel_to_json,
     game_from_json,
     game_to_json,
     operator_from_json,
@@ -50,15 +48,6 @@ def test_malformed_operator_rejected():
         operator_from_json({"spaces": [["A", 2]], "entries": [[1.0, 0.0]]})
     with pytest.raises(ValidationError):
         operator_from_json({"entries": []})
-
-
-def test_channel_round_trip(rng):
-    ch = random_channel(rng, space(("X", 2)), space(("Y", 3)))
-    back = channel_from_json(channel_to_json(ch))
-    assert back.input_spaces == ch.input_spaces
-    assert back.output_spaces == ch.output_spaces
-    for a, b in zip(back.kraus, ch.kraus):
-        assert_allclose(a, b, atol=1e-15)
 
 
 def test_game_round_trip_operators_form(hedging):

@@ -12,7 +12,6 @@ from hedgekit import (
     compile_primal,
     dephase,
     dephase_game,
-    elementwise_min,
     parallel_game,
     parallel_rounds,
     single_round_witness,
@@ -37,6 +36,7 @@ from hedgekit.hedging import (
 )
 from hedgekit.operators import HermitianOperator
 from hedgekit.sampling import random_monotone_instance, random_psd
+from hedgekit.witnesses import elementwise_min
 
 from conftest import make_r2_product_game, make_random_diagonal_game, make_random_game
 
@@ -208,18 +208,16 @@ def test_clamp_idempotent(rng):
     assert_allclose(once.entries, twice.entries)
 
 
-def test_clamp_commuting_pair(rng):
+def test_clamp_refuses_commuting_nondiagonal_pair(rng):
+    # the clamp serves dephased witnesses of diagonal games only: a pair
+    # that commutes but is not diagonal is refused, not rotated
     basis = np.linalg.qr(
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     )[0]
-    da, db = np.diag(rng.random(3)), np.diag(rng.random(3))
-    a = HermitianOperator(space(("A", 3)), basis @ da @ basis.conj().T)
-    b = HermitianOperator(space(("A", 3)), basis @ db @ basis.conj().T)
-    clamped = elementwise_min(a, b)
-    expect = basis @ np.diag(np.minimum(np.diag(da), np.diag(db))) @ basis.conj().T
-    eig_clamped = np.sort(np.linalg.eigvalsh(clamped.entries))
-    eig_expect = np.sort(np.linalg.eigvalsh(expect))
-    assert_allclose(eig_clamped, eig_expect, atol=1e-10)
+    a = HermitianOperator(space(("A", 3)), basis @ np.diag(rng.random(3)) @ basis.conj().T)
+    b = HermitianOperator(space(("A", 3)), basis @ np.diag(rng.random(3)) @ basis.conj().T)
+    with pytest.raises(DomainError, match="not both diagonal"):
+        elementwise_min(a, b)
 
 
 def test_clamp_refuses_noncommuting(rng):
