@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands: ``solve``, ``certify``, ``hedging-demo``, ``error-reduction``,
-``plot-entropy``.  Every run emits a JSON report whose numeric results
-carry the tolerance they were computed under.
+``plot-entropy``.  Every run but ``plot-entropy``, which writes the curve
+as CSV, emits a JSON report whose numeric results carry the tolerance
+they were computed under.  A ``solve`` report lists the PSD block
+dimensions the solver iterated on as ``solved_blocks``.
 
 Exit codes: 0 success, 1 malformed input, 2 domain-negative outcome
 (infeasible problem or witness, failed threshold condition, refused
@@ -214,6 +216,7 @@ def cmd_solve(args) -> int:
             "dual_value": {"value": report.dual_value, **_tolerance(args.tol)},
             "gap": {"value": report.gap, **_tolerance(args.tol)},
             "iterations": report.iterations,
+            "solved_blocks": list(report.solved_blocks),
         }
     )
     _emit(run.report(results), args)

@@ -19,6 +19,12 @@ the dual's rows are built as operators and stacked with pad 1.
 Compilation and the witness checks read a game only through its
 :class:`~hedgekit.games.Rounds` and take a game or a bare ``Rounds``,
 such as :func:`~hedgekit.games.parallel_rounds`, alike.
+
+A compiled single-round game of ``n >= 3`` identical copies whose
+objective is invariant under permuting them carries its
+:class:`~hedgekit.symmetry.CopySymmetry`; :func:`solve` then iterates on
+the ``S_n``-reduced blocks and lifts the solution back, so the report
+and its checks stay those of the dense problem.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import DomainError, SpaceError, ValidationError
-from .games import Rounds
+from .games import Rounds, rep_label, repetitions
 from .operators import (
     HERMITICITY_TOL,
     HermitianOperator,
@@ -42,9 +48,13 @@ from .operators import (
     partial_trace,
 )
 from .spaces import SpaceList
+from .symmetry import CopySymmetry
 
 FEASIBILITY_TOL = 1e-8
 WEAK_DUALITY_SLACK = 1e-7
+#: Entrywise drift, relative to the largest entry, up to which an
+#: objective counts as invariant under permuting the copies.
+COPY_INVARIANCE_TOL = 1e-12
 
 
 # -- scalarization machinery -----------------------------------------------------
@@ -167,6 +177,8 @@ class SolveReport:
     tol: float
     #: ``u`` with ``A*(u) >= 0`` and ``b . u < 0``; None unless infeasible
     farkas_ray: tuple | None = None
+    #: dimensions of the PSD blocks the interior-point kernel iterated on
+    solved_blocks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -227,6 +239,11 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     they also carry ``-<Tr_{X_j}(H_k), X_{j-1}>``.  The last block keeps
     the Kronecker form (pad ``dim Y_r``); earlier blocks, which carry
     two links, hold their rows expanded (pad 1).
+
+    A single-round game of ``n >= 3`` copies labelled by
+    :func:`~hedgekit.games.repetitions`, with the same factors in every
+    copy, whose objective is invariant under permuting the copies, gets
+    its :class:`~hedgekit.symmetry.CopySymmetry` recorded on the problem.
     """
     _check_objective(g, objective)
     r = g.rounds
@@ -254,14 +271,43 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
             for basis, yop in zip(bases, dual_chain)
         ]
     )
-    return SdpProblem(
+    aligned = align(objective, dict(blocks)[_block_name(g, r)])
+    problem = SdpProblem(
         blocks=blocks,
-        objective={_block_name(g, r): align(objective, dict(blocks)[_block_name(g, r)])},
+        objective={_block_name(g, r): aligned},
         constraint_map=_solver.ConstraintMap(maps, b),
         sense="max",
         primal_start=primal_point,
         dual_start=dual_start,
     )
+    problem._copy_symmetry = _copy_symmetry(g, aligned.entries)
+    return problem
+
+
+def _copy_symmetry(g: Rounds, objective: np.ndarray) -> CopySymmetry | None:
+    """The copy symmetry of a single-round game of ``n >= 3`` copies whose
+    objective (on ``g.block(1)``) it fixes, else None."""
+    if g.rounds != 1:
+        return None
+    (n, dy), (nx, dx) = (_copies(g.spaces, labels) for labels in (g.y_rounds[0], g.x_rounds[0]))
+    if n != nx or n < 3:
+        return None
+    sym = CopySymmetry(n, dy, dx)
+    return sym if sym.is_invariant(objective, COPY_INVARIANCE_TOL) else None
+
+
+def _copies(spaces: SpaceList, labels) -> tuple:
+    """``(n, dimension of one copy)`` when ``labels`` are ``L#m`` for the
+    repetitions ``m`` of ``n >= 2`` copies (outer) and the labels ``L`` of
+    copy 1 (inner), with equal dimensions in every copy; else ``(0, 0)``."""
+    base = [l.rpartition("#")[0] for l in labels if l.rpartition("#")[2] == "1"]
+    n = len(labels) // max(1, len(base))
+    if n < 2 or tuple(labels) != tuple(rep_label(l, m) for m in repetitions(n) for l in base):
+        return 0, 0
+    dims = [spaces.dim_of(l) for l in labels]
+    if dims != dims[: len(base)] * n:
+        return 0, 0
+    return n, math.prod(dims[: len(base)])
 
 
 def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int, basis):
@@ -391,7 +437,14 @@ def slater_points(g: Rounds, objective: HermitianOperator):
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
-    """Solve a standard-form problem with the embedded interior-point kernel."""
+    """Solve a standard-form problem with the embedded interior-point kernel.
+
+    A problem that :func:`compile_primal` found copy-symmetric iterates
+    on its ``S_n``-reduced blocks (:meth:`~hedgekit.symmetry.CopySymmetry.interior_point`); the
+    report is the dense problem's all the same, with the solution lifted
+    back and re-checked against the dense constraints, and
+    ``solved_blocks`` naming the blocks the kernel iterated on.
+    """
     if not 1e-10 <= tol <= 1e-2:
         raise ValidationError(f"tol must lie in [1e-10, 1e-2], got {tol!r}")
     if max_iter < 1:
@@ -408,7 +461,11 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     if problem.primal_start is not None:
         x_start = [problem.primal_start[n].entries for n in names]
     y_start = problem.dual_start if sign > 0 else None
-    raw = _solver.interior_point(
+    kernel = _solver.interior_point
+    symmetry = getattr(problem, "_copy_symmetry", None)
+    if symmetry is not None:
+        kernel = symmetry.interior_point
+    raw = kernel(
         c_blocks, problem.constraint_map, tol=tol, max_iter=max_iter,
         x_start=x_start, y_start=y_start,
     )
@@ -435,6 +492,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
         iterations=raw["iterations"],
         tol=tol,
         farkas_ray=ray,
+        solved_blocks=raw["blocks"],
     )
 
 

@@ -36,10 +36,11 @@ slack ``sum_i y_i F_i - C`` is PSD as a Hermitian matrix, so the real
 problem has the complex optimum and its multipliers, padded with zeros
 at the imaginary rows, are a complex dual point (its Farkas rays
 likewise).  Such a problem drops its imaginary rows and iterates in
-``float64``; at four hedging copies 136 of 256 rows remain, and each
-Cholesky factor, inverse and ``eigvalsh`` costs about a quarter of its
-complex flops.  The test is exact, with no tolerance; any other
-problem iterates in ``complex128``.
+``float64``; at four hedging copies solved densely 136 of 256 rows
+remain, and each Cholesky factor, inverse and ``eigvalsh`` costs about a
+quarter of its complex flops.  (:mod:`hedgekit.sdp` solves those copies
+in their ``S_n``-reduced blocks, through this same kernel.)  The test is
+exact, with no tolerance; any other problem iterates in ``complex128``.
 """
 from __future__ import annotations
 
@@ -246,7 +247,8 @@ def interior_point(
 
     A conjugation-symmetric problem is solved in its real form (module
     docstring); ``y`` and ``farkas`` come back full length, with zeros at
-    the dropped rows, and ``X`` and ``Z`` as ``complex128``.
+    the dropped rows, and ``X`` and ``Z`` as ``complex128``.  ``blocks``
+    lists the block dimensions.
     """
     A = constraints
     C = [np.asarray(c, dtype=np.complex128) for c in c_blocks]
@@ -461,6 +463,7 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
         "primal_residual": float(np.max(np.abs(rp))),
         "iterations": iterations,
         "farkas": farkas,
+        "blocks": tuple(A.dims),
     }
 
 
