@@ -45,7 +45,7 @@ for trial in range(3):
     print(f"  v' (two repetitions) = {two.primal_value:.9f}")
     print(f"  |v - v'|             = {abs(one.primal_value - two.primal_value):.2e}")
 
-    base = single_round_witness(game, value_objective(game, values, 1), tol=1e-9)
+    base = single_round_witness(game, value_objective(game, values, 1))
     lifted = witness_average(base, game, 2, values=values)
     feas = check_dual_feasibility(doubled, value_objective(game, values, 2), lifted, 1e-9)
     print(f"  averaged witness     : trace {feas.value:.9f}, feasible={feas.feasible}")

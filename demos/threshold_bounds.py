@@ -68,7 +68,7 @@ opt = solve(compile_primal(doubled, threshold_objective(classical, 2, 1)), tol=1
 print(f"classical 2-rep k=1 optimum (solver)        : {opt.primal_value:.6f}")
 print(f"binomial tail at p_c                        : {binomial_tail(pc, 2, 1):.6f}")
 
-base = single_round_witness(classical, classical.outcomes[1], tol=1e-9)
+base = single_round_witness(classical, classical.outcomes[1])
 wcb = witness_classical_binomial(base, classical, 2, 1)
 feas = check_dual_feasibility(doubled, threshold_objective(classical, 2, 1), wcb, 1e-9)
 print(f"clamped diagonal witness                    : {feas.value:.6f} "

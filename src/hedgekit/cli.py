@@ -252,11 +252,11 @@ def _build_witness(args, game, winning):
             _grouped(game, winning)  # refuses a game with no winning set to read
             values = _win_values(game, winning)
         base = single_round_witness(
-            game, value_objective(game, values, 1), tol=1e-9, meta={"values": list(values)}
+            game, value_objective(game, values, 1), meta={"values": list(values)}
         )
         return witness_average(base, game, n), n, None, "value"
     g2 = _grouped(game, winning)
-    base = single_round_witness(g2, g2.outcomes[1], tol=1e-9)
+    base = single_round_witness(g2, g2.outcomes[1])
     if name == "tensor-power":
         return witness_tensor_power(base, n, g2), n, n, "threshold"
     if args.wins is None:

@@ -118,11 +118,10 @@ class ErrorReductionPlan:
             raise ValidationError("a satisfied plan must meet both bounds")
 
 
-def choose_threshold_fraction(
-    alpha: float, beta: float, margin: float = _COEFFICIENT_MARGIN
-) -> tuple[int, int]:
+def choose_threshold_fraction(alpha: float, beta: float) -> tuple[int, int]:
     """Largest rational ``c1/c2`` (``c2 <= 64``) below ``alpha`` whose
-    soundness decay coefficient ``c lg(beta) + H(c)`` clears the margin.
+    soundness decay coefficient ``c lg(beta) + H(c)`` is at most
+    ``-_COEFFICIENT_MARGIN``.
 
     The coefficient is the large-``n`` slope of ``lg(p^k C(n,k))`` at
     ``k = c n``; it must be negative for the soundness bound to decay.
@@ -134,7 +133,7 @@ def choose_threshold_fraction(
             c = c1 / c2
             if not c < alpha:
                 break
-            if c * lg_beta + binary_entropy(c) > -margin:
+            if c * lg_beta + binary_entropy(c) > -_COEFFICIENT_MARGIN:
                 continue
             if best is None or c > best[0] + 1e-15:
                 best = (c, c1, c2)

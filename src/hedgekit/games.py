@@ -232,11 +232,14 @@ class StrategyChoi:
     satisfying the causality chain of partial-trace constraints.  Its round
     groups are checked as the :class:`Rounds` of ``X``'s space."""
 
-    rounds: int
     X: HermitianOperator
+    x_rounds: tuple[tuple[str, ...], ...]
+    y_rounds: tuple[tuple[str, ...], ...]
     intermediates: tuple[HermitianOperator, ...] = ()
-    x_rounds: tuple[tuple[str, ...], ...] = ()
-    y_rounds: tuple[tuple[str, ...], ...] = ()
+
+    @property
+    def rounds(self) -> int:
+        return len(self.x_rounds)
 
     def __post_init__(self):
         structure = Rounds(self.rounds, self.X.spaces, self.x_rounds, self.y_rounds)
@@ -261,9 +264,7 @@ class StrategyChoi:
 # -- single-round compilation ---------------------------------------------------
 
 
-def outcome_operators_single_round(
-    g: SingleRoundGameSpec, verify: bool = True
-) -> OutcomeOperators:
+def outcome_operators_single_round(g: SingleRoundGameSpec) -> OutcomeOperators:
     """Compile a one-round description into outcome operators.
 
     ``P_k`` is the unique operator whose inner product with the Choi
@@ -303,8 +304,7 @@ def outcome_operators_single_round(
         outcomes=tuple(ops),
         rho=rho,
     )
-    if verify:
-        _verify_against_simulation(g, game)
+    _verify_against_simulation(g, game)
     return game
 
 
@@ -490,9 +490,7 @@ def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
 def strategy_from_channel(ch: KrausChannel) -> StrategyChoi:
     """Single-round strategy: the Choi operator of the prover's channel."""
     return StrategyChoi(
-        rounds=1,
         X=choi(ch),
-        intermediates=(),
         x_rounds=(ch.input_spaces.labels,),
         y_rounds=(ch.output_spaces.labels,),
     )
@@ -528,6 +526,6 @@ def dephase_game(g: OutcomeOperators) -> OutcomeOperators:
     )
 
 
-def is_diagonal_game(g: OutcomeOperators, tol: float = 1e-12) -> bool:
+def is_diagonal_game(g: OutcomeOperators) -> bool:
     ops = list(g.outcomes) + [g.rho] + list(g.r_blocks)
-    return all(is_diagonal(op, tol) for op in ops)
+    return all(is_diagonal(op) for op in ops)

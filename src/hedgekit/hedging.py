@@ -68,24 +68,23 @@ def hedging_optimal_witness() -> DualWitness:
     c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
     y = np.diag([c * (c + s) / 2.0, s * (c + s) / 2.0]).astype(np.complex128)
     return DualWitness(
-        rounds=1,
         Y=HermitianOperator(SpaceList(((QUESTION_LABEL, 2),)), y),
         meta={"construction": "closed-form-optimal"},
     )
 
 
-def phase_flip_channel(n: int = 2) -> KrausChannel:
-    """Joint unitary on the ``n`` received question qubits that flips the
+def phase_flip_channel() -> KrausChannel:
+    """Joint unitary on the two received question qubits that flips the
     sign of the all-zeros basis state, labelled as in
     :func:`~hedgekit.games.parallel_game`."""
-    reps = repetitions(n)
+    reps = repetitions(2)
     in_sp = SpaceList(tuple((rep_label(QUESTION_LABEL, m), 2) for m in reps))
     out_sp = SpaceList(tuple((rep_label(ANSWER_LABEL, m), 2) for m in reps))
-    u = np.eye(2**n)
+    u = np.eye(4)
     u[0, 0] = -1.0
     return KrausChannel(in_sp, out_sp, (u,))
 
 
-def phase_flip_strategy(n: int = 2) -> StrategyChoi:
+def phase_flip_strategy() -> StrategyChoi:
     """The correlated strategy that hedges perfectly across two copies."""
-    return strategy_from_channel(phase_flip_channel(n))
+    return strategy_from_channel(phase_flip_channel())

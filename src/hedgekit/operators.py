@@ -20,6 +20,8 @@ from .spaces import DESK_DIM_CAP, SpaceList
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_PRESERVING_TOL = 1e-10
+#: Largest off-diagonal entry of an operator that counts as diagonal.
+DIAGONAL_TOL = 1e-12
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -262,20 +264,14 @@ def choi(ch: KrausChannel) -> HermitianOperator:
     return HermitianOperator._wrap(ch.output_spaces.concat(in_spaces), mat)
 
 
-def apply_channel(
-    ch: KrausChannel, rho: HermitianOperator, acted_labels=None
-) -> HermitianOperator:
-    """Apply ``ch`` to the named factors of ``rho`` (the rest untouched).
+def apply_channel(ch: KrausChannel, rho: HermitianOperator) -> HermitianOperator:
+    """Apply ``ch`` to the factors of ``rho`` that carry its input labels
+    (the rest untouched).
 
     The result carries the channel's output factors first, followed by
     the untouched factors in their original order.  Returns a
     :class:`DensityOperator` when the input is one.
     """
-    acted = tuple(acted_labels) if acted_labels is not None else ch.input_spaces.labels
-    if sorted(acted) != sorted(ch.input_spaces.labels):
-        raise SpaceError(
-            f"acted labels {acted} do not match channel inputs {ch.input_spaces.labels}"
-        )
     for lab, d in ch.input_spaces:
         if not rho.spaces.has(lab):
             raise SpaceError(f"state does not carry channel input label {lab!r}")
@@ -307,9 +303,9 @@ def dephase(a: HermitianOperator) -> HermitianOperator:
     return HermitianOperator._wrap(a.spaces, np.diag(np.diag(a.entries).real).astype(np.complex128))
 
 
-def is_diagonal(a: HermitianOperator, tol: float = 1e-12) -> bool:
+def is_diagonal(a: HermitianOperator) -> bool:
     off = a.entries - np.diag(np.diag(a.entries))
-    return float(np.max(np.abs(off))) <= tol if off.size else True
+    return float(np.max(np.abs(off))) <= DIAGONAL_TOL if off.size else True
 
 
 def inner(a: HermitianOperator, b: HermitianOperator) -> float:

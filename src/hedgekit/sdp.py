@@ -6,10 +6,12 @@ The prover's optimization for a game is
     maximize    <objective, X>
     subject to  Tr_{Y_1}(X_1) = I,  Tr_{Y_j}(X_j) = X_{j-1} (x) I,  X_j >= 0
 
-and its dual minimizes ``Tr(Y)`` over a chain of operator inequalities.
-Both are compiled to one scalarized standard form: every partial-trace
-equality is expanded against an orthonormal Hermitian basis of the
-constrained space, giving ``dim^2`` scalar equations per chain link.
+and its dual minimizes ``Tr(Y)`` over a chain of operator inequalities;
+:func:`compile_dual` states it as maximize ``-Tr(Y)``, whose optimum is
+minus the dual optimum.  Both are compiled to one scalarized standard
+form: every partial-trace equality is expanded against an orthonormal
+Hermitian basis of the constrained space, giving ``dim^2`` scalar
+equations per chain link.
 A problem holds its equations only as a
 :class:`~hedgekit.solver.ConstraintMap`.  For the primal, link ``j``
 acts on the last chain block as ``I_{Y_j} (x) H_k`` up to a fixed factor
@@ -52,6 +54,8 @@ from .symmetry import CopySymmetry
 
 FEASIBILITY_TOL = 1e-8
 WEAK_DUALITY_SLACK = 1e-7
+#: Slack every chain inequality of a repaired witness holds with.
+REPAIR_MARGIN = 1e-11
 #: Entrywise drift, relative to the largest entry, up to which an
 #: objective counts as invariant under permuting the copies.
 COPY_INVARIANCE_TOL = 1e-12
@@ -87,7 +91,7 @@ def hermitian_basis(dim: int) -> np.ndarray:
 class SdpProblem:
     """A standard-form Hermitian SDP over the PSD blocks ``blocks``:
 
-        maximize (``sense="max"``) or minimize ``sum_b <objective_b, X_b> + offset``
+        maximize    ``sum_b <objective_b, X_b> + offset``
         subject to ``sum_b <F_ib, X_b> = b_i`` and ``X_b >= 0``.
 
     The equalities are the :class:`~hedgekit.solver.ConstraintMap`
@@ -102,17 +106,13 @@ class SdpProblem:
         blocks,
         objective,
         constraint_map,
-        sense="max",
         offset=0.0,
         primal_start=None,
         dual_start=None,
     ):
-        if sense not in ("max", "min"):
-            raise ValidationError(f"sense must be 'max' or 'min', got {sense!r}")
         self.blocks = tuple(blocks)
         self.objective = objective
         self.constraint_map = constraint_map
-        self.sense = sense
         self.offset = offset
         self.primal_start = primal_start
         self.dual_start = dual_start
@@ -174,7 +174,6 @@ class SolveReport:
     primal_blocks: dict
     dual_multipliers: tuple
     iterations: int
-    tol: float
     #: ``u`` with ``A*(u) >= 0`` and ``b . u < 0``; None unless infeasible
     farkas_ray: tuple | None = None
     #: dimensions of the PSD blocks the interior-point kernel iterated on
@@ -189,14 +188,13 @@ class DualWitness:
     assumed; ``meta`` records the construction and its parameters.
     """
 
-    rounds: int
     Y: HermitianOperator
     Y_blocks: tuple = ()
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if len(self.Y_blocks) != self.rounds - 1:
-            raise ValidationError("expected Y_2..Y_r blocks")
+    @property
+    def rounds(self) -> int:
+        return len(self.Y_blocks) + 1
 
     @property
     def value(self) -> float:
@@ -211,7 +209,6 @@ class FeasibilityReport:
     feasible: bool
     constraint_min_eigenvalues: tuple
     value: float
-    tol: float
 
 
 def _block_name(g: Rounds, j: int) -> str:
@@ -276,7 +273,6 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
         blocks=blocks,
         objective={_block_name(g, r): aligned},
         constraint_map=_solver.ConstraintMap(maps, b),
-        sense="max",
         primal_start=primal_point,
         dual_start=dual_start,
     )
@@ -325,7 +321,8 @@ def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int, basis):
 
 
 def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
-    """Compile the chain dual (minimize ``Tr(Y)``) to standard form.
+    """Compile the chain dual to standard form as maximize ``-Tr(Y)``;
+    its optimum is minus the dual optimum.
 
     For a PSD objective every feasible chain block is itself PSD (the
     last inequality dominates a PSD operator and feasibility propagates
@@ -333,7 +330,7 @@ def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     objective forces ``Y_j >= -K_j I`` with the cascade constants
     ``K_r = |objective|``, ``K_{j} = K_{j+1} dim(X_{j+1})``; the blocks
     are shifted by those identity multiples and the report carries the
-    trace offset, so the compiled optimum still equals the dual optimum.
+    trace offset, so the compiled optimum is still minus the dual optimum.
     """
     _check_objective(g, objective)
     r = g.rounds
@@ -398,10 +395,9 @@ def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
         primal_start[f"S{j}"] = slack
     return SdpProblem(
         blocks=blocks,
-        objective={"Q1": identity(spaces["Q1"])},
+        objective={"Q1": identity(spaces["Q1"]) * -1.0},
         constraint_map=_solver.ConstraintMap(maps, b),
-        sense="min",
-        offset=-shifts[0] * spaces["Q1"].dim,
+        offset=shifts[0] * spaces["Q1"].dim,
         primal_start=primal_start,
         dual_start=None,
     )
@@ -451,30 +447,28 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
         raise ValidationError("max_iter must be positive")
     names = problem.block_names
     spaces = dict(problem.blocks)
-    sign = -1.0 if problem.sense == "min" else 1.0
-    c_blocks = []
-    for n in names:
-        op = problem.objective.get(n)
-        mat = np.zeros((spaces[n].dim,) * 2, dtype=np.complex128) if op is None else op.entries
-        c_blocks.append(sign * mat)
+    c_blocks = [
+        problem.objective[n].entries if n in problem.objective
+        else np.zeros((spaces[n].dim,) * 2, dtype=np.complex128)
+        for n in names
+    ]
     x_start = None
     if problem.primal_start is not None:
         x_start = [problem.primal_start[n].entries for n in names]
-    y_start = problem.dual_start if sign > 0 else None
     kernel = _solver.interior_point
     symmetry = getattr(problem, "_copy_symmetry", None)
     if symmetry is not None:
         kernel = symmetry.interior_point
     raw = kernel(
         c_blocks, problem.constraint_map, tol=tol, max_iter=max_iter,
-        x_start=x_start, y_start=y_start,
+        x_start=x_start, y_start=problem.dual_start,
     )
     primal_blocks = {
         n: HermitianOperator(spaces[n], x) for n, x in zip(names, raw["X"])
     }
-    pval = sign * raw["primal_value"] + problem.offset
-    dval = sign * raw["dual_value"] + problem.offset
-    mults = tuple(float(sign * v) for v in raw["y"])
+    pval = raw["primal_value"] + problem.offset
+    dval = raw["dual_value"] + problem.offset
+    mults = tuple(float(v) for v in raw["y"])
     status = raw["status"]
     ray = None if raw["farkas"] is None else tuple(float(v) for v in raw["farkas"])
     # re-verify the optimal-status contract; downgrade on violation
@@ -490,7 +484,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
         primal_blocks=primal_blocks,
         dual_multipliers=mults,
         iterations=raw["iterations"],
-        tol=tol,
         farkas_ray=ray,
         solved_blocks=raw["blocks"],
     )
@@ -535,11 +528,10 @@ def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multiplier
     y = np.asarray(dual_multipliers, dtype=float)
     if y.shape != (cmap.m,):
         raise ValidationError("dual multiplier count does not match the constraints")
-    sign = -1.0 if problem.sense == "min" else 1.0
-    for n, slack in zip(problem.block_names, cmap.adjoint(sign * y)):
+    for n, slack in zip(problem.block_names, cmap.adjoint(y)):
         cop = problem.objective.get(n)
         if cop is not None:
-            slack = slack - sign * cop.entries
+            slack = slack - cop.entries
         lo = float(np.linalg.eigvalsh((slack + slack.conj().T) / 2)[0])
         if lo < -FEASIBILITY_TOL:
             raise ValidationError(
@@ -550,16 +542,8 @@ def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multiplier
         + problem.offset
     )
     dval = float(y @ cmap.b) + problem.offset
-    if problem.sense == "max":
-        if pval > dval + WEAK_DUALITY_SLACK:
-            raise ValidationError(
-                f"weak duality violated: primal {pval!r} > dual {dval!r}"
-            )
-    else:
-        if pval < dval - WEAK_DUALITY_SLACK:
-            raise ValidationError(
-                f"weak duality violated: primal {pval!r} < dual {dval!r}"
-            )
+    if pval > dval + WEAK_DUALITY_SLACK:
+        raise ValidationError(f"weak duality violated: primal {pval!r} > dual {dval!r}")
     return pval, dval
 
 
@@ -605,7 +589,6 @@ def check_dual_feasibility(
         feasible=feasible,
         constraint_min_eigenvalues=tuple(eigs),
         value=w.value,
-        tol=tol,
     )
 
 
@@ -625,28 +608,16 @@ def dual_witness_from_report(
         HermitianOperator(w, np.tensordot(coeffs, hermitian_basis(w.dim), 1))
         for w, coeffs in zip(spaces, np.split(y, np.cumsum(counts)[:-1]))
     ]
-    return DualWitness(
-        rounds=g.rounds,
-        Y=chain[0],
-        Y_blocks=tuple(chain[1:]),
-        meta=dict(meta or {}),
-    )
+    return DualWitness(Y=chain[0], Y_blocks=tuple(chain[1:]), meta=dict(meta or {}))
 
 
-def repair_witness(
-    g: Rounds,
-    objective: HermitianOperator,
-    w: DualWitness,
-    margin: float = 1e-11,
-) -> DualWitness:
+def repair_witness(g: Rounds, objective: HermitianOperator, w: DualWitness) -> DualWitness:
     """Shift chain blocks by identity multiples until every inequality
-    holds with at least ``margin`` slack (solver output is feasible only
-    up to its tolerance; tensor constructions need a strict input)."""
+    holds with at least ``REPAIR_MARGIN`` slack (solver output is feasible
+    only up to its tolerance; tensor constructions need a strict input)."""
     chain = list(w.chain())
     for j in range(g.rounds, 0, -1):
         lo = min_eigenvalue(_chain_inequality(g, objective, chain, j))
-        if lo < margin:
-            chain[j - 1] = chain[j - 1] + identity(chain[j - 1].spaces) * (margin - lo)
-    return DualWitness(
-        rounds=w.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=dict(w.meta)
-    )
+        if lo < REPAIR_MARGIN:
+            chain[j - 1] = chain[j - 1] + identity(chain[j - 1].spaces) * (REPAIR_MARGIN - lo)
+    return DualWitness(Y=chain[0], Y_blocks=tuple(chain[1:]), meta=dict(w.meta))

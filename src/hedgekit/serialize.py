@@ -149,7 +149,7 @@ def witness_from_json(data) -> DualWitness:
     for key in ("construction", "n", "k"):
         if data.get(key) is not None:
             meta[key] = data[key]
-    w = DualWitness(rounds=len(blocks) + 1, Y=y, Y_blocks=blocks, meta=meta)
+    w = DualWitness(Y=y, Y_blocks=blocks, meta=meta)
     declared = data.get("value")
     if declared is not None and abs(float(declared) - w.value) > 1e-8 * max(
         1.0, abs(w.value)

@@ -449,18 +449,13 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
             status = STATUS_INFEASIBLE
             farkas = cert
 
-    rp = b - A.apply(X)
-    pobj = _ip(C, X)
-    dobj = float(b @ y)
     return {
         "status": status,
         "X": X,
         "y": y,
         "Z": Z,
-        "primal_value": pobj,
-        "dual_value": dobj,
-        "gap": abs(pobj - dobj),
-        "primal_residual": float(np.max(np.abs(rp))),
+        "primal_value": _ip(C, X),
+        "dual_value": float(b @ y),
         "iterations": iterations,
         "farkas": farkas,
         "blocks": tuple(A.dims),

@@ -43,6 +43,7 @@ orbits of index pairs, which are multisets of per-copy pairs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,13 +97,13 @@ class CopySymmetry:
         out, and ``blocks`` lists the reduced block dimensions.  Raises
         :class:`~hedgekit.errors.ValidationError` on any other problem."""
         self._check_strategy_problem(c_blocks, constraints)
-        red = Reduction(self)
+        red, reduced = _reduction(self)
         (rows,) = constraints.blocks
         gflat = rows.gflat
         w = rows.w
         out = _solver.interior_point(
             [f * c for f, c in zip(red.multiplicities, red.compress(c_blocks[0]))],
-            red.constraints(),
+            reduced,
             tol=tol,
             max_iter=max_iter,
             x_start=None if x_start is None else red.compress(np.asarray(x_start[0])),
@@ -341,3 +342,14 @@ class Reduction:
                 )
             maps.append(_solver.BlockMap(0, m, rows))
         return _solver.ConstraintMap(maps, self.coordinates(np.eye(self.w)))
+
+
+@functools.cache
+def _reduction(sym: CopySymmetry) -> tuple:
+    """The :class:`Reduction` of ``sym`` and its reduced constraints, built
+    once per ``(n, dy, dx)`` and shared by every solve, which only reads
+    them.  :func:`~hedgekit.sdp.compile_primal` attaches a symmetry only
+    to ``n >= 3`` copies of a block of at most ``DESK_DIM_CAP``, so few
+    keys arise."""
+    red = Reduction(sym)
+    return red, red.constraints()

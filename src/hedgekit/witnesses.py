@@ -58,22 +58,22 @@ from .sdp import (
 )
 
 INPUT_FEASIBILITY_TOL = 1e-9
+#: Solver tolerance of the single-round problem behind a witness.
+SINGLE_ROUND_TOL = 1e-9
 
 
 # -- obtaining and validating single-round witnesses -------------------------------
 
 
 def single_round_witness(
-    g: OutcomeOperators,
-    objective: HermitianOperator,
-    tol: float = 1e-9,
-    meta=None,
+    g: OutcomeOperators, objective: HermitianOperator, meta=None
 ) -> DualWitness:
-    """Solve the single-round problem and extract a strictly feasible
-    dual witness (solver output is repaired up to an identity shift of
-    order ``1e-11`` so tensor constructions inherit feasibility)."""
+    """Solve the single-round problem to ``SINGLE_ROUND_TOL`` and extract
+    a strictly feasible dual witness (solver output is repaired up to an
+    identity shift of order ``1e-11`` so tensor constructions inherit
+    feasibility)."""
     problem = compile_primal(g, objective)
-    report = solve(problem, tol=max(1e-10, tol))
+    report = solve(problem, tol=SINGLE_ROUND_TOL)
     if report.status == "infeasible":
         raise DomainError("single-round problem is infeasible")
     if report.status != "optimal":
@@ -129,7 +129,7 @@ def _word_witness(
     if mean:
         chain = [level * (1.0 / n) for level in chain]
     meta = {**w.meta, "construction": construction, "n": n, **meta}
-    return DualWitness(rounds=g.rounds, Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
+    return DualWitness(Y=chain[0], Y_blocks=tuple(chain[1:]), meta=meta)
 
 
 # -- constructions ------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_certify_infeasible_witness(tmp_path):
     from hedgekit.witnesses import witness_tensor_power
 
     w = witness_tensor_power(hedging_optimal_witness(), 2, hedging_game())
-    shrunk = DualWitness(rounds=1, Y=0.5 * w.Y, meta={"n": 2, "k": 2})
+    shrunk = DualWitness(Y=0.5 * w.Y, meta={"n": 2, "k": 2})
     wfile = tmp_path / "w.json"
     dump_json(witness_to_json(shrunk), wfile)
     code = run("certify", "hedging", "--witness", str(wfile), "--quiet")

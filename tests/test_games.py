@@ -66,7 +66,7 @@ def test_defining_property_against_simulation(rng):
         for _ in range(20):
             ch = random_channel(rng, xq, ya)
             j = choi(ch)
-            final = apply_channel(ch, spec.sigma, {"X1"})
+            final = apply_channel(ch, spec.sigma)
             for p, q in zip(game.outcomes, spec.measurement):
                 assert inner(p, j) == pytest.approx(inner(q, final), abs=1e-9)
 
@@ -306,7 +306,7 @@ def test_probabilities_match_direct_simulation(rng):
         game = outcome_operators_single_round(spec)
         ch = random_channel(rng, space(("X1", 2)), space(("Y1", 2)))
         probs = outcome_probabilities(game, strategy_from_channel(ch))
-        final = apply_channel(ch, spec.sigma, {"X1"})
+        final = apply_channel(ch, spec.sigma)
         for prob, q in zip(probs, spec.measurement):
             assert prob == pytest.approx(inner(q, final), abs=1e-9)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
@@ -340,7 +340,6 @@ def test_probabilities_affine_in_strategy(rng):
     s1 = strategy_from_channel(ch1)
     s2 = strategy_from_channel(ch2)
     mixed = StrategyChoi(
-        rounds=1,
         X=0.5 * s1.X + 0.5 * s2.X,
         x_rounds=s1.x_rounds,
         y_rounds=s1.y_rounds,
@@ -359,7 +358,7 @@ def test_strategy_round_groups_must_partition_its_space(rng):
         ((("X1",),), (("Z",),)),  # Y1 missing, Z unknown
     ):
         with pytest.raises(SpaceError, match="partition"):
-            StrategyChoi(rounds=1, X=s.X, x_rounds=x_rounds, y_rounds=y_rounds)
+            StrategyChoi(X=s.X, x_rounds=x_rounds, y_rounds=y_rounds)
 
 
 def test_two_round_product_strategy_probabilities(rng):
@@ -371,7 +370,6 @@ def test_two_round_product_strategy_probabilities(rng):
     ch2 = random_channel(rng, space(("X2", 2)), space(("Y2", 2)))
     x1 = choi(ch1)
     strategy = StrategyChoi(
-        rounds=2,
         X=kron(x1, choi(ch2)),
         intermediates=(x1,),
         x_rounds=(("X1",), ("X2",)),

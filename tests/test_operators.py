@@ -224,7 +224,7 @@ def test_choi_multiplicative_under_tensor(rng):
 
 def test_apply_identity_channel(rng):
     rho = random_density(rng, space(("A", 2), ("R", 3)))
-    out = apply_channel(KrausChannel(A2, A2, (np.eye(2),)), rho, {"A"})
+    out = apply_channel(KrausChannel(A2, A2, (np.eye(2),)), rho)
     assert_allclose(out.entries, rho.entries, atol=1e-13)
     assert out.spaces.labels == ("A", "R")
 
@@ -239,7 +239,7 @@ def test_apply_dephasing_matches_dephase(rng):
 def test_apply_channel_preserves_trace_and_positivity(rng):
     rho = random_density(rng, space(("A", 2), ("R", 2)))
     ch = random_channel(rng, A2, space(("Y", 3)))
-    out = apply_channel(ch, rho, {"A"})
+    out = apply_channel(ch, rho)
     assert out.trace() == pytest.approx(1.0, abs=1e-10)
     assert min_eigenvalue(out) >= -1e-10
 
@@ -256,7 +256,7 @@ def test_phase_flip_on_two_copies_overlap():
     flip = np.eye(4)
     flip[0, 0] = -1.0
     ch = KrausChannel(space(("X1", 2), ("X2", 2)), space(("Y1", 2), ("Y2", 2)), (flip,))
-    out = apply_channel(ch, state, {"X1", "X2"})
+    out = apply_channel(ch, state)
     v = np.zeros(4)
     v[0], v[3] = c, s
     w = np.zeros(4)
@@ -270,7 +270,7 @@ def test_phase_flip_on_two_copies_overlap():
 def test_apply_channel_dimension_mismatch():
     rho = random_density(np.random.default_rng(0), space(("A", 3)))
     with pytest.raises(SpaceError):
-        apply_channel(KrausChannel(A2, A2, (np.eye(2),)), rho, {"A"})
+        apply_channel(KrausChannel(A2, A2, (np.eye(2),)), rho)
 
 
 # --------------------------------------------------------------------- dephase

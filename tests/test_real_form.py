@@ -92,7 +92,6 @@ def phase_rotated(prob: SdpProblem) -> SdpProblem:
         blocks=prob.blocks,
         objective=objective,
         constraint_map=ConstraintMap(maps, prob.constraint_map.b),
-        sense=prob.sense,
         offset=prob.offset,
         primal_start=start,
         dual_start=prob.dual_start,

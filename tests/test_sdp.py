@@ -38,7 +38,6 @@ def test_compile_primal_shape_single_round(hedging):
     assert prob.block_names == ("X",)
     assert prob.block_space("X").dim == 4
     assert prob.constraint_map.m == 4
-    assert prob.sense == "max"
 
 
 def test_compile_primal_shape_two_copies(hedging):
@@ -49,7 +48,7 @@ def test_compile_primal_shape_two_copies(hedging):
 
 
 def _problem_bytes(prob):
-    out = [prob.blocks, prob.sense, prob.offset, prob.constraint_map.b.tobytes(),
+    out = [prob.blocks, prob.offset, prob.constraint_map.b.tobytes(),
            prob.dual_start.tobytes()]
     for bm in prob.constraint_map.blocks:
         perm = None if bm.perm is None else bm.perm.tobytes()
@@ -274,7 +273,7 @@ def test_compiled_dual_matches_primal(hedging):
     rep_p = solve(compile_primal(hedging, hedging.outcomes[1]), 1e-8)
     rep_d = solve(compile_dual(hedging, hedging.outcomes[1]), 1e-8)
     assert rep_d.status == "optimal"
-    assert rep_d.primal_value == pytest.approx(rep_p.primal_value, abs=1e-6)
+    assert -rep_d.primal_value == pytest.approx(rep_p.primal_value, abs=1e-6)
 
 
 def test_compiled_dual_nonpsd_objective(hedging):
@@ -282,7 +281,7 @@ def test_compiled_dual_nonpsd_objective(hedging):
     obj = hedging.outcomes[1] - 0.3 * identity(hedging.spaces)
     rep_p = solve(compile_primal(hedging, obj), 1e-8)
     rep_d = solve(compile_dual(hedging, obj), 1e-8)
-    assert rep_d.primal_value == pytest.approx(rep_p.primal_value, abs=1e-6)
+    assert -rep_d.primal_value == pytest.approx(rep_p.primal_value, abs=1e-6)
     assert rep_p.primal_value == pytest.approx(P - 0.6, abs=1e-6)
 
 
@@ -293,7 +292,7 @@ def test_strong_duality_on_compiled_pairs(rng):
         rd = solve(compile_dual(g, obj), 1e-8)
         assert rp.status == rd.status == "optimal"
         assert abs(rp.primal_value - rp.dual_value) <= 1e-8 * max(1, abs(rp.primal_value)) * 2
-        assert rp.primal_value == pytest.approx(rd.primal_value, abs=1e-6)
+        assert rp.primal_value == pytest.approx(-rd.primal_value, abs=1e-6)
 
 
 # ---------------------------------------------------------------- slater points
@@ -309,7 +308,7 @@ def test_slater_primal_strictly_feasible(hedging):
 
 def test_slater_dual_margin_at_least_one(hedging):
     _, chain = slater_points(hedging, hedging.outcomes[1])
-    w = DualWitness(rounds=1, Y=chain[0])
+    w = DualWitness(Y=chain[0])
     feas = check_dual_feasibility(hedging, hedging.outcomes[1], w, 1e-9)
     assert feas.feasible
     assert min(feas.constraint_min_eigenvalues) >= 1.0
@@ -324,7 +323,7 @@ def test_slater_cascade_scaling_r2(rng):
     # question dimension (here dim X2 = 2).
     assert chain[1].entries[0, 0].real == pytest.approx(norm + 1.0)
     assert chain[0].entries[0, 0].real == pytest.approx(4 * (norm + 1.0))
-    w = DualWitness(rounds=2, Y=chain[0], Y_blocks=(chain[1],))
+    w = DualWitness(Y=chain[0], Y_blocks=(chain[1],))
     feas = check_dual_feasibility(stacked, obj, w, 1e-9)
     assert feas.feasible
     assert min(feas.constraint_min_eigenvalues) >= 1.0
@@ -361,7 +360,7 @@ def test_r2_product_game_end_to_end(rng):
     assert rep.status == "optimal"
     assert rep.primal_value == pytest.approx(p1 * p2, abs=1e-5)
     rep_d = solve(compile_dual(stacked, obj), 1e-8)
-    assert rep_d.primal_value == pytest.approx(rep.primal_value, abs=1e-5)
+    assert -rep_d.primal_value == pytest.approx(rep.primal_value, abs=1e-5)
     w = repair_witness(stacked, obj, dual_witness_from_report(stacked, prob, rep))
     feas = check_dual_feasibility(stacked, obj, w, 1e-9)
     assert feas.feasible
@@ -394,6 +393,24 @@ def test_weak_duality_rejects_infeasible_point(hedging):
         check_weak_duality(prob, bad, prob.dual_start)
 
 
+def test_weak_duality_rejects_negative_dual_slack(hedging):
+    # y = 0 leaves the slack -C, whose smallest eigenvalue is -1/2
+    prob = compile_primal(hedging, hedging.outcomes[1])
+    primal, _ = slater_points(hedging, hedging.outcomes[1])
+    y = np.zeros(prob.constraint_map.m)
+    with pytest.raises(ValidationError, match=r"negative slack on block 'X': min eigenvalue -5\.000e-01"):
+        check_weak_duality(prob, primal, y)
+
+
+def test_weak_duality_on_the_compiled_dual(hedging):
+    prob = compile_dual(hedging, hedging.outcomes[1])
+    rep = solve(prob, 1e-8)
+    pv, dv = check_weak_duality(prob, rep.primal_blocks, rep.dual_multipliers)
+    assert pv == pytest.approx(rep.primal_value, abs=1e-12)
+    assert dv == pytest.approx(rep.dual_value, abs=1e-12)
+    assert -pv == pytest.approx(P, abs=1e-6)
+
+
 # -------------------------------------------------------------- witness checking
 
 
@@ -415,7 +432,7 @@ def test_conjecture_style_witness_is_infeasible(hedging):
     w0 = hedging_optimal_witness()
     f0 = hedging.rho - w0.Y
     y = word_sum(f0, w0.Y, repetitions(2), lambda ones: ones >= 1)
-    w = DualWitness(rounds=1, Y=y)
+    w = DualWitness(Y=y)
     pg = parallel_game(hedging, 2)
     feas = check_dual_feasibility(pg, threshold_objective(hedging, 2, 1), w, 1e-9)
     assert not feas.feasible

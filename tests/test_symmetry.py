@@ -27,6 +27,7 @@ from hedgekit.errors import ValidationError
 from hedgekit.sdp import SdpProblem, check_dual_feasibility, check_weak_duality
 from hedgekit.solver import BlockMap, ConstraintMap
 from hedgekit.serialize import load_json
+from hedgekit import symmetry
 from hedgekit.symmetry import CopySymmetry, Reduction
 
 from conftest import make_r2_product_game, make_random_game
@@ -179,6 +180,29 @@ def test_solve_reports_the_reduced_blocks(tmp_path):
     assert abs(results["primal_value"]["value"] - 1.0) <= 10 * TOL
 
 
+def test_repeated_solves_share_one_reduction(hedging, monkeypatch):
+    built = []
+
+    class Counted(Reduction):
+        def __init__(self, sym):
+            built.append(sym)
+            super().__init__(sym)
+
+    symmetry._reduction.cache_clear()
+    monkeypatch.setattr(symmetry, "Reduction", Counted)
+    rounds = parallel_rounds(hedging, 3)
+    first, second = (
+        solve(compile_primal(rounds, threshold_objective(hedging, 3, 2)), TOL) for _ in range(2)
+    )
+    symmetry._reduction.cache_clear()
+    assert built == [CopySymmetry(3, 2, 2)]
+    assert (first.status, first.iterations, first.primal_value, first.dual_value) == (
+        second.status, second.iterations, second.primal_value, second.dual_value
+    )
+    assert first.dual_multipliers == second.dual_multipliers
+    assert np.array_equal(first.primal_blocks["X"].entries, second.primal_blocks["X"].entries)
+
+
 def test_trivial_question_at_eight_copies_reduces_without_enumerating(monkeypatch):
     # n! = 40320 permutations; the reduction builds O(n^2) of them
     rng = np.random.default_rng(8)
@@ -190,6 +214,7 @@ def test_trivial_question_at_eight_copies_reduces_without_enumerating(monkeypatc
     )
     n, k = 8, 5
     built = []
+    symmetry._reduction.cache_clear()
     original = CopySymmetry.transposition
     monkeypatch.setattr(
         CopySymmetry, "transposition",

@@ -32,7 +32,6 @@ from hedgekit.hedging import (
     WIN_PROBABILITY,
     hedging_game,
     hedging_optimal_witness,
-    phase_flip_channel,
 )
 from hedgekit.operators import HermitianOperator
 from hedgekit.sampling import random_monotone_instance, random_psd
@@ -75,7 +74,7 @@ def test_average_two_reps_feasible_with_same_trace(game, game2, w_opt):
 
 
 def test_average_rejects_infeasible_input(game):
-    too_small = DualWitness(rounds=1, Y=0.5 * hedging_optimal_witness().Y)
+    too_small = DualWitness(Y=0.5 * hedging_optimal_witness().Y)
     with pytest.raises(DomainError):
         witness_average(too_small, game, 2, values=(0.0, 1.0))
 
@@ -182,7 +181,7 @@ def test_classical_binomial_requires_diagonal_game(game, w_opt):
 
 def test_classical_binomial_matches_solver(rng):
     g = make_random_diagonal_game(rng)
-    w0 = single_round_witness(g, g.outcomes[1], tol=1e-9)
+    w0 = single_round_witness(g, g.outcomes[1])
     w = witness_classical_binomial(w0, g, 2, 1)
     pg = parallel_game(g, 2)
     feas = check_dual_feasibility(pg, threshold_objective(g, 2, 1), w, 1e-9)
@@ -329,7 +328,7 @@ def test_solver_extracted_witness_constructions(seed):
     # The full pipeline on random games: solve, extract, construct, check.
     rng = np.random.default_rng(seed)
     g = make_random_game(rng)
-    w = single_round_witness(g, g.outcomes[1], tol=1e-9)
+    w = single_round_witness(g, g.outcomes[1])
     p1 = w.value
     pg = parallel_game(g, 2)
     for build, k, expect in (
@@ -349,7 +348,7 @@ def test_constructions_on_a_two_round_game(seed):
     # seeded 2-round product game, grouped to "win both".
     g = group_outcomes(make_r2_product_game(np.random.default_rng(seed))[2], [(1, 1)])
     rounds = parallel_rounds(g, 2)
-    w = single_round_witness(g, g.outcomes[1], tol=1e-9)
+    w = single_round_witness(g, g.outcomes[1])
     p = w.value
     cases = [
         (witness_average(w, g, 2, values=(0.0, 1.0)), value_objective(g, (0.0, 1.0), 2), p),
@@ -361,7 +360,7 @@ def test_constructions_on_a_two_round_game(seed):
         cases.append((witness_naive(w, g, 2, k), objective, naive))
         cases.append((witness_recursive_snk(w, g, 2, k), objective, math.comb(2, k) * p**k))
     dg = dephase_game(g)
-    wd = single_round_witness(dg, dg.outcomes[1], tol=1e-9)
+    wd = single_round_witness(dg, dg.outcomes[1])
     for k in range(3):
         cand = witness_classical_binomial(wd, dg, 2, k)
         tail = binomial_tail(cand.meta["p_clamped"], 2, k)
@@ -404,7 +403,7 @@ def test_parallel_game_pairs_with_objectives_and_witnesses(game, w_opt, n):
 
 def test_zero_repetitions_rejected(game, w_opt):
     dg = dephase_game(game)
-    wd = single_round_witness(dg, dg.outcomes[1], tol=1e-9)
+    wd = single_round_witness(dg, dg.outcomes[1])
     for build in (
         lambda: parallel_game(game, 0),
         lambda: threshold_objective(game, 0, 0),
@@ -414,7 +413,6 @@ def test_zero_repetitions_rejected(game, w_opt):
         lambda: witness_naive(w_opt, game, 0, 0),
         lambda: witness_recursive_snk(w_opt, game, 0, 0),
         lambda: witness_classical_binomial(wd, dg, 0, 0),
-        lambda: phase_flip_channel(0),
     ):
         with pytest.raises(ValidationError, match="repetition count"):
             build()
