@@ -3,8 +3,9 @@
 Given completeness alpha and soundness beta with
 beta < 2^(-H(alpha)/alpha), repeating the proof n times and accepting at
 threshold floor(c n) drives both errors below any epsilon in O(log 1/eps)
-rounds.  This walk-through picks the threshold fraction, sizes the plans,
-and emits the threshold curve as CSV.
+rounds.  This walk-through sizes the plans, each with the admissible
+threshold fraction that needs the fewest rounds, and emits the threshold
+curve as CSV.
 
 Run: python demos/error_reduction_planner.py
 """
@@ -39,7 +40,9 @@ for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
 
 plan = plan_rounds(alpha, beta, 1e-3)
 print(f"\nChosen threshold fraction: c = {plan.c_numerator}/{plan.c_denominator} "
-      f"= {plan.c:.6f} (< alpha, soundness decay coefficient negative)")
+      f"= {plan.c:.6f}")
+print("(of the fractions below alpha with a negative soundness decay coefficient,")
+print(" the one that needs the fewest rounds)")
 print("Re-verification at the returned n:")
 print(f"  completeness bound {completeness_error_bound(alpha, plan.c, plan.n):.3e}")
 print(f"  soundness bound    {soundness_error_bound(beta, plan.n, plan.k):.3e}")

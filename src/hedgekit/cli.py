@@ -6,9 +6,14 @@ as CSV, emits a JSON report whose numeric results carry the tolerance
 they were computed under.  A ``solve`` report lists the PSD block
 dimensions the solver iterated on as ``solved_blocks``.
 
-Exit codes: 0 success, 1 malformed input, 2 domain-negative outcome
-(infeasible problem or witness, failed threshold condition, refused
-reduction), 3 numerical failure.  Commands are deterministic for fixed
+Exit codes: 0 success, 1 malformed input (``SpaceError``,
+``ValidationError``), 2 domain-negative outcome (infeasible problem or
+witness, failed threshold condition, refused reduction: ``DomainError``),
+3 numerical failure (``NumericalError`` or a stalled solve).
+Every command takes ``--out`` and ``--quiet``; ``--tol`` only where a
+tolerance is read (``solve``, ``certify``, ``hedging-demo``), and
+``--max-iter`` only where the solver runs (``solve``, ``hedging-demo``).
+Commands are deterministic for fixed
 inputs: the solver starts from a fixed point and no command path draws
 unseeded randomness.
 """
@@ -22,7 +27,7 @@ import time
 from importlib import resources
 
 from . import __version__
-from .errors import DomainError, HedgekitError, NumericalError, ValidationError
+from .errors import DomainError, HedgekitError, NumericalError, SpaceError, ValidationError
 from .error_reduction import binomial_tail, entropy_curve, plan_rounds
 from .games import (
     group_outcomes,
@@ -65,17 +70,11 @@ _STATUS_EXITS = {
 _CONSTRUCTIONS = ("average", "tensor-power", "naive", "snk", "classical-binomial")
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as exit code 1."""
 
     def error(self, message):
-        raise _CliError(message, EXIT_INPUT)
+        raise ValidationError(message)
 
 
 def _tolerance(value: float) -> dict:
@@ -133,27 +132,26 @@ def _load_game(run: _Run, name: str):
             run.note_input(name)
             data = load_json(name)
         except OSError as exc:
-            raise _CliError(f"cannot read game file {name!r}: {exc}", EXIT_INPUT)
+            raise ValidationError(f"cannot read game file {name!r}: {exc}")
         except json.JSONDecodeError as exc:
-            raise _CliError(f"malformed JSON in {name!r}: line {exc.lineno}", EXIT_INPUT)
+            raise ValidationError(f"malformed JSON in {name!r}: line {exc.lineno}")
     try:
         return game_from_json(data)
     except HedgekitError as exc:
-        raise _CliError(f"invalid game description: {exc}", EXIT_INPUT)
+        raise ValidationError(f"invalid game description: {exc}")
 
 
 def _grouped(game, winning):
     if game.outcome_count == 2 and not winning:
         return game
     if not winning:
-        raise _CliError(
-            "game has more than two outcomes and no 'winning' set to group by",
-            EXIT_INPUT,
+        raise ValidationError(
+            "game has more than two outcomes and no 'winning' set to group by"
         )
     try:
         return group_outcomes(game, winning)
     except HedgekitError as exc:
-        raise _CliError(f"cannot group outcomes: {exc}", EXIT_INPUT)
+        raise ValidationError(f"cannot group outcomes: {exc}")
 
 
 def _win_values(game, winning):
@@ -166,7 +164,7 @@ def _parse_values(text: str):
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise _CliError(f"malformed value list {text!r}: {exc}", EXIT_INPUT)
+        raise ValidationError(f"malformed value list {text!r}: {exc}")
 
 
 # -- solve ---------------------------------------------------------------------------
@@ -179,31 +177,31 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     if args.objective == "win":
         if n != 1:
-            raise _CliError("--objective win solves one copy; use --objective threshold --wins N")
+            raise ValidationError(
+                "--objective win solves one copy; use --objective threshold --wins N"
+            )
         base = _grouped(game, winning)
         objective = base.outcomes[1]
         detail = {"objective": "win"}
     elif args.objective == "threshold":
         if args.wins is None:
-            raise _CliError("threshold objective needs --wins", EXIT_INPUT)
+            raise ValidationError("threshold objective needs --wins")
         base = _grouped(game, winning)
         objective = threshold_objective(base, n, args.wins)
         detail = {"objective": "threshold", "reps": n, "wins": args.wins}
     else:
         if args.values is None:
-            raise _CliError("value objective needs --values", EXIT_INPUT)
+            raise ValidationError("value objective needs --values")
         values = _parse_values(args.values)
         if len(values) != game.outcome_count:
-            raise _CliError(
-                f"{len(values)} values for {game.outcome_count} outcomes", EXIT_INPUT
-            )
+            raise ValidationError(f"{len(values)} values for {game.outcome_count} outcomes")
         base = game
         objective = value_objective(game, values, n)
         detail = {"objective": "value", "reps": n, "values": list(values)}
     try:
         problem = compile_primal(parallel_rounds(base, n), objective)
     except HedgekitError as exc:
-        raise _CliError(f"cannot compile the program: {exc}", EXIT_INPUT)
+        raise ValidationError(f"cannot compile the program: {exc}")
     run.phase("compile", t0)
     t0 = time.perf_counter()
     report = solve(problem, tol=args.tol, max_iter=args.max_iter)
@@ -233,13 +231,13 @@ def _build_witness(args, game, winning):
         try:
             data = load_json(args.witness)
         except OSError as exc:
-            raise _CliError(f"cannot read witness file {args.witness!r}: {exc}")
+            raise ValidationError(f"cannot read witness file {args.witness!r}: {exc}")
         except json.JSONDecodeError as exc:
-            raise _CliError(f"malformed JSON in {args.witness!r}: line {exc.lineno}")
+            raise ValidationError(f"malformed JSON in {args.witness!r}: line {exc.lineno}")
         try:
             w = witness_from_json(data)
         except HedgekitError as exc:
-            raise _CliError(f"invalid witness: {exc}")
+            raise ValidationError(f"invalid witness: {exc}")
         n = w.meta.get("n", n)
         k = w.meta.get("k", args.wins)
         kind = "value" if w.meta.get("values") is not None else "threshold"
@@ -260,7 +258,7 @@ def _build_witness(args, game, winning):
     if name == "tensor-power":
         return witness_tensor_power(base, n, g2), n, n, "threshold"
     if args.wins is None:
-        raise _CliError(f"construction {name!r} needs --wins")
+        raise ValidationError(f"construction {name!r} needs --wins")
     k = args.wins
     if name == "naive":
         return witness_naive(base, g2, n, k), n, k, "threshold"
@@ -268,7 +266,7 @@ def _build_witness(args, game, winning):
         return witness_recursive_snk(base, g2, n, k), n, k, "threshold"
     if name == "classical-binomial":
         return witness_classical_binomial(base, g2, n, k), n, k, "threshold"
-    raise _CliError(f"unknown construction {name!r}")
+    raise ValidationError(f"unknown construction {name!r}")
 
 
 def cmd_certify(args) -> int:
@@ -277,10 +275,7 @@ def cmd_certify(args) -> int:
     if args.witness is not None:
         run.note_input(args.witness)
     t0 = time.perf_counter()
-    try:
-        witness, n, k, kind = _build_witness(args, game, winning)
-    except DomainError as exc:
-        raise _CliError(str(exc), EXIT_DOMAIN)
+    witness, n, k, kind = _build_witness(args, game, winning)
     run.phase("construct", t0)
     t0 = time.perf_counter()
     if kind == "value":
@@ -290,12 +285,12 @@ def cmd_certify(args) -> int:
     else:
         base = _grouped(game, winning)
         if k is None:
-            raise _CliError("certification needs --wins (or witness metadata)", EXIT_INPUT)
+            raise ValidationError("certification needs --wins (or witness metadata)")
         objective = threshold_objective(base, n, k)
     try:
         feas = check_dual_feasibility(parallel_rounds(base, n), objective, witness, tol=args.tol)
     except HedgekitError as exc:
-        raise _CliError(f"cannot check the witness: {exc}", EXIT_INPUT)
+        raise ValidationError(f"cannot check the witness: {exc}")
     run.phase("check", t0)
     results = {
         "feasible": feas.feasible,
@@ -371,10 +366,7 @@ def cmd_hedging_demo(args) -> int:
 def cmd_error_reduction(args) -> int:
     run = _Run("error-reduction")
     t0 = time.perf_counter()
-    try:
-        plan = plan_rounds(args.alpha, args.beta, args.epsilon)
-    except DomainError as exc:
-        raise _CliError(str(exc), EXIT_DOMAIN)
+    plan = plan_rounds(args.alpha, args.beta, args.epsilon)
     run.phase("plan", t0)
     results = {
         "alpha": plan.alpha,
@@ -397,10 +389,7 @@ def cmd_error_reduction(args) -> int:
 
 def cmd_plot_entropy(args) -> int:
     run = _Run("plot-entropy")
-    try:
-        points = entropy_curve(args.min, args.max, args.step)
-    except ValidationError as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
+    points = entropy_curve(args.min, args.max, args.step)
     lines = ["x,y"] + [f"{x:.12g},{y:.12g}" for x, y in points]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -416,9 +405,13 @@ def cmd_plot_entropy(args) -> int:
 # -- wiring --------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance")
-    sub.add_argument("--max-iter", type=int, default=200, help="solver iteration cap")
+def _add_common(sub, tol=False, max_iter=False):
+    """``--out`` and ``--quiet``, and ``--tol`` or ``--max-iter`` where the
+    command reads them."""
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-8, help="numerical tolerance")
+    if max_iter:
+        sub.add_argument("--max-iter", type=int, default=200, help="solver iteration cap")
     sub.add_argument("--out", help="write the JSON report to this path")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout output")
 
@@ -436,7 +429,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--values", help="comma-separated outcome values (value objective)")
     ps.add_argument("--reps", type=int, default=1, help="parallel repetitions")
     ps.add_argument("--wins", type=int, help="threshold k (threshold objective)")
-    _add_common(ps)
+    _add_common(ps, tol=True, max_iter=True)
     ps.set_defaults(func=cmd_solve)
 
     pc = subs.add_parser("certify", help="check a dual witness against a game")
@@ -448,11 +441,11 @@ def build_parser() -> _Parser:
     pc.add_argument("--wins", type=int)
     pc.add_argument("--values", help="comma-separated values (average construction, default 1 on a win)")
     pc.add_argument("--emit-witness", help="also write the witness JSON here")
-    _add_common(pc)
+    _add_common(pc, tol=True)
     pc.set_defaults(func=cmd_certify)
 
     pd = subs.add_parser("hedging-demo", help="reproduce the perfect-hedge example")
-    _add_common(pd)
+    _add_common(pd, tol=True, max_iter=True)
     pd.set_defaults(func=cmd_hedging_demo)
 
     pe = subs.add_parser("error-reduction", help="plan repetition-based error reduction")
@@ -476,12 +469,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"hedgekit: error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValidationError, DomainError) as exc:
+    except (SpaceError, ValidationError) as exc:
         print(f"hedgekit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except DomainError as exc:
+        print(f"hedgekit: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except NumericalError as exc:
         print(f"hedgekit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -3,10 +3,11 @@
 A proof system with completeness ``alpha`` and soundness ``beta`` is
 repeated ``n`` times and accepted when at least ``k = floor(c n)``
 repetitions accept.  For ``beta < 2^(-H(alpha)/alpha) < alpha`` the
-planner picks a rational threshold fraction ``c`` and the smallest
-``n`` whose Chernoff completeness bound and ``p^k C(n,k)`` soundness
-bound both drop below the target error.  All tail bounds are evaluated
-in log-space.
+planner tries every admissible rational threshold fraction ``c``, finds
+for each an ``n`` at which the Chernoff completeness bound and the
+``p^k C(n,k)`` soundness bound both drop below the target error, and
+keeps the fraction that needs the fewest rounds.  All tail bounds are
+evaluated in log-space.
 """
 from __future__ import annotations
 
@@ -118,38 +119,66 @@ class ErrorReductionPlan:
             raise ValidationError("a satisfied plan must meet both bounds")
 
 
-def choose_threshold_fraction(alpha: float, beta: float) -> tuple[int, int]:
-    """Largest rational ``c1/c2`` (``c2 <= 64``) below ``alpha`` whose
-    soundness decay coefficient ``c lg(beta) + H(c)`` is at most
-    ``-_COEFFICIENT_MARGIN``.
+def admissible_fractions(alpha: float, beta: float) -> list:
+    """Every rational ``c1/c2`` in lowest terms (``c2 <= 64``) below
+    ``alpha`` whose soundness decay coefficient ``c lg(beta) + H(c)`` is at
+    most ``-_COEFFICIENT_MARGIN``, as ``(c1, c2)`` pairs.
 
     The coefficient is the large-``n`` slope of ``lg(p^k C(n,k))`` at
     ``k = c n``; it must be negative for the soundness bound to decay.
     """
     lg_beta = -math.inf if beta == 0.0 else math.log2(beta)
-    best = None
-    for c2 in range(1, _MAX_DENOMINATOR + 1):
-        for c1 in range(1, c2 + 1):
-            c = c1 / c2
-            if not c < alpha:
-                break
-            if c * lg_beta + binary_entropy(c) > -_COEFFICIENT_MARGIN:
-                continue
-            if best is None or c > best[0] + 1e-15:
-                best = (c, c1, c2)
-    if best is None:
+    out = [
+        (c1, c2)
+        for c2 in range(1, _MAX_DENOMINATOR + 1)
+        for c1 in range(1, c2)
+        if math.gcd(c1, c2) == 1
+        and c1 / c2 < alpha
+        and (c1 / c2) * lg_beta + binary_entropy(c1 / c2) <= -_COEFFICIENT_MARGIN
+    ]
+    if not out:
         raise DomainError(
             "no admissible threshold fraction: soundness decay coefficient "
             "stays nonnegative below alpha"
         )
-    return best[1], best[2]
+    return out
+
+
+def _rounds(alpha: float, beta: float, epsilon: float, c1: int, c2: int, cap: int):
+    """A repetition count at which both bounds at ``k = floor(c1 n / c2)``
+    are at most ``epsilon``, by doubling plus bisection, or None once every
+    count the search could still return is at least ``cap``.  The floor
+    makes the bounds locally non-monotone in ``n``, so a few fewer rounds
+    may also work."""
+
+    def ok(n: int) -> bool:
+        return (
+            completeness_error_bound(alpha, c1 / c2, n) <= epsilon
+            and soundness_error_bound(beta, n, (c1 * n) // c2) <= epsilon
+        )
+
+    hi = 1
+    while not ok(hi):
+        if hi + 1 >= cap:  # the bisection below returns more than hi
+            return None
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def plan_rounds(alpha: float, beta: float, epsilon: float) -> ErrorReductionPlan:
-    """Smallest repetition count bringing both error bounds below
-    ``epsilon``, found by doubling plus binary search and re-verified by
-    direct evaluation (the floor in ``k`` makes the soundness bound
-    locally non-monotone)."""
+    """A plan whose Chernoff completeness and ``p^k C(n,k)`` soundness
+    bounds are both at most ``epsilon``: for each admissible threshold
+    fraction, a round count found by doubling plus bisection, keeping the
+    fraction that needs the fewest rounds (the first such in
+    :func:`admissible_fractions` order).  Bisection on the non-monotone
+    predicate may miss a smaller count by a few rounds."""
     alpha, beta, epsilon = float(alpha), float(beta), float(epsilon)
     if not 0.0 < epsilon < 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
@@ -159,35 +188,15 @@ def plan_rounds(alpha: float, beta: float, epsilon: float) -> ErrorReductionPlan
             f"{entropy_threshold(alpha)!r} does not separate beta={beta!r} "
             f"from alpha={alpha!r}"
         )
-    c1, c2 = choose_threshold_fraction(alpha, beta)
-    c = c1 / c2
-
-    def bounds(n: int) -> tuple[float, float]:
-        k = (c1 * n) // c2
-        comp = completeness_error_bound(alpha, c, n)
-        sound = soundness_error_bound(beta, n, k)
-        return comp, sound
-
-    def ok(n: int) -> bool:
-        comp, sound = bounds(n)
-        return comp <= epsilon and sound <= epsilon
-
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-        if hi > _SEARCH_CAP:
-            raise DomainError("round search exceeded the cap without satisfying the bounds")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    n = hi
-    while not ok(n):  # guard against local non-monotonicity of floor(c n)
-        n += 1
-    comp, sound = bounds(n)
+    best = None
+    for c1, c2 in admissible_fractions(alpha, beta):
+        n = _rounds(alpha, beta, epsilon, c1, c2, _SEARCH_CAP if best is None else best[0])
+        if n is not None and (best is None or n < best[0]):
+            best = (n, c1, c2)
+    if best is None:
+        raise DomainError("round search exceeded the cap without satisfying the bounds")
+    n, c1, c2 = best
+    k = (c1 * n) // c2
     return ErrorReductionPlan(
         alpha=alpha,
         beta=beta,
@@ -195,9 +204,9 @@ def plan_rounds(alpha: float, beta: float, epsilon: float) -> ErrorReductionPlan
         c_numerator=c1,
         c_denominator=c2,
         n=n,
-        k=(c1 * n) // c2,
-        completeness_bound=comp,
-        soundness_bound=sound,
+        k=k,
+        completeness_bound=completeness_error_bound(alpha, c1 / c2, n),
+        soundness_bound=soundness_error_bound(beta, n, k),
         satisfied=True,
     )
 

@@ -380,19 +380,8 @@ def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     _, dual_chain = slater_points(g, objective)
     primal_start = {}
     for j in range(1, r + 1):
-        q = dual_chain[j - 1] + identity(spaces[f"Q{j}"]) * shifts[j - 1]
-        primal_start[f"Q{j}"] = q
-        slack = align(
-            kron(dual_chain[j - 1], identity(g.answer(j))),
-            spaces[f"S{j}"],
-        )
-        if j < r:
-            slack = slack - align(
-                partial_trace(dual_chain[j], set(g.x_rounds[j])), spaces[f"S{j}"]
-            )
-        else:
-            slack = slack - align(objective, spaces[f"S{j}"])
-        primal_start[f"S{j}"] = slack
+        primal_start[f"Q{j}"] = dual_chain[j - 1] + identity(spaces[f"Q{j}"]) * shifts[j - 1]
+        primal_start[f"S{j}"] = _chain_inequality(g, objective, dual_chain, j)
     return SdpProblem(
         blocks=blocks,
         objective={"Q1": identity(spaces["Q1"]) * -1.0},
@@ -455,14 +444,28 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     x_start = None
     if problem.primal_start is not None:
         x_start = [problem.primal_start[n].entries for n in names]
-    kernel = _solver.interior_point
+    cmap = problem.constraint_map
     symmetry = getattr(problem, "_copy_symmetry", None)
-    if symmetry is not None:
-        kernel = symmetry.interior_point
-    raw = kernel(
-        c_blocks, problem.constraint_map, tol=tol, max_iter=max_iter,
-        x_start=x_start, y_start=problem.dual_start,
-    )
+    if symmetry is None:
+        raw = _solver.interior_point(
+            c_blocks, cmap, tol=tol, max_iter=max_iter,
+            x_start=x_start, y_start=problem.dual_start,
+        )
+    else:
+        # compile_primal's rows are an orthonormal Hermitian basis G_k of
+        # the question space; the reduced kernel takes and returns dual
+        # points as operators there, and y_k = Re Tr(G_k Y)
+        raw = symmetry.interior_point(
+            c_blocks[0], tol, max_iter,
+            x_start=None if x_start is None else x_start[0],
+            y_start=None if problem.dual_start is None
+            else cmap.compact_adjoint(problem.dual_start)[0],
+        )
+        (rows,) = cmap.blocks
+        raw["y"] = (rows.gflat @ raw["y"].T.reshape(-1)).real
+        if raw["farkas"] is not None:
+            ray = (rows.gflat @ raw["farkas"].T.reshape(-1)).real
+            raw["farkas"] = ray / np.max(np.abs(ray))
     primal_blocks = {
         n: HermitianOperator(spaces[n], x) for n, x in zip(names, raw["X"])
     }

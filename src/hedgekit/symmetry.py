@@ -23,10 +23,12 @@ the content of ``k`` in ``T``.  The reduced problem
 (``U = U_{T_0}``, the first tableau of each shape) has one row per
 element ``K_a`` of an orthonormal basis of the ``S_n``-invariant Hermitian
 operators on ``X^(x)n``.  Its optimum is the dense optimum: the dense
-rows outside that span vanish on invariant ``X``.  Its solution lifts
-back: ``X`` as above, and ``y`` and any Farkas ray through the operator
-``sum_a y_a K_a``, whose dense dual slack restricts to ``f_lambda``
-copies of each reduced slack.
+rows outside that span vanish on invariant ``X``.  The kernel needs only
+the dense objective ``C``: the rows are fixed by ``(n, dy, dx)``.  Its
+solution lifts back: ``X`` as above, and ``y`` and any Farkas ray as the
+operator ``Y = sum_a y_a K_a`` on ``X^(x)n``, whose dense dual slack
+``I_Y (x) Y - C`` restricts to ``f_lambda`` copies of each reduced slack.
+Any basis of dense rows reads its multipliers off ``Y``.
 
 Nothing here enumerates ``S_n``.  One ``eigh`` of ``sum_k w_k J_k``,
 ``w_k = 3 * 5 * .. * (2k - 3)``, gives every ``E_T``: each eigenvalue is
@@ -51,10 +53,6 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import NumericalError, ValidationError
-
-#: Entrywise drift up to which compiled rows count as an orthonormal
-#: basis with ``b_k = Tr G_k``.
-BASIS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,68 +87,33 @@ class CopySymmetry:
                 return False
         return True
 
-    def interior_point(self, c_blocks, constraints, tol, max_iter, x_start=None, y_start=None):
-        """:func:`~hedgekit.solver.interior_point` on the reduced problem of
-        the one-block problem ``(c_blocks, constraints)``, whose rows are an
-        orthonormal Hermitian basis ``G_k`` of ``X^(x)n`` padded by ``Y^n``.
-        ``X``, ``y`` and ``farkas`` come back lifted to it, ``Z`` is left
-        out, and ``blocks`` lists the reduced block dimensions.  Raises
-        :class:`~hedgekit.errors.ValidationError` on any other problem."""
-        self._check_strategy_problem(c_blocks, constraints)
+    def interior_point(self, c, tol, max_iter, x_start=None, y_start=None):
+        """:func:`~hedgekit.solver.interior_point` on the reduced strategy
+        SDP whose dense objective block is ``c``: maximize ``<c, X>``
+        subject to ``Tr_{Y^n} X = I``.  ``x_start`` is a dense strategy and
+        ``y_start`` a dual operator on ``X^(x)n``; ``X`` comes back lifted,
+        ``y`` and ``farkas`` as operators ``sum_a y_a K_a`` on ``X^(x)n``,
+        ``Z`` is left out, and ``blocks`` lists the reduced block
+        dimensions.  Raises :class:`~hedgekit.errors.ValidationError` when
+        ``c`` is not a ``dim x dim`` block."""
+        if np.shape(c) != (self.dim, self.dim):
+            raise ValidationError(
+                f"objective of shape {np.shape(c)} is not a block of dimension {self.dim}"
+            )
         red, reduced = _reduction(self)
-        (rows,) = constraints.blocks
-        gflat = rows.gflat
-        w = rows.w
         out = _solver.interior_point(
-            [f * c for f, c in zip(red.multiplicities, red.compress(c_blocks[0]))],
+            [f * cb for f, cb in zip(red.multiplicities, red.compress(c))],
             reduced,
             tol=tol,
             max_iter=max_iter,
-            x_start=None if x_start is None else red.compress(np.asarray(x_start[0])),
-            y_start=None if y_start is None else red.coordinates(
-                (np.asarray(y_start, dtype=float) @ gflat).reshape(w, w)
-            ),
+            x_start=None if x_start is None else red.compress(x_start),
+            y_start=None if y_start is None else red.coordinates(y_start),
         )
-
-        def dense(coords):
-            # coefficients of sum_a coords_a K_a in the orthonormal rows G_k
-            return (gflat @ red.operator(coords).T.reshape(-1)).real
-
-        lifted = dict(out, X=[red.lift(out["X"])], y=dense(out["y"]), blocks=red.dims)
+        lifted = dict(out, X=[red.lift(out["X"])], y=red.operator(out["y"]), blocks=red.dims)
         del lifted["Z"]
         if out["farkas"] is not None:
-            ray = dense(out["farkas"])
-            lifted["farkas"] = ray / np.max(np.abs(ray))
+            lifted["farkas"] = red.operator(out["farkas"])
         return lifted
-
-    def _check_strategy_problem(self, c_blocks, constraints):
-        """Raise unless ``(c_blocks, constraints)`` is the strategy SDP the
-        reduction solves: one block of dimension ``dim``, factors in order,
-        and the rows ``<I_Y (x) G_k, X> = Tr G_k`` for an orthonormal
-        Hermitian basis ``G_k`` of ``X^(x)n``."""
-        w = self.dx**self.n
-        blocks = constraints.blocks
-        if (
-            len(c_blocks) != 1
-            or np.shape(c_blocks[0]) != (self.dim, self.dim)
-            or len(blocks) != 1
-            or (blocks[0].start, blocks[0].stop) != (0, w * w)
-            or constraints.m != w * w
-            or blocks[0].perm is not None
-            or (blocks[0].pad, blocks[0].w) != (self.dy**self.n, w)
-        ):
-            raise ValidationError("the problem is not the strategy SDP of its copy symmetry")
-        g = blocks[0].gflat
-        gram = g.real @ g.real.T + (g.imag @ g.imag.T if np.iscomplexobj(g) else 0.0)
-        traces = np.trace(blocks[0].G, axis1=1, axis2=2).real
-        if (
-            np.max(np.abs(gram - np.eye(w * w))) > BASIS_TOL
-            or np.max(np.abs(constraints.b - traces)) > BASIS_TOL
-        ):
-            raise ValidationError(
-                "the rows of a copy-symmetric problem must be an orthonormal "
-                "Hermitian basis G_k of the question space with b_k = Tr G_k"
-            )
 
 
 # -- tableaux --------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hedgekit import cli
 from hedgekit.cli import main
+from hedgekit.errors import DomainError, NumericalError, SpaceError, ValidationError
 from hedgekit.serialize import dump_json, game_to_json, load_json
 
 from conftest import make_random_game
@@ -330,3 +332,29 @@ def test_reports_deterministic(tmp_path):
 
 def test_unknown_command_is_input_error():
     assert run("frobnicate") == 1
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(SpaceError, 1), (ValidationError, 1), (DomainError, 2), (NumericalError, 3)],
+)
+def test_library_errors_map_to_one_exit_table(error, code, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("raised in the solve")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    assert run("solve", "hedging", "--quiet") == code
+    err = capsys.readouterr().err
+    assert err.startswith("hedgekit:") and "raised in the solve" in err
+    assert "Traceback" not in err
+
+
+def test_commands_refuse_flags_they_do_not_read():
+    assert run(
+        "error-reduction", "--alpha", "0.9", "--beta", "0.05", "--epsilon", "1e-3",
+        "--tol", "1e-3", "--quiet",
+    ) == 1
+    assert run(
+        "certify", "hedging", "--construction", "naive", "--reps", "2", "--wins", "1",
+        "--max-iter", "5", "--quiet",
+    ) == 1

@@ -133,6 +133,14 @@ def test_plan_satisfied_and_reverified():
     assert plan.c < 0.9
 
 
+def test_plan_picks_the_fraction_needing_few_rounds():
+    # the largest admissible fraction below alpha (53/59) needs millions
+    plan = plan_rounds(0.9, 0.05, 1e-3)
+    assert plan.n <= 40
+    assert completeness_error_bound(0.9, plan.c, plan.n) <= 1e-3
+    assert soundness_error_bound(0.05, plan.n, plan.k) <= 1e-3
+
+
 def test_plan_log_growth():
     n2 = plan_rounds(0.9, 0.05, 1e-2).n
     n4 = plan_rounds(0.9, 0.05, 1e-4).n

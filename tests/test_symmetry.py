@@ -22,10 +22,10 @@ from hedgekit import (
 )
 from hedgekit.cli import main
 from hedgekit.games import repetitions, tensor_word
+from hedgekit.operators import align
 from hedgekit.sampling import random_measurement
 from hedgekit.errors import ValidationError
 from hedgekit.sdp import SdpProblem, check_dual_feasibility, check_weak_duality
-from hedgekit.solver import BlockMap, ConstraintMap
 from hedgekit.serialize import load_json
 from hedgekit import symmetry
 from hedgekit.symmetry import CopySymmetry, Reduction
@@ -141,19 +141,28 @@ def test_complex_random_game_matches_the_dense_oracle():
 
 
 def test_reduced_kernel_refuses_other_problems(hedging):
-    prob = compile_primal(parallel_rounds(hedging, 3), threshold_objective(hedging, 3, 2))
-    sym = CopySymmetry(3, 2, 2)
-    c = [prob.objective["X"].entries]
-    (rows,) = prob.constraint_map.blocks
-    b = prob.constraint_map.b
-    fewer = ConstraintMap([BlockMap(0, rows.stop - 1, rows.G[:-1], rows.pad)], b[:-1])
-    shifted = ConstraintMap([rows], b + 0.5)
-    scaled = ConstraintMap([BlockMap(0, rows.stop, 2 * rows.G, rows.pad)], 2 * b)
-    for constraints in (fewer, shifted, scaled):
-        with pytest.raises(ValidationError):
-            sym.interior_point(c, constraints, tol=TOL, max_iter=50)
+    c = threshold_objective(hedging, 3, 2).entries
     with pytest.raises(ValidationError):
-        CopySymmetry(3, 2, 1).interior_point(c, prob.constraint_map, tol=TOL, max_iter=50)
+        CopySymmetry(3, 2, 1).interior_point(c, tol=TOL, max_iter=50)
+
+
+def test_reduced_dual_is_an_invariant_operator_on_the_questions(hedging):
+    # given the objective alone, y comes back as the operator Y on X^(x)n
+    # with I_{Y^n} (x) Y >= C and Tr Y the dual value
+    n, dy, dx = 3, 2, 2
+    c = align(threshold_objective(hedging, n, 2), parallel_rounds(hedging, n).block(1)).entries
+    out = CopySymmetry(n, dy, dx).interior_point(c, tol=TOL, max_iter=50)
+    assert out["status"] == "optimal"
+    y = out["y"]
+    assert y.shape == (dx**n, dx**n)
+    questions = CopySymmetry(n, 1, dx)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = questions.transposition(i, j)
+            assert np.max(np.abs(y[p[:, None], p] - y)) <= 1e-12 * np.max(np.abs(y))
+    assert abs(np.trace(y).real - out["dual_value"]) <= 1e-10
+    slack = np.kron(np.eye(dy**n), y) - c
+    assert np.linalg.eigvalsh((slack + slack.conj().T) / 2)[0] >= -1e-6
 
 
 def test_lifted_n4_report_gives_a_feasible_witness(hedging):
