@@ -12,7 +12,9 @@ witness, failed threshold condition, refused reduction: ``DomainError``),
 3 numerical failure (``NumericalError`` or a stalled solve).
 Every command takes ``--out`` and ``--quiet``; ``--tol`` only where a
 tolerance is read (``solve``, ``certify``, ``hedging-demo``), and
-``--max-iter`` only where the solver runs (``solve``, ``hedging-demo``).
+``--max-iter`` only where the solver runs (``solve``, ``hedging-demo``),
+and ``--wins`` and ``--values`` only where the chosen objective or
+construction reads them.
 Commands are deterministic for fixed
 inputs: the solver starts from a fixed point and no command path draws
 unseeded randomness.
@@ -167,10 +169,22 @@ def _parse_values(text: str):
         raise ValidationError(f"malformed value list {text!r}: {exc}")
 
 
+def _refuse_unread(args, reads, chosen: str):
+    """Refuse ``--wins`` or ``--values`` unless ``reads`` names it: the
+    objective or construction ``chosen`` reads only those."""
+    for flag in ("wins", "values"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValidationError(f"{chosen} does not read --{flag}")
+
+
 # -- solve ---------------------------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
+    _refuse_unread(
+        args, {"win": (), "threshold": ("wins",), "value": ("values",)}[args.objective],
+        f"--objective {args.objective}",
+    )
     run = _Run("solve")
     game, winning = _load_game(run, args.game)
     n = args.reps
@@ -224,11 +238,12 @@ def cmd_solve(args) -> int:
 # -- certify -------------------------------------------------------------------------
 
 
-def _build_witness(args, game, winning):
+def _build_witness(run: _Run, args, game, winning):
     """Returns (witness, n, k-or-None, objective kind)."""
     n = args.reps
     if args.witness is not None:
         try:
+            run.note_input(args.witness)
             data = load_json(args.witness)
         except OSError as exc:
             raise ValidationError(f"cannot read witness file {args.witness!r}: {exc}")
@@ -270,12 +285,15 @@ def _build_witness(args, game, winning):
 
 
 def cmd_certify(args) -> int:
+    if args.witness is not None:
+        _refuse_unread(args, ("wins",), "--witness")
+    else:
+        reads = {"average": ("values",), "tensor-power": ()}.get(args.construction, ("wins",))
+        _refuse_unread(args, reads, f"--construction {args.construction}")
     run = _Run("certify")
     game, winning = _load_game(run, args.game)
-    if args.witness is not None:
-        run.note_input(args.witness)
     t0 = time.perf_counter()
-    witness, n, k, kind = _build_witness(args, game, winning)
+    witness, n, k, kind = _build_witness(run, args, game, winning)
     run.phase("construct", t0)
     t0 = time.perf_counter()
     if kind == "value":

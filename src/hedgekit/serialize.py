@@ -17,13 +17,42 @@ from .sdp import DualWitness
 from .spaces import SpaceList
 
 
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string",
+          (int, float): "a number"}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value is a ``kind``; a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _field(data: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``data[key]``, which must be a ``kind``; ``default`` when the field
+    is absent, or null where ``default`` is None.  Raises
+    :class:`ValidationError` naming the field otherwise."""
+    if key not in data or data[key] is None and default is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where} needs a {key!r} field")
+        return default
+    value = data[key]
+    if not _is(value, kind):
+        raise ValidationError(
+            f"{where} field {key!r} must be {_KINDS[kind]}, got {type(value).__name__}"
+        )
+    return value
+
+
 def _matrix_to_pairs(mat: np.ndarray):
     flat = np.asarray(mat, dtype=np.complex128).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
 def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"operator field 'entries' must hold [re, im] number pairs: {exc}")
     if arr.shape != (rows * cols, 2):
         raise ValidationError(
             f"expected {rows * cols} [re, im] pairs, got shape {tuple(arr.shape)}"
@@ -47,10 +76,10 @@ def operator_to_json(op: HermitianOperator) -> dict:
 
 
 def operator_from_json(data, density: bool = False) -> HermitianOperator:
-    if not isinstance(data, dict) or "spaces" not in data or "entries" not in data:
-        raise ValidationError("operator JSON needs 'spaces' and 'entries' fields")
-    spaces = _spaces_from_json(data["spaces"])
-    mat = _pairs_to_matrix(data["entries"], spaces.dim, spaces.dim)
+    if not isinstance(data, dict):
+        raise ValidationError(f"operator JSON must be an object, got {type(data).__name__}")
+    spaces = _spaces_from_json(_field(data, "spaces", list, "operator JSON"))
+    mat = _pairs_to_matrix(_field(data, "entries", list, "operator JSON"), spaces.dim, spaces.dim)
     cls = DensityOperator if density else HermitianOperator
     return cls(spaces, mat)
 
@@ -82,27 +111,46 @@ def single_round_game_to_json(sigma, measurement, winning) -> dict:
     }
 
 
+def _operators(data: dict, key: str, where: str, default=_REQUIRED) -> tuple:
+    return tuple(operator_from_json(op) for op in _field(data, key, list, where, default))
+
+
+def _winning(data: dict) -> tuple:
+    winning = tuple(_field(data, "winning", list, "game JSON", ()))
+    if not all(_is(key, int) for key in winning):
+        raise ValidationError("game JSON field 'winning' must list outcome indices")
+    return winning
+
+
+def _round_labels(data: dict, key: str) -> tuple:
+    groups = _field(data, key, list, "game JSON")
+    if not all(isinstance(grp, list) and all(isinstance(l, str) for l in grp) for grp in groups):
+        raise ValidationError(f"game JSON field {key!r} must list one array of labels per round")
+    return tuple(tuple(grp) for grp in groups)
+
+
 def game_from_json(data) -> tuple[OutcomeOperators, tuple]:
     """Load a game description; returns ``(game, winning outcome keys)``."""
     if not isinstance(data, dict) or "type" not in data:
         raise ValidationError("game JSON needs a 'type' field")
     kind = data["type"]
     if kind == "single_round":
-        sigma = operator_from_json(data["sigma"], density=True)
-        measurement = tuple(operator_from_json(q) for q in data["measurement"])
+        sigma = operator_from_json(_field(data, "sigma", dict, "game JSON"), density=True)
+        measurement = _operators(data, "measurement", "game JSON")
         spec = SingleRoundGameSpec(sigma, measurement)
         game = outcome_operators_single_round(spec)
-        winning = tuple(data.get("winning", ()))
-        return game, winning
+        return game, _winning(data)
     if kind == "operators":
-        rounds = int(data["r"])
-        outcomes = tuple(operator_from_json(p) for p in data["P"])
-        rho = operator_from_json(data["rho"], density=True)
-        r_blocks = tuple(operator_from_json(r) for r in data.get("R", ()))
+        rounds = _field(data, "r", int, "game JSON")
+        outcomes = _operators(data, "P", "game JSON")
+        if not outcomes:
+            raise ValidationError("game JSON field 'P' lists no outcome operators")
+        rho = operator_from_json(_field(data, "rho", dict, "game JSON"), density=True)
+        r_blocks = _operators(data, "R", "game JSON", ())
         spaces = outcomes[0].spaces
         if "x_rounds" in data and "y_rounds" in data:
-            x_rounds = tuple(tuple(grp) for grp in data["x_rounds"])
-            y_rounds = tuple(tuple(grp) for grp in data["y_rounds"])
+            x_rounds = _round_labels(data, "x_rounds")
+            y_rounds = _round_labels(data, "y_rounds")
         elif rounds == 1:
             x_rounds = (tuple(rho.spaces.labels),)
             y_rounds = (tuple(l for l in spaces.labels if l not in rho.spaces.labels),)
@@ -119,8 +167,7 @@ def game_from_json(data) -> tuple[OutcomeOperators, tuple]:
             rho=rho,
             r_blocks=r_blocks,
         )
-        winning = tuple(data.get("winning", ()))
-        return game, winning
+        return game, _winning(data)
     raise ValidationError(f"unknown game type {kind!r}")
 
 
@@ -141,19 +188,22 @@ def witness_to_json(w: DualWitness) -> dict:
 
 
 def witness_from_json(data) -> DualWitness:
-    if "Y" not in data:
-        raise ValidationError("witness JSON needs a 'Y' field")
-    y = operator_from_json(data["Y"])
-    blocks = tuple(operator_from_json(b) for b in data.get("Y_blocks", ()))
-    meta = dict(data.get("meta", {}))
-    for key in ("construction", "n", "k"):
-        if data.get(key) is not None:
-            meta[key] = data[key]
+    if not isinstance(data, dict):
+        raise ValidationError(f"witness JSON must be an object, got {type(data).__name__}")
+    y = operator_from_json(_field(data, "Y", dict, "witness JSON"))
+    blocks = _operators(data, "Y_blocks", "witness JSON", ())
+    meta = dict(_field(data, "meta", dict, "witness JSON", {}))
+    for key, kind in (("construction", str), ("n", int), ("k", int)):
+        _field(meta, key, kind, "witness JSON 'meta'", None)
+        value = _field(data, key, kind, "witness JSON", None)
+        if value is not None:
+            meta[key] = value
+    values = _field(meta, "values", list, "witness JSON 'meta'", None) or ()
+    if not all(_is(v, (int, float)) for v in values):
+        raise ValidationError("witness JSON 'meta' field 'values' must list numbers")
     w = DualWitness(Y=y, Y_blocks=blocks, meta=meta)
-    declared = data.get("value")
-    if declared is not None and abs(float(declared) - w.value) > 1e-8 * max(
-        1.0, abs(w.value)
-    ):
+    declared = _field(data, "value", (int, float), "witness JSON", None)
+    if declared is not None and abs(declared - w.value) > 1e-8 * max(1.0, abs(w.value)):
         raise ValidationError(
             f"declared witness value {declared!r} does not match Tr(Y) = {w.value!r}"
         )

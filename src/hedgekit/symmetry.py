@@ -25,7 +25,9 @@ element ``K_a`` of an orthonormal basis of the ``S_n``-invariant Hermitian
 operators on ``X^(x)n``.  Its optimum is the dense optimum: the dense
 rows outside that span vanish on invariant ``X``.  The kernel needs only
 the dense objective ``C``: the rows are fixed by ``(n, dy, dx)``.  Its
-solution lifts back: ``X`` as above, and ``y`` and any Farkas ray as the
+solution lifts back: ``X`` as the ``S_n`` average of ``sum_lambda f_lambda
+U X_lambda U^T``, which by Schur's lemma is the sum above (the Reynolds
+operator of the group), and ``y`` and any Farkas ray as the
 operator ``Y = sum_a y_a K_a`` on ``X^(x)n``, whose dense dual slack
 ``I_Y (x) Y - C`` restricts to ``f_lambda`` copies of each reduced slack.
 Any basis of dense rows reads its multipliers off ``Y``.
@@ -36,12 +38,12 @@ an integer whose balanced mixed-radix digits, ``c_k`` in ``[-(k-1), k-1]``
 for the entry ``k``, are the contents of ``T``.  The smallest radices
 that decode uniquely keep ``||sum_k w_k J_k||`` small (about ``1e6`` at
 ``n = 8``), so ``eigh`` resolves each ``E_T`` to well below the
-feasibility tolerance.  Only the
-first tableau's eigenvectors are kept; every other ``U_T`` follows from
-it by Young's orthogonal form, ``s_i v_T = v_T / r + sqrt(1 - 1/r^2)
-v_{s_i T}`` with the axial distance ``r``, so that the ``U_T`` of one shape
-are aligned as the commutant needs.  The invariant basis comes from the
-orbits of index pairs, which are multisets of per-copy pairs.
+feasibility tolerance.  Only the first tableau's eigenvectors are kept,
+and any orthonormal basis of ``E_{T_0}`` serves: the average needs no
+other tableau's basis aligned with it.  It runs coset by coset over the
+``n(n-1)/2`` transpositions ``(j k)`` that build the ``J_k``.  The
+invariant basis comes from the orbits of index pairs, which are
+multisets of per-copy pairs.
 """
 from __future__ import annotations
 
@@ -176,17 +178,22 @@ class Reduction:
     basis of its question space.
 
     ``shapes``, ``dims`` and ``multiplicities`` list ``lambda``,
-    ``s_lambda`` and ``f_lambda`` per block, in decreasing shape order.
+    ``s_lambda`` and ``f_lambda`` per block, in decreasing shape order;
+    each block keeps the one basis ``U``, of shape ``(d, s_lambda)``, of
+    its first tableau's eigenspace, and ``f_lambda`` is the number of
+    tableaux whose eigenvalues decoded to the shape.
     """
 
     def __init__(self, sym: CopySymmetry):
         self.sym = sym
         n = sym.n
         d = sym.dim
+        # the transpositions (j k), j < k, grouped by k = 2 .. n
+        self._swaps = [[sym.transposition(j, k) for j in range(k)] for k in range(1, n)]
         weighted = np.zeros((d, d))
-        for k, w in enumerate(_weights(n)):
-            for j in range(k):
-                weighted[np.arange(d), sym.transposition(j, k)] += float(w)
+        for w, swaps in zip(_weights(n)[1:], self._swaps):
+            for p in swaps:
+                weighted[np.arange(d), p] += float(w)
         evals, evecs = np.linalg.eigh(weighted)
         keys = np.rint(evals).astype(np.int64)
         shapes = {}
@@ -194,29 +201,9 @@ class Reduction:
             shape = _shape(_tableau(_contents(key, n)))
             shapes[shape] = shapes.get(shape, 0) + 1
         self.shapes = tuple(sorted(shapes, reverse=True))
-        steps = [sym.transposition(i, i + 1) for i in range(n - 1)]
-        self._bases = []
-        for shape in self.shapes:
-            first = _row_reading(shape)
-            found = {first: evecs[:, keys == _key(first, n)]}
-            queue = [first]
-            while queue:
-                t = queue.pop(0)
-                for i, p in enumerate(steps):
-                    (r1, c1), (r2, c2) = t[i], t[i + 1]
-                    swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2 :]
-                    if r1 == r2 or c1 == c2 or swapped in found:
-                        continue
-                    r = (c2 - r2) - (c1 - r1)
-                    u = found[t]
-                    found[swapped] = (u[p] - u / r) / math.sqrt(1.0 - 1.0 / r**2)
-                    queue.append(swapped)
-            if len(found) != shapes[shape]:
-                raise NumericalError(f"shape {shape}: {len(found)} tableaux, "
-                                     f"{shapes[shape]} eigenspaces")
-            self._bases.append(np.stack(list(found.values())))
-        self.dims = tuple(b.shape[2] for b in self._bases)
-        self.multiplicities = tuple(b.shape[0] for b in self._bases)
+        self.multiplicities = tuple(shapes[shape] for shape in self.shapes)
+        self._bases = [evecs[:, keys == _key(_row_reading(shape), n)] for shape in self.shapes]
+        self.dims = tuple(u.shape[1] for u in self._bases)
         if sum(f * s for f, s in zip(self.multiplicities, self.dims)) != d:
             raise NumericalError("tableau eigenspaces do not span the block")
         self._orbits()
@@ -253,16 +240,16 @@ class Reduction:
 
     def compress(self, mat: np.ndarray):
         """``U^T mat U`` per block."""
-        return [bases[0].T @ mat @ bases[0] for bases in self._bases]
+        return [u.T @ mat @ u for u in self._bases]
 
     def lift(self, blocks) -> np.ndarray:
-        """``sum_lambda sum_T U_T X_lambda U_T^T``."""
-        d = self.sym.dim
-        out = np.zeros((d, d), dtype=np.result_type(*blocks))
-        for x, bases in zip(blocks, self._bases):
-            u = bases.transpose(1, 0, 2).reshape(d, -1)
-            out += (bases @ x).transpose(1, 0, 2).reshape(d, -1) @ u.T
-        return out
+        """``sum_lambda sum_T U_T X_lambda U_T^T``, the ``S_n`` average of
+        ``A = sum_lambda f_lambda U X_lambda U^T``, taken coset by coset:
+        ``A <- (A + sum_{j<k} P_(j k) A P_(j k)^T) / k`` for ``k = 2 .. n``."""
+        a = sum(f * (u @ x @ u.T) for f, u, x in zip(self.multiplicities, self._bases, blocks))
+        for k, swaps in enumerate(self._swaps, start=2):
+            a = (a + sum(a[p[:, None], p] for p in swaps)) / k
+        return a
 
     def _orbit_sums(self, flat: np.ndarray) -> np.ndarray:
         """Sums of ``flat`` (one entry or row per index pair, row-major)
@@ -288,9 +275,9 @@ class Reduction:
         m = len(self._o)
         pairs = np.split(self._order, self._starts[1:])
         maps = []
-        for f, bases in zip(self.multiplicities, self._bases):
-            s = bases.shape[2]
-            u = bases[0].reshape(-1, self.w, s).transpose(1, 0, 2)
+        for f, basis in zip(self.multiplicities, self._bases):
+            s = basis.shape[1]
+            u = basis.reshape(-1, self.w, s).transpose(1, 0, 2)
             sums = np.stack([
                 u[flat // self.w].reshape(-1, s).T @ u[flat % self.w].reshape(-1, s)
                 for flat in pairs

@@ -66,6 +66,11 @@ def test_solve_missing_game(tmp_path):
     assert run("solve", str(tmp_path / "nope.json"), "--quiet") == 1
 
 
+def test_certify_missing_witness(tmp_path, capsys):
+    assert run("certify", "hedging", "--witness", str(tmp_path / "nope.json"), "--quiet") == 1
+    assert "cannot read witness file" in capsys.readouterr().err
+
+
 def test_certify_snk(tmp_path):
     out = tmp_path / "r.json"
     code = run(
@@ -163,6 +168,80 @@ def test_zero_repetitions_is_input_error(argv, capsys):
     err = capsys.readouterr().err
     assert "hedgekit: error:" in err
     assert "Traceback" not in err
+
+
+def snk_witness(tmp_path):
+    path = tmp_path / "snk.json"
+    code = run(
+        "certify", "hedging", "--construction", "snk", "--reps", "2", "--wins", "1",
+        "--quiet", "--emit-witness", str(path),
+    )
+    assert code == 0
+    return load_json(path)
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("game", lambda _: {"type": "operators"}),
+        ("game", lambda _: {"type": "single_round"}),
+        ("game", lambda _: {"type": "operators", "r": "x"}),
+        ("witness", lambda w: {**w, "Y_blocks": 5}),
+        ("witness", lambda w: {**w, "meta": [1]}),
+        ("witness", lambda w: {**w, "value": "abc"}),
+        ("witness", lambda w: {**w, "n": "2"}),
+        ("witness", lambda w: {**w, "Y": {**w["Y"], "entries": "abc"}}),
+    ],
+    ids=["operators-no-r", "single-round-no-sigma", "text-r", "Y_blocks", "meta", "value",
+         "text-n", "entries"],
+)
+def test_malformed_files_are_input_errors(kind, edit, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    dump_json(edit(snk_witness(tmp_path) if kind == "witness" else None), path)
+    if kind == "game":
+        code = run("solve", str(path), "--quiet")
+    else:
+        code = run("certify", "hedging", "--witness", str(path), "--quiet")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "hedgekit: error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("solve", "hedging", "--objective", "win", "--wins", "3"), "--wins"),
+        (("solve", "hedging", "--objective", "threshold", "--reps", "2", "--wins", "1",
+          "--values", "0,1"), "--values"),
+        (("solve", "hedging", "--objective", "value", "--values", "0,1", "--reps", "2",
+          "--wins", "1"), "--wins"),
+        (("certify", "hedging", "--construction", "average", "--reps", "2", "--wins", "1"),
+         "--wins"),
+        (("certify", "hedging", "--construction", "naive", "--reps", "2", "--wins", "1",
+          "--values", "0,1"), "--values"),
+        (("certify", "hedging", "--construction", "tensor-power", "--reps", "2", "--wins", "2"),
+         "--wins"),
+        (("certify", "hedging", "--witness", "w.json", "--values", "0,1"), "--values"),
+    ],
+    ids=["win-wins", "threshold-values", "value-wins", "average-wins", "naive-values",
+         "tensor-power-wins", "witness-values"],
+)
+def test_objectives_and_constructions_refuse_flags_they_do_not_read(argv, flag, capsys):
+    assert run(*argv, "--quiet") == 1
+    assert f"does not read {flag}" in capsys.readouterr().err
+
+
+def test_certify_witness_falls_back_to_wins(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    dump_json({**snk_witness(tmp_path), "k": None}, path)
+    out = tmp_path / "r.json"
+    code = run("certify", "hedging", "--witness", str(path), "--wins", "1", "--quiet",
+               "--out", str(out))
+    assert code == 0
+    assert read(out)["results"]["wins"] == 1
+    assert run("certify", "hedging", "--witness", str(path), "--quiet") == 1
+    assert "needs --wins" in capsys.readouterr().err
 
 
 def test_solve_and_certify_build_no_parallel_game(tmp_path, monkeypatch):

@@ -77,8 +77,11 @@ def test_block_dimensions_match_the_hook_content_formula(dy, dx, n):
     assert sum(s * s for s in red.dims) == math.comb(n + D * D - 1, n)
 
 
-def test_lifted_blocks_commute_with_the_copies():
-    sym = CopySymmetry(4, 2, 2)
+@pytest.mark.parametrize("dy, dx, n", [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 3), (1, 2, 8)])
+def test_lifted_blocks_commute_with_the_copies(dy, dx, n):
+    # dy != dx catches a lift that permutes the answer and question copies
+    # apart; the lift holds f_lambda copies of each block's spectrum
+    sym = CopySymmetry(n, dy, dx)
     red = Reduction(sym)
     rng = np.random.default_rng(3)
     blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in red.dims]
@@ -87,6 +90,24 @@ def test_lifted_blocks_commute_with_the_copies():
     assert sym.is_invariant(x, 1e-12)
     for got, want in zip(red.compress(x), blocks):
         assert np.max(np.abs(got - want)) < 1e-12
+    want = np.sort(np.concatenate([
+        np.repeat(np.linalg.eigvalsh(b), f) for b, f in zip(blocks, red.multiplicities)
+    ]))
+    got = np.linalg.eigvalsh(x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["hedging n=4", "seed 41 n=3"])
+def test_lift_of_the_compressed_objective_is_the_objective(hedging, case):
+    if case == "hedging n=4":
+        game, n = hedging, 4
+    else:
+        game, n = make_random_game(np.random.default_rng(41)), 3
+    c = align(threshold_objective(game, n, 2), parallel_rounds(game, n).block(1)).entries
+    sym = CopySymmetry(n, 2, 2)
+    assert sym.is_invariant(c, 1e-12)
+    red = Reduction(sym)
+    assert np.max(np.abs(red.lift(red.compress(c)) - c)) <= 1e-12 * np.max(np.abs(c))
 
 
 @pytest.mark.parametrize("dy, dx, n", [(1, 2, 8), (2, 2, 4)])
