@@ -240,7 +240,7 @@ def cmd_solve(args) -> int:
 
 def _build_witness(run: _Run, args, game, winning):
     """Returns (witness, n, k-or-None, objective kind)."""
-    n = args.reps
+    n = 1 if args.reps is None else args.reps
     if args.witness is not None:
         try:
             run.note_input(args.witness)
@@ -253,8 +253,12 @@ def _build_witness(run: _Run, args, game, winning):
             w = witness_from_json(data)
         except HedgekitError as exc:
             raise ValidationError(f"invalid witness: {exc}")
-        n = w.meta.get("n", n)
-        k = w.meta.get("k", args.wins)
+        file_n, file_k = w.meta.get("n"), w.meta.get("k")
+        for value, flag in ((file_n, "reps"), (file_k, "wins")):
+            if value is not None and getattr(args, flag) is not None:
+                raise ValidationError(f"the witness file sets --{flag} to {value}; drop the flag")
+        n = n if file_n is None else file_n
+        k = args.wins if file_k is None else file_k
         kind = "value" if w.meta.get("values") is not None else "threshold"
         return w, n, k, kind
     name = args.construction
@@ -455,7 +459,7 @@ def build_parser() -> _Parser:
     src = pc.add_mutually_exclusive_group(required=True)
     src.add_argument("--witness", help="witness JSON file")
     src.add_argument("--construction", choices=_CONSTRUCTIONS)
-    pc.add_argument("--reps", type=int, default=1)
+    pc.add_argument("--reps", type=int, help="parallel repetitions (default 1)")
     pc.add_argument("--wins", type=int)
     pc.add_argument("--values", help="comma-separated values (average construction, default 1 on a win)")
     pc.add_argument("--emit-witness", help="also write the witness JSON here")

@@ -146,10 +146,11 @@ def admissible_fractions(alpha: float, beta: float) -> list:
 
 def _rounds(alpha: float, beta: float, epsilon: float, c1: int, c2: int, cap: int):
     """A repetition count at which both bounds at ``k = floor(c1 n / c2)``
-    are at most ``epsilon``, by doubling plus bisection, or None once every
-    count the search could still return is at least ``cap``.  The floor
-    makes the bounds locally non-monotone in ``n``, so a few fewer rounds
-    may also work."""
+    are at most ``epsilon``, or None once every count the search could
+    still return is at least ``cap``.  Doubling plus bisection finds a
+    working ``n``.  The floor makes the bounds locally non-monotone, so
+    bisection can stop above a working count: the result is the smallest
+    working count in ``[n - c2, n]``, one period of the floor's steps."""
 
     def ok(n: int) -> bool:
         return (
@@ -159,7 +160,7 @@ def _rounds(alpha: float, beta: float, epsilon: float, c1: int, c2: int, cap: in
 
     hi = 1
     while not ok(hi):
-        if hi + 1 >= cap:  # the bisection below returns more than hi
+        if hi + 1 - c2 >= cap:  # the bisection and scan below return more
             return None
         hi *= 2
     lo = hi // 2
@@ -169,16 +170,18 @@ def _rounds(alpha: float, beta: float, epsilon: float, c1: int, c2: int, cap: in
             hi = mid
         else:
             lo = mid
-    return hi
+    return next(n for n in range(max(1, hi - c2), hi + 1) if ok(n))
 
 
 def plan_rounds(alpha: float, beta: float, epsilon: float) -> ErrorReductionPlan:
     """A plan whose Chernoff completeness and ``p^k C(n,k)`` soundness
     bounds are both at most ``epsilon``: for each admissible threshold
-    fraction, a round count found by doubling plus bisection, keeping the
-    fraction that needs the fewest rounds (the first such in
+    fraction ``c1/c2``, a round count found by doubling plus bisection,
+    keeping the fraction that needs the fewest rounds (the first such in
     :func:`admissible_fractions` order).  Bisection on the non-monotone
-    predicate may miss a smaller count by a few rounds."""
+    predicate can stop a few rounds above a working count, so each
+    fraction's count is the smallest that meets both bounds among the
+    bisection result and the ``c2`` counts below it."""
     alpha, beta, epsilon = float(alpha), float(beta), float(epsilon)
     if not 0.0 < epsilon < 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")

@@ -22,13 +22,14 @@ Parallel repetition is one builder: :func:`repetitions` fixes the labels
 of the copies (``L#1 ... L#n``, while a single copy keeps ``L``),
 :func:`tensor_word` tensors per-copy operators under those labels and
 :func:`word_sum` sums the words over the bit strings in ``{0,1}^n`` whose
-count of ones passes a predicate.  :func:`parallel_rounds` and
-:func:`parallel_game` label their copies with them, and every n-fold
-objective and witness is one word sum: the threshold objective sums
-``(P_0, P_1)`` over the counts ``>= k``, the value objective is ``1/n``
-times the words with ``sum_i v_i P_i`` in one slot and ``sum_i P_i`` in the
-others, and each witness of :mod:`hedgekit.witnesses` is one word sum per
-chain level.  So they pair for every ``n``.
+count of ones passes a predicate, one partial sum per count of ones.
+:func:`parallel_rounds` and :func:`parallel_game` label their copies with
+them, and every n-fold objective and witness is one word sum: the
+threshold objective sums ``(P_0, P_1)`` over the counts ``>= k``, the
+value objective is ``1/n`` times the words with ``sum_i v_i P_i`` in one
+slot and ``sum_i P_i`` in the others, and each witness of
+:mod:`hedgekit.witnesses` is one word sum per chain level.  So they pair
+for every ``n``.
 """
 from __future__ import annotations
 
@@ -368,13 +369,31 @@ def tensor_word(ops, reps) -> HermitianOperator:
 def word_sum(f0, f1, reps, passes) -> HermitianOperator:
     """Sum of the tensor words over the bit strings ``b`` in
     ``{0,1}^len(reps)`` whose count of ones passes ``passes``: slot ``m``
-    carries ``f1`` where ``b[m] = 1`` and ``f0`` where it is 0."""
+    carries ``f1`` where ``b[m] = 1`` and ``f0`` where it is 0.
+
+    Built by count of ones, not word by word: ``S_c``, the sum of the
+    words on the copies so far with ``c`` ones, extends by a copy as
+    ``S_c (x) f0 + S_(c-1) (x) f1``, and the last copy folds the passing
+    counts into two products,
+    ``(sum_{passes(c)} S_c) (x) f0 + (sum_{passes(c+1)} S_c) (x) f1``."""
+    *head, last = [(tensor_word([f0], (m,)), tensor_word([f1], (m,))) for m in reps]
+    sums = [None]  # S_0 over no copies: the empty word
+    for g0, g1 in head:
+        ext0 = [_extend(s, g0) for s in sums]
+        ext1 = [_extend(s, g1) for s in sums]
+        sums = [ext0[0], *(a + b for a, b in zip(ext0[1:], ext1)), ext1[-1]]
     total = None
-    for bits in itertools.product((0, 1), repeat=len(reps)):
-        if passes(sum(bits)):
-            word = tensor_word([f1 if b else f0 for b in bits], reps)
+    for ones, g in enumerate(last):
+        group = [s for c, s in enumerate(sums) if passes(c + ones)]
+        if group:
+            word = _extend(sum(group[1:], group[0]), g)
             total = word if total is None else total + word
     return total
+
+
+def _extend(word, op) -> HermitianOperator:
+    """``word (x) op``, or ``op`` when ``word`` is the empty word (None)."""
+    return op if word is None else kron(word, op)
 
 
 def parallel_rounds(g: Rounds, n: int) -> Rounds:

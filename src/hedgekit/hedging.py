@@ -66,7 +66,7 @@ def hedging_optimal_witness() -> DualWitness:
     cos^2(pi/8); the slack is exactly singular.
     """
     c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
-    y = np.diag([c * (c + s) / 2.0, s * (c + s) / 2.0]).astype(np.complex128)
+    y = np.diag([c * (c + s) / 2.0, s * (c + s) / 2.0])
     return DualWitness(
         Y=HermitianOperator(SpaceList(((QUESTION_LABEL, 2),)), y),
         meta={"construction": "closed-form-optimal"},

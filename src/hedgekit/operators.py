@@ -1,7 +1,10 @@
-"""Dense complex-matrix algebra over labeled tensor-product spaces.
+"""Dense matrix algebra over labeled tensor-product spaces.
 
-Operators are stored as dense complex matrices tagged with a
-:class:`~hedgekit.spaces.SpaceList`.  Hermiticity is enforced on
+Operators are stored as dense matrices tagged with a
+:class:`~hedgekit.spaces.SpaceList`: ``float64`` when the symmetrized
+matrix has no imaginary part (exactly zero, no tolerance), ``complex128``
+otherwise.  Tensor products, partial traces, sums and scalings of real
+operators stay real.  Hermiticity is enforced on
 construction by symmetrizing away floating-point drift; drift beyond
 tolerance is an error, not silently absorbed.  Eigendecomposition
 (``numpy.linalg.eigvalsh``) is the single numerical kernel behind
@@ -24,8 +27,9 @@ TRACE_PRESERVING_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    mat = np.asarray(entries, dtype=np.complex128)
+def _as_matrix(entries) -> np.ndarray:
+    mat = np.asarray(entries)
+    mat = np.asarray(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
     return mat
@@ -33,7 +37,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A Hermitian matrix on an ordered list of labeled factors."""
+    """A Hermitian matrix on an ordered list of labeled factors, real
+    (``float64``) when it has no imaginary part."""
 
     spaces: SpaceList
     entries: np.ndarray
@@ -45,7 +50,7 @@ class HermitianOperator:
             raise ValidationError(
                 f"total dimension {spaces.dim} exceeds the desk-scale cap {DESK_DIM_CAP}"
             )
-        mat = entries if _trusted else _as_complex_matrix(entries)
+        mat = entries if _trusted else _as_matrix(entries)
         if mat.shape[0] != spaces.dim:
             raise SpaceError(
                 f"matrix of size {mat.shape[0]} does not match total dimension {spaces.dim}"
@@ -58,6 +63,8 @@ class HermitianOperator:
                     f"matrix is not Hermitian: drift {drift:.3e} exceeds tolerance"
                 )
             mat = (mat + mat.conj().T) / 2
+            if np.iscomplexobj(mat) and not np.any(mat.imag):
+                mat = mat.real
         mat = np.ascontiguousarray(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "spaces", spaces)
@@ -67,7 +74,8 @@ class HermitianOperator:
 
     @staticmethod
     def _wrap(spaces: SpaceList, entries: np.ndarray) -> "HermitianOperator":
-        """Internal fast path for results that are Hermitian by algebra."""
+        """Internal fast path for results that are Hermitian by algebra;
+        keeps the dtype of ``entries``."""
         return HermitianOperator(spaces, entries, _trusted=True)
 
     @property
@@ -164,7 +172,7 @@ class KrausChannel:
 def identity(spaces) -> HermitianOperator:
     if not isinstance(spaces, SpaceList):
         spaces = SpaceList(spaces)
-    return HermitianOperator._wrap(spaces, np.eye(spaces.dim, dtype=np.complex128))
+    return HermitianOperator._wrap(spaces, np.eye(spaces.dim))
 
 
 # -- core operations -----------------------------------------------------------
@@ -300,7 +308,7 @@ def apply_channel(ch: KrausChannel, rho: HermitianOperator) -> HermitianOperator
 
 def dephase(a: HermitianOperator) -> HermitianOperator:
     """Zero all off-diagonal entries (the completely dephasing map)."""
-    return HermitianOperator._wrap(a.spaces, np.diag(np.diag(a.entries).real).astype(np.complex128))
+    return HermitianOperator._wrap(a.spaces, np.diag(np.diag(a.entries).real))
 
 
 def is_diagonal(a: HermitianOperator) -> bool:

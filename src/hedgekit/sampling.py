@@ -44,7 +44,7 @@ def random_diagonal_density(rng, spaces) -> DensityOperator:
     if not isinstance(spaces, SpaceList):
         spaces = SpaceList(spaces)
     w = rng.random(spaces.dim) + 1e-3
-    return DensityOperator(spaces, np.diag(w / w.sum()).astype(np.complex128))
+    return DensityOperator(spaces, np.diag(w / w.sum()))
 
 
 def random_measurement(rng, spaces, outcomes: int) -> tuple[HermitianOperator, ...]:
@@ -70,7 +70,7 @@ def random_diagonal_measurement(rng, spaces, outcomes: int) -> tuple[HermitianOp
     d = spaces.dim
     w = rng.random((outcomes, d)) + 1e-3
     w /= w.sum(axis=0)
-    return tuple(HermitianOperator(spaces, np.diag(w[i]).astype(np.complex128)) for i in range(outcomes))
+    return tuple(HermitianOperator(spaces, np.diag(w[i])) for i in range(outcomes))
 
 
 def random_channel(rng, input_spaces, output_spaces, kraus_count: int = 2) -> KrausChannel:

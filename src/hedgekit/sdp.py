@@ -438,7 +438,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     spaces = dict(problem.blocks)
     c_blocks = [
         problem.objective[n].entries if n in problem.objective
-        else np.zeros((spaces[n].dim,) * 2, dtype=np.complex128)
+        else np.zeros((spaces[n].dim,) * 2)
         for n in names
     ]
     x_start = None

@@ -88,6 +88,10 @@ def operator_from_json(data, density: bool = False) -> HermitianOperator:
 
 
 def game_to_json(g: OutcomeOperators, winning=None) -> dict:
+    """The operator form of ``g``.  ``winning`` lists outcome keys of
+    ``g``; an entry that is no key is read as a position in ``g.outcomes``.
+    Both are written as positions, which is how :func:`game_from_json`
+    numbers the outcomes."""
     data = {
         "type": "operators",
         "r": g.rounds,
@@ -98,8 +102,16 @@ def game_to_json(g: OutcomeOperators, winning=None) -> dict:
         "y_rounds": [list(grp) for grp in g.y_rounds],
     }
     if winning is not None:
-        data["winning"] = sorted(winning)
+        data["winning"] = sorted(_outcome_position(g, key) for key in winning)
     return data
+
+
+def _outcome_position(g: OutcomeOperators, key) -> int:
+    if key in g.outcome_keys:
+        return g.outcome_keys.index(key)
+    if _is(key, int) and 0 <= key < len(g.outcomes):
+        return key
+    raise ValidationError(f"unknown winning outcome {key!r}")
 
 
 def single_round_game_to_json(sigma, measurement, winning) -> dict:

@@ -41,6 +41,8 @@ remain, and each Cholesky factor, inverse and ``eigvalsh`` costs about a
 quarter of its complex flops.  (:mod:`hedgekit.sdp` solves those copies
 in their ``S_n``-reduced blocks, through this same kernel.)  The test is
 exact, with no tolerance; any other problem iterates in ``complex128``.
+The iterates ``X`` and ``Z`` come back in the dtype they were iterated
+in, so real data stay real from the operators to the report.
 """
 from __future__ import annotations
 
@@ -247,8 +249,8 @@ def interior_point(
 
     A conjugation-symmetric problem is solved in its real form (module
     docstring); ``y`` and ``farkas`` come back full length, with zeros at
-    the dropped rows, and ``X`` and ``Z`` as ``complex128``.  ``blocks``
-    lists the block dimensions.
+    the dropped rows, and ``X`` and ``Z`` as ``float64``; any other problem
+    returns them as ``complex128``.  ``blocks`` lists the block dimensions.
     """
     A = constraints
     C = [np.asarray(c, dtype=np.complex128) for c in c_blocks]
@@ -270,8 +272,6 @@ def interior_point(
             full = np.zeros(A.m)
             full[keep] = out[key]
             out[key] = full
-    for key in ("X", "Z"):
-        out[key] = [a.astype(np.complex128) for a in out[key]]
     return out
 
 

@@ -187,7 +187,7 @@ def elementwise_min(a: HermitianOperator, b: HermitianOperator) -> HermitianOper
     if not (is_diagonal(a) and is_diagonal(b)):
         raise DomainError("operators are not both diagonal; refusing to clamp")
     mat = np.diag(np.minimum(np.diag(a.entries).real, np.diag(b.entries).real))
-    return HermitianOperator(a.spaces, mat.astype(np.complex128))
+    return HermitianOperator(a.spaces, mat)
 
 
 def witness_classical_binomial(
@@ -264,7 +264,7 @@ def verify_monotone_inequality(
     diff = None
     pairs = {0: (b0.entries, a0.entries), 1: (b1.entries, a1.entries)}
     for bits in indices:
-        left = right = np.ones((1, 1), dtype=np.complex128)
+        left = right = np.ones((1, 1))
         for b in bits:
             left = np.kron(left, pairs[b][0])
             right = np.kron(right, pairs[b][1])

@@ -244,6 +244,20 @@ def test_certify_witness_falls_back_to_wins(tmp_path, capsys):
     assert "needs --wins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--reps", "3"), ("--wins", "2")])
+def test_certify_witness_refuses_flags_the_file_overrides(flag, value, tmp_path, capsys):
+    # the snk witness file carries n = 2, k = 1
+    path = tmp_path / "w.json"
+    dump_json(snk_witness(tmp_path), path)
+    assert run("certify", "hedging", "--witness", str(path), flag, value, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert f"hedgekit: error: the witness file sets {flag}" in err
+    out = tmp_path / "r.json"
+    assert run("certify", "hedging", "--witness", str(path), "--quiet", "--out", str(out)) == 0
+    results = read(out)["results"]
+    assert (results["reps"], results["wins"]) == (2, 1)
+
+
 def test_solve_and_certify_build_no_parallel_game(tmp_path, monkeypatch):
     # The strategy SDP reads only the rounds, so solve and certify compile
     # and check against parallel_rounds; the demo still evaluates a

@@ -141,6 +141,14 @@ def test_plan_picks_the_fraction_needing_few_rounds():
     assert soundness_error_bound(0.05, plan.n, plan.k) <= 1e-3
 
 
+def test_plan_scans_below_the_bisection_result():
+    # bisection stops at 145 rounds for c = 6/17, which already works at 136
+    plan = plan_rounds(0.6, 0.144, 1e-3)
+    assert plan.n <= 136
+    assert completeness_error_bound(0.6, plan.c, plan.n) <= 1e-3
+    assert soundness_error_bound(0.144, plan.n, plan.k) <= 1e-3
+
+
 def test_plan_log_growth():
     n2 = plan_rounds(0.9, 0.05, 1e-2).n
     n4 = plan_rounds(0.9, 0.05, 1e-4).n

@@ -27,7 +27,7 @@ from hedgekit import (
     value_objective,
 )
 from hedgekit.errors import SpaceError, ValidationError
-from hedgekit.games import strategy_from_channel
+from hedgekit.games import repetitions, strategy_from_channel, tensor_word, word_sum
 from hedgekit.hedging import WIN_PROBABILITY, hedging_game, phase_flip_strategy
 
 from hedgekit.sampling import random_channel, random_density, random_measurement
@@ -193,6 +193,29 @@ def test_threshold_objective_k0_is_consistency(hedging):
     obj = threshold_objective(hedging, 1, 0)
     expect = kron(identity(space(("Y1", 2))), hedging.rho)
     assert_allclose(obj.entries, permute_systems(expect, obj.spaces.labels).entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_word_sum_by_win_count_matches_enumeration(hedging, n):
+    complex_game = make_random_game(np.random.default_rng(11))
+    reps = repetitions(n)
+    for g in (hedging, complex_game):
+        f0, f1 = g.outcomes
+        for k in range(n + 1):
+            for passes in (lambda o: o >= k, lambda o: o == k, lambda o: o == 1):
+                words = [
+                    tensor_word([f1 if b else f0 for b in bits], reps)
+                    for bits in itertools.product((0, 1), repeat=n)
+                    if passes(sum(bits))
+                ]
+                got = word_sum(f0, f1, reps, passes)
+                if not words:
+                    assert got is None
+                    continue
+                expect = sum(words[1:], words[0])
+                assert got.spaces == expect.spaces
+                bound = 1e-15 * max(1.0, np.max(np.abs(expect.entries)))
+                assert np.max(np.abs(got.entries - expect.entries)) <= bound
 
 
 def test_threshold_summand_count():

@@ -23,6 +23,7 @@ from hedgekit.sampling import random_channel, random_density, random_hermitian, 
 
 A2 = space(("A", 2))
 B2 = space(("B", 2))
+SY = np.array([[0, -1j], [1j, 0]])
 
 
 def op(label_dims, mat):
@@ -58,6 +59,28 @@ def test_density_operator_validations():
 def test_kraus_channel_trace_preservation_checked():
     with pytest.raises(ValidationError):
         KrausChannel(A2, A2, (np.diag([1.0, 0.5]),))
+
+
+def test_operator_without_imaginary_part_is_stored_real():
+    real = np.array([[1.0, 0.5], [0.5, 2.0]])
+    for mat in (real, real.astype(complex), [[1, 0], [0, 1]]):
+        assert op((("A", 2),), mat).entries.dtype == np.float64
+    assert_allclose(op((("A", 2),), real.astype(complex)).entries, real, rtol=0, atol=0)
+
+
+def test_any_imaginary_entry_keeps_complex():
+    for mat in (np.array([[1.0, 1e-300j], [-1e-300j, 1.0]]), np.diag([1.0, 2.0]) + 0.25 * SY):
+        assert op((("A", 2),), mat).entries.dtype == np.complex128
+
+
+def test_tensor_algebra_of_real_operators_stays_real(rng):
+    a = op((("A", 2),), np.array([[1.0, 0.5], [0.5, 2.0]]))
+    b = op((("B", 3),), np.diag([1.0, 2.0, 3.0]))
+    ab = kron(a, b)
+    assert ab.entries.dtype == np.float64
+    assert partial_trace(ab, {"B"}).entries.dtype == np.float64
+    assert (ab + identity(ab.spaces) * 0.5).entries.dtype == np.float64
+    assert dephase(random_hermitian(rng, A2)).entries.dtype == np.float64
 
 
 # ---------------------------------------------------------------------- kron

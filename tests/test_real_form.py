@@ -122,7 +122,7 @@ def test_real_form_multipliers_are_a_complex_dual_point(hedging, kernel_dtype):
         rep = solve(prob, 1e-8)
         assert kernel_dtype() == REAL, name
         assert rep.status == "optimal" and rep.farkas_ray is None, name
-        assert all(x.entries.dtype == COMPLEX for x in rep.primal_blocks.values())
+        assert all(x.entries.dtype == REAL for x in rep.primal_blocks.values())
         assert len(rep.dual_multipliers) == prob.constraint_map.m
         pv, dv = check_weak_duality(prob, rep.primal_blocks, rep.dual_multipliers)
         assert pv == pytest.approx(rep.primal_value, abs=1e-12)
@@ -244,4 +244,4 @@ def test_farkas_ray_is_full_length_with_zeros_at_dropped_rows(kernel_dtype):
     assert res["status"] == solver.STATUS_INFEASIBLE
     assert res["farkas"].shape == (3,) and res["y"].shape == (3,)
     assert res["farkas"][1] == 0.0 and res["y"][1] == 0.0
-    assert all(z.dtype == COMPLEX for z in res["X"] + res["Z"])
+    assert all(z.dtype == REAL for z in res["X"] + res["Z"])

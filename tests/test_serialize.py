@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -13,6 +16,9 @@ from hedgekit.serialize import (
     witness_from_json,
     witness_to_json,
 )
+from hedgekit.witnesses import single_round_witness
+
+from conftest import make_r2_product_game
 
 
 def test_operator_round_trip(rng):
@@ -57,6 +63,26 @@ def test_game_round_trip_operators_form(hedging):
     assert game.rounds == 1
     for a, b in zip(game.outcomes, hedging.outcomes):
         assert_allclose(a.entries, b.entries, atol=1e-15)
+
+
+def test_game_round_trip_with_tuple_outcome_keys():
+    # winning is written as positions in outcome_keys, which game_from_json reads
+    game = make_r2_product_game(np.random.default_rng(1))[2]
+    back, winning = game_from_json(json.loads(json.dumps(game_to_json(game, winning=[(1, 1)]))))
+    assert winning == (3,)
+    assert back.outcome_keys == (0, 1, 2, 3)
+    for a, b in zip(back.outcomes, game.outcomes):
+        np.testing.assert_array_equal(a.entries, b.entries)
+    with pytest.raises(ValidationError):
+        game_to_json(game, winning=[(2, 2)])
+
+
+def test_real_witness_round_trips_with_identical_entries(hedging):
+    w = single_round_witness(hedging, hedging.outcomes[1])
+    assert w.Y.entries.dtype == np.float64
+    back = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
+    assert back.Y.entries.dtype == np.float64
+    np.testing.assert_array_equal(back.Y.entries, w.Y.entries)
 
 
 def test_game_single_round_form():
