@@ -130,7 +130,8 @@ class DensityOperator(HermitianOperator):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators,
+    each stored as ``float64`` when real and ``complex128`` otherwise."""
 
     input_spaces: SpaceList
     output_spaces: SpaceList
@@ -144,7 +145,8 @@ class KrausChannel:
         din, dout = input_spaces.dim, output_spaces.dim
         ops = []
         for k, op in enumerate(kraus):
-            op = np.asarray(op, dtype=np.complex128)
+            op = np.asarray(op)
+            op = np.asarray(op, dtype=np.complex128 if np.iscomplexobj(op) else np.float64)
             if op.shape != (dout, din):
                 raise SpaceError(
                     f"Kraus operator {k} has shape {op.shape}, expected {(dout, din)}"
@@ -261,7 +263,7 @@ def choi(ch: KrausChannel) -> HermitianOperator:
     """
     dout = ch.output_spaces.dim
     din = ch.input_spaces.dim
-    mat = np.zeros((dout * din, dout * din), dtype=np.complex128)
+    mat = np.zeros((dout * din, dout * din), dtype=np.result_type(*ch.kraus))
     for op in ch.kraus:
         v = op.reshape(-1)
         mat += np.outer(v, v.conj())
@@ -296,7 +298,7 @@ def apply_channel(ch: KrausChannel, rho: HermitianOperator) -> HermitianOperator
     din, dr = ch.input_spaces.dim, rest.dim
     dout = ch.output_spaces.dim
     blob = ordered.entries.reshape(din, dr, din, dr)
-    out = np.zeros((dout, dr, dout, dr), dtype=np.complex128)
+    out = np.zeros((dout, dr, dout, dr), dtype=np.result_type(*ch.kraus, blob))
     for op in ch.kraus:
         out += np.einsum("ai,ibjc,xj->abxc", op, blob, op.conj())
     new_spaces = ch.output_spaces.concat(rest)

@@ -114,15 +114,6 @@ def _outcome_position(g: OutcomeOperators, key) -> int:
     raise ValidationError(f"unknown winning outcome {key!r}")
 
 
-def single_round_game_to_json(sigma, measurement, winning) -> dict:
-    return {
-        "type": "single_round",
-        "sigma": operator_to_json(sigma),
-        "measurement": [operator_to_json(q) for q in measurement],
-        "winning": sorted(winning),
-    }
-
-
 def _operators(data: dict, key: str, where: str, default=_REQUIRED) -> tuple:
     return tuple(operator_from_json(op) for op in _field(data, key, list, where, default))
 

@@ -32,18 +32,19 @@ operator ``Y = sum_a y_a K_a`` on ``X^(x)n``, whose dense dual slack
 ``I_Y (x) Y - C`` restricts to ``f_lambda`` copies of each reduced slack.
 Any basis of dense rows reads its multipliers off ``Y``.
 
-Nothing here enumerates ``S_n``.  One ``eigh`` of ``sum_k w_k J_k``,
-``w_k = 3 * 5 * .. * (2k - 3)``, gives every ``E_T``: each eigenvalue is
-an integer whose balanced mixed-radix digits, ``c_k`` in ``[-(k-1), k-1]``
-for the entry ``k``, are the contents of ``T``.  The smallest radices
-that decode uniquely keep ``||sum_k w_k J_k||`` small (about ``1e6`` at
-``n = 8``), so ``eigh`` resolves each ``E_T`` to well below the
-feasibility tolerance.  Only the first tableau's eigenvectors are kept,
-and any orthonormal basis of ``E_{T_0}`` serves: the average needs no
-other tableau's basis aligned with it.  It runs coset by coset over the
-``n(n-1)/2`` transpositions ``(j k)`` that build the ``J_k``.  The
-invariant basis comes from the orbits of index pairs, which are
-multisets of per-copy pairs.
+Nothing here enumerates ``S_n`` or its tableaux: the shapes are the
+partitions of ``n`` with at most ``D`` rows, ``f_lambda`` is the hook
+length formula, and ``U`` spans the eigenspace of ``sum_k w_k J_k``,
+``w_k = 3 * 5 * .. * (2k - 3)``, whose integer eigenvalue has the
+contents of ``T_0`` (the row-reading tableau) as balanced mixed-radix
+digits, which no other tableau shares.  Every ``J_k`` permutes copies,
+keeping an index's weight (the multiset of its per-copy letters
+``(y_i, x_i)``), so one small ``eigh`` per weight class (at most 180
+indices at ``n = 6``) gives that class's rows of ``U``; any orthonormal
+basis serves, as the average needs no other tableau's basis aligned with
+it.  The average runs coset by coset over the ``n(n-1)/2`` transpositions
+that build the ``J_k``; the invariant basis comes from the orbits of
+index pairs, which are multisets of per-copy pairs.
 """
 from __future__ import annotations
 
@@ -131,46 +132,41 @@ def _weights(n: int) -> list:
     return out[:n]
 
 
-def _contents(key: int, n: int) -> list:
-    """The contents of ``1 .. n`` from ``sum_k w_k c_k``."""
-    out = [0]
-    for k in range(1, n):
-        c = (key + k) % (2 * k + 1) - k
-        out.append(c)
-        key = (key - c) // (2 * k + 1)
-    return out
+def _key(shape, n: int) -> int:
+    """``sum_k w_k c_k`` over the contents of the row-reading tableau of
+    ``shape``, the eigenvalue of ``sum_k w_k J_k`` on its eigenspace."""
+    contents = [c - r for r, length in enumerate(shape) for c in range(length)]
+    return sum(w * c for w, c in zip(_weights(n), contents))
 
 
-def _tableau(contents) -> tuple:
-    """The standard tableau with these contents, as the ``(row, column)``
-    of each entry; raises when no tableau has them."""
-    lengths = []
-    pos = []
-    for c in contents:
-        for r in range(len(lengths) + 1):
-            length = lengths[r] if r < len(lengths) else 0
-            if length - r == c and (r == 0 or lengths[r - 1] > length):
-                break
-        else:
-            raise NumericalError("Jucys-Murphy eigenvalues do not decode to a tableau")
-        if r == len(lengths):
-            lengths.append(0)
-        pos.append((r, lengths[r]))
-        lengths[r] += 1
-    return tuple(pos)
+def _partitions(n: int, largest: int) -> list:
+    """The partitions of ``n`` into parts of at most ``largest``, decreasing."""
+    if n == 0:
+        return [()]
+    parts = range(min(n, largest), 0, -1)
+    return [(first,) + rest for first in parts for rest in _partitions(n - first, first)]
 
 
-def _shape(tableau) -> tuple:
-    rows = [r for r, _ in tableau]
-    return tuple(rows.count(r) for r in range(max(rows) + 1))
+def _tableaux(shape) -> int:
+    """``f_lambda``, the number of standard tableaux of ``shape``, by the
+    hook length formula."""
+    cols = [sum(1 for length in shape if length > c) for c in range(shape[0])]
+    hooks = [length - c + cols[c] - r - 1 for r, length in enumerate(shape) for c in range(length)]
+    return math.factorial(sum(shape)) // math.prod(hooks)
 
 
-def _key(tableau, n: int) -> int:
-    return sum(w * (c - r) for w, (r, c) in zip(_weights(n), tableau))
+def _digits(values: np.ndarray, base: int, n: int) -> np.ndarray:
+    """The ``n`` base-``base`` digits of each of ``values``, highest first."""
+    return (values[:, None] // base ** np.arange(n - 1, -1, -1)) % base
 
 
-def _row_reading(shape) -> tuple:
-    return tuple((r, c) for r, length in enumerate(shape) for c in range(length))
+def _multisets(letters: np.ndarray, base: int) -> tuple:
+    """Number the rows of ``letters`` (shape ``(..., n)``, entries below
+    ``base``) by the multiset of their entries: the flat position of each
+    multiset's first row, and each row's number, flattened row-major."""
+    codes = np.sort(letters, axis=-1) @ base ** np.arange(letters.shape[-1])
+    _, first, inverse = np.unique(codes.reshape(-1), return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 class Reduction:
@@ -178,31 +174,43 @@ class Reduction:
     basis of its question space.
 
     ``shapes``, ``dims`` and ``multiplicities`` list ``lambda``,
-    ``s_lambda`` and ``f_lambda`` per block, in decreasing shape order;
-    each block keeps the one basis ``U``, of shape ``(d, s_lambda)``, of
-    its first tableau's eigenspace, and ``f_lambda`` is the number of
-    tableaux whose eigenvalues decoded to the shape.
+    ``s_lambda`` and ``f_lambda`` per block: the partitions of ``n`` with
+    at most ``dy dx`` rows in decreasing order, the dimension of the first
+    tableau's eigenspace, whose basis ``U`` of shape ``(d, s_lambda)`` each
+    block keeps, and the hook length formula's tableau count.
     """
 
     def __init__(self, sym: CopySymmetry):
         self.sym = sym
-        n = sym.n
-        d = sym.dim
+        n, dy, dx, d = sym.n, sym.dy, sym.dx, sym.dim
         # the transpositions (j k), j < k, grouped by k = 2 .. n
         self._swaps = [[sym.transposition(j, k) for j in range(k)] for k in range(1, n)]
-        weighted = np.zeros((d, d))
-        for w, swaps in zip(_weights(n)[1:], self._swaps):
-            for p in swaps:
-                weighted[np.arange(d), p] += float(w)
-        evals, evecs = np.linalg.eigh(weighted)
-        keys = np.rint(evals).astype(np.int64)
-        shapes = {}
-        for key in set(keys.tolist()):
-            shape = _shape(_tableau(_contents(key, n)))
-            shapes[shape] = shapes.get(shape, 0) + 1
-        self.shapes = tuple(sorted(shapes, reverse=True))
-        self.multiplicities = tuple(shapes[shape] for shape in self.shapes)
-        self._bases = [evecs[:, keys == _key(_row_reading(shape), n)] for shape in self.shapes]
+        self.shapes = tuple(shape for shape in _partitions(n, n) if len(shape) <= dy * dx)
+        self.multiplicities = tuple(_tableaux(shape) for shape in self.shapes)
+        keys = [_key(shape, n) for shape in self.shapes]
+        # one block of sum_k w_k J_k per weight class, indices sorted for searchsorted
+        index = np.arange(d)
+        letters = _digits(index // dx**n, dy, n) * dx + _digits(index % dx**n, dx, n)
+        _, weight = _multisets(letters, dy * dx)
+        columns = [[] for _ in self.shapes]
+        classes = np.split(np.argsort(weight, kind="stable"), np.cumsum(np.bincount(weight))[:-1])
+        for members in classes:
+            size = len(members)
+            weighted = np.zeros((size, size))
+            for w, swaps in zip(_weights(n)[1:], self._swaps):
+                for p in swaps:
+                    weighted[np.arange(size), np.searchsorted(members, p[members])] += float(w)
+            evals, evecs = np.linalg.eigh(weighted)
+            found = np.rint(evals).astype(np.int64)
+            for cols, key in zip(columns, keys):
+                cols.append((members, evecs[:, found == key]))
+        self._bases = []
+        for cols in columns:
+            widths = [vecs.shape[1] for _, vecs in cols]
+            u = np.zeros((d, sum(widths)))
+            for (members, vecs), start in zip(cols, np.cumsum([0] + widths)):
+                u[members, start : start + vecs.shape[1]] = vecs
+            self._bases.append(u)
         self.dims = tuple(u.shape[1] for u in self._bases)
         if sum(f * s for f, s in zip(self.multiplicities, self.dims)) != d:
             raise NumericalError("tableau eigenspaces do not span the block")
@@ -216,11 +224,8 @@ class Reduction:
         n, dx = self.sym.n, self.sym.dx
         w = dx**n
         self.w = w
-        digits = (np.arange(w)[:, None] // dx ** np.arange(n - 1, -1, -1)) % dx
-        pairs = np.sort(digits[:, None, :] * dx + digits[None, :, :], axis=2)
-        codes = pairs @ (dx * dx) ** np.arange(n)
-        _, first, orbit = np.unique(codes.reshape(-1), return_index=True, return_inverse=True)
-        self.orbit = orbit.reshape(-1)
+        digits = _digits(np.arange(w), dx, n)
+        first, self.orbit = _multisets(digits[:, None, :] * dx + digits[None, :, :], dx * dx)
         self.orbits = len(first)
         sizes = np.bincount(self.orbit)
         self._order = np.argsort(self.orbit, kind="stable")
@@ -274,6 +279,7 @@ class Reduction:
         per orbit ``o``, ``U_{yi}`` the row of ``U`` at ``(y, i)``."""
         m = len(self._o)
         pairs = np.split(self._order, self._starts[1:])
+        alpha, beta = self._alpha[:, None, None], self._beta[:, None, None]
         maps = []
         for f, basis in zip(self.multiplicities, self._bases):
             s = basis.shape[1]
@@ -282,14 +288,7 @@ class Reduction:
                 u[flat // self.w].reshape(-1, s).T @ u[flat % self.w].reshape(-1, s)
                 for flat in pairs
             ])
-            rows = np.empty((m, s, s), dtype=np.complex128)
-            for part, alpha, beta in (
-                (rows.real, self._alpha.real, self._beta.real),
-                (rows.imag, self._alpha.imag, self._beta.imag),
-            ):
-                part[:] = f * (
-                    alpha[:, None, None] * sums[self._o] + beta[:, None, None] * sums[self._t]
-                )
+            rows = f * (alpha * sums[self._o] + beta * sums[self._t])
             maps.append(_solver.BlockMap(0, m, rows))
         return _solver.ConstraintMap(maps, self.coordinates(np.eye(self.w)))
 

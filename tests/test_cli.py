@@ -264,14 +264,20 @@ def test_solve_and_certify_build_no_parallel_game(tmp_path, monkeypatch):
     # strategy on the outcome words of parallel_game.
     from hedgekit import cli
     from hedgekit.sampling import random_diagonal_density, random_diagonal_measurement
-    from hedgekit.serialize import single_round_game_to_json
+    from hedgekit.serialize import operator_to_json
     from hedgekit.spaces import space
 
     rng = np.random.default_rng(3)
     sigma = random_diagonal_density(rng, space(("X1", 2), ("Z", 2)))
     meas = random_diagonal_measurement(rng, space(("Y1", 2), ("Z", 2)), 2)
     diagonal = tmp_path / "diagonal.json"
-    dump_json(single_round_game_to_json(sigma, meas, [1]), diagonal)
+    game = {
+        "type": "single_round",
+        "sigma": operator_to_json(sigma),
+        "measurement": [operator_to_json(q) for q in meas],
+        "winning": [1],
+    }
+    dump_json(game, diagonal)
 
     def refuse(*args):
         raise AssertionError("parallel_game was called")

@@ -83,6 +83,22 @@ def test_tensor_algebra_of_real_operators_stays_real(rng):
     assert dephase(random_hermitian(rng, A2)).entries.dtype == np.float64
 
 
+def test_real_channels_stay_real_and_complex_ones_complex(rng):
+    from hedgekit.hedging import phase_flip_strategy
+
+    flip = KrausChannel(A2, space(("Y", 2)), (np.diag([-1.0, 1.0]),))
+    assert flip.kraus[0].dtype == np.float64
+    assert choi(flip).entries.dtype == np.float64
+    assert apply_channel(flip, op((("A", 2),), np.diag([0.25, 0.75]))).entries.dtype == np.float64
+    rho = random_density(rng, space(("A", 2), ("R", 2)))
+    k = np.kron(np.diag([-1.0, 1.0]), np.eye(2))
+    assert_allclose(apply_channel(flip, rho).entries, k @ rho.entries @ k.T, atol=1e-13)
+    assert phase_flip_strategy().X.entries.dtype == np.float64
+    ch = random_channel(rng, A2, space(("Y", 3)))
+    assert all(k.dtype == np.complex128 for k in ch.kraus)
+    assert choi(ch).entries.dtype == np.complex128
+
+
 # ---------------------------------------------------------------------- kron
 
 

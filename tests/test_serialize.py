@@ -87,10 +87,14 @@ def test_real_witness_round_trips_with_identical_entries(hedging):
 
 def test_game_single_round_form():
     from hedgekit.hedging import hedging_game_spec
-    from hedgekit.serialize import single_round_game_to_json
 
     spec = hedging_game_spec()
-    data = single_round_game_to_json(spec.sigma, spec.measurement, (1,))
+    data = {
+        "type": "single_round",
+        "sigma": operator_to_json(spec.sigma),
+        "measurement": [operator_to_json(q) for q in spec.measurement],
+        "winning": [1],
+    }
     game, winning = game_from_json(data)
     direct = hedging_game()
     for a, b in zip(game.outcomes, direct.outcomes):

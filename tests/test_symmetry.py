@@ -64,7 +64,7 @@ def hook_content(shape, D):
 # ---------------------------------------------------------------- representation
 
 
-@pytest.mark.parametrize("dy, dx, n", [(2, 2, 3), (2, 2, 4), (2, 1, 8)])
+@pytest.mark.parametrize("dy, dx, n", [(2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 1, 8)])
 def test_block_dimensions_match_the_hook_content_formula(dy, dx, n):
     D = dy * dx
     red = Reduction(CopySymmetry(n, dy, dx))
@@ -75,6 +75,36 @@ def test_block_dimensions_match_the_hook_content_formula(dy, dx, n):
     ]
     assert sum(f * s for f, s in zip(red.multiplicities, red.dims)) == D**n
     assert sum(s * s for s in red.dims) == math.comb(n + D * D - 1, n)
+
+
+@pytest.mark.parametrize("dy, dx, n", [(2, 2, 4), (2, 2, 6), (1, 2, 8)])
+def test_bases_are_orthonormal_jucys_murphy_eigenvectors(dy, dx, n):
+    # J_k = sum_{j<k} (j k) acts on U as the content of k in the row-reading
+    # tableau; (P U)[a] = U[p[a]], so J_k U is a sum of row gathers
+    sym = CopySymmetry(n, dy, dx)
+    red = Reduction(sym)
+    for shape, s, u in zip(red.shapes, red.dims, red._bases):
+        assert u.shape == (sym.dim, s)
+        assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12
+        contents = [c - r for r, length in enumerate(shape) for c in range(length)]
+        for k in range(1, n):
+            jk = sum(u[sym.transposition(j, k)] for j in range(k))
+            assert np.max(np.abs(jk - contents[k] * u)) <= 1e-12 * k
+
+
+def test_eigensolves_stay_within_one_weight_class(monkeypatch):
+    # the largest weight class at n = 6 over D = 4 letters is 6!/(2! 2! 1! 1!)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    Reduction(CopySymmetry(6, 2, 2))
+    assert shapes
+    assert max(max(shape) for shape in shapes) <= 180
 
 
 @pytest.mark.parametrize("dy, dx, n", [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 3), (1, 2, 8)])
