@@ -13,7 +13,7 @@ from hedgekit import (
     check_dual_feasibility,
     compile_primal,
     outcome_operators_single_round,
-    parallel_game,
+    parallel_rounds,
     solve,
     space,
     value_objective,
@@ -40,7 +40,7 @@ for trial in range(3):
     one = solve(compile_primal(game, value_objective(game, values, 1)), tol=1e-8)
     print(f"  v  (one repetition)  = {one.primal_value:.9f}")
 
-    doubled = parallel_game(game, 2)
+    doubled = parallel_rounds(game, 2)
     two = solve(compile_primal(doubled, value_objective(game, values, 2)), tol=1e-8)
     print(f"  v' (two repetitions) = {two.primal_value:.9f}")
     print(f"  |v - v'|             = {abs(one.primal_value - two.primal_value):.2e}")

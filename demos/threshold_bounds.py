@@ -14,7 +14,7 @@ from hedgekit import (
     classical_optimum,
     compile_primal,
     dephase_game,
-    parallel_game,
+    parallel_rounds,
     solve,
     threshold_objective,
     verify_monotone_inequality,
@@ -38,13 +38,13 @@ print("Certified bounds for the threshold problems (hedging game, p = cos^2(pi/8
 print("=" * 72)
 print(f"\n{'n':>2} {'k':>2} {'solver':>12} {'binomial':>12} {'p^k C(n,k)':>12} {'naive':>12}")
 for n, k in ((2, 1), (2, 2), (3, 2), (4, 1), (4, 2), (4, 3), (4, 4)):
-    doubled = parallel_game(game, n)
+    copies = parallel_rounds(game, n)
     objective = threshold_objective(game, n, k)
-    opt = solve(compile_primal(doubled, objective), tol=1e-8).primal_value
+    opt = solve(compile_primal(copies, objective), tol=1e-8).primal_value
     snk = witness_recursive_snk(witness, game, n, k)
     naive = witness_naive(witness, game, n, k)
     for w in (snk, naive):
-        feas = check_dual_feasibility(doubled, objective, w, 1e-9)
+        feas = check_dual_feasibility(copies, objective, w, 1e-9)
         assert feas.feasible
     tail = binomial_tail(p, n, k)
     print(f"{n:>2} {k:>2} {opt:>12.7f} {tail:>12.7f} {snk.value:>12.7f} {naive.value:>12.7f}")
@@ -63,7 +63,7 @@ print("-" * 72)
 classical = dephase_game(game)
 pc = classical_optimum(classical)
 print(f"classical single-round optimum (enumerated): {pc:.6f}")
-doubled = parallel_game(classical, 2)
+doubled = parallel_rounds(classical, 2)
 opt = solve(compile_primal(doubled, threshold_objective(classical, 2, 1)), tol=1e-8)
 print(f"classical 2-rep k=1 optimum (solver)        : {opt.primal_value:.6f}")
 print(f"binomial tail at p_c                        : {binomial_tail(pc, 2, 1):.6f}")

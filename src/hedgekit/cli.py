@@ -122,21 +122,26 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write("\n")
 
 
+def _read_json(run: _Run, path: str, what: str):
+    """Load the JSON file at ``path``, noted as an input of ``run``; an
+    unreadable or malformed ``what`` file is an input error."""
+    try:
+        run.note_input(path)
+        return load_json(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path!r}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON in {path!r}: line {exc.lineno}")
+
+
 def _load_game(run: _Run, name: str):
     if name == "hedging":
         with resources.as_file(
             resources.files("hedgekit.data").joinpath("hedging_game.json")
         ) as path:
-            run.note_input(str(path))
-            data = load_json(path)
+            data = _read_json(run, str(path), "game")
     else:
-        try:
-            run.note_input(name)
-            data = load_json(name)
-        except OSError as exc:
-            raise ValidationError(f"cannot read game file {name!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed JSON in {name!r}: line {exc.lineno}")
+        data = _read_json(run, name, "game")
     try:
         return game_from_json(data)
     except HedgekitError as exc:
@@ -242,13 +247,7 @@ def _build_witness(run: _Run, args, game, winning):
     """Returns (witness, n, k-or-None, objective kind)."""
     n = 1 if args.reps is None else args.reps
     if args.witness is not None:
-        try:
-            run.note_input(args.witness)
-            data = load_json(args.witness)
-        except OSError as exc:
-            raise ValidationError(f"cannot read witness file {args.witness!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed JSON in {args.witness!r}: line {exc.lineno}")
+        data = _read_json(run, args.witness, "witness")
         try:
             w = witness_from_json(data)
         except HedgekitError as exc:
@@ -341,9 +340,8 @@ def cmd_hedging_demo(args) -> int:
     single = solve(compile_primal(game, game.outcomes[1]), tol=args.tol, max_iter=args.max_iter)
     run.phase("single_rep_solve", t0)
     t0 = time.perf_counter()
-    doubled = parallel_game(game, 2)
     threshold = solve(
-        compile_primal(doubled, threshold_objective(game, 2, 1)),
+        compile_primal(parallel_rounds(game, 2), threshold_objective(game, 2, 1)),
         tol=args.tol,
         max_iter=args.max_iter,
     )
@@ -358,6 +356,7 @@ def cmd_hedging_demo(args) -> int:
         _emit(run.report(results), args)
         return _STATUS_EXITS[failed[0]]
     t0 = time.perf_counter()
+    doubled = parallel_game(game, 2)
     probs = outcome_probabilities(doubled, phase_flip_strategy())
     dist = {
         "".join(map(str, key)): prob for key, prob in zip(doubled.outcome_keys, probs)

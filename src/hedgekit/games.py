@@ -29,12 +29,14 @@ threshold objective sums ``(P_0, P_1)`` over the counts ``>= k``, the
 value objective is ``1/n`` times the words with ``sum_i v_i P_i`` in one
 slot and ``sum_i P_i`` in the others, and each witness of
 :mod:`hedgekit.witnesses` is one word sum per chain level.  So they pair
-for every ``n``.
+for every ``n``.  Words are built copy by copy, each copy extending the
+words before it.  The desk cap is not checked here: :func:`parallel_rounds`
+holds labels only and builds for any ``n``, and
+:func:`~hedgekit.operators.kron` refuses the first product past the cap.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,7 @@ from .operators import (
     permute_systems,
 )
 from .sampling import random_channel
-from .spaces import DESK_DIM_CAP, SpaceList
+from .spaces import SpaceList
 
 CONSISTENCY_TOL = 1e-9
 MEASUREMENT_TOL = 1e-10
@@ -339,17 +341,6 @@ def repetitions(n: int) -> tuple:
     return (None,) if n == 1 else tuple(range(1, n + 1))
 
 
-def _capped_repetitions(g: Rounds, n: int) -> tuple:
-    """:func:`repetitions` for ``n`` copies of ``g``, refused past the desk cap."""
-    reps = repetitions(n)
-    if g.spaces.dim**n > DESK_DIM_CAP:
-        raise ValidationError(
-            f"parallel game dimension {g.spaces.dim ** n} exceeds the desk-scale "
-            f"cap {DESK_DIM_CAP}"
-        )
-    return reps
-
-
 def rep_label(label: str, rep: int | None) -> str:
     """Deterministic, collision-free per-repetition label."""
     return label if rep is None else f"{label}#{rep}"
@@ -398,8 +389,9 @@ def _extend(word, op) -> HermitianOperator:
 
 def parallel_rounds(g: Rounds, n: int) -> Rounds:
     """The rounds of ``n`` copies of ``g``, labelled by :func:`repetitions`;
-    round ``j`` holds every copy's round ``j``.  No outcome word is built."""
-    reps = _capped_repetitions(g, n)
+    round ``j`` holds every copy's round ``j``.  It holds labels only, so
+    it builds for any ``n``, past the desk cap too."""
+    reps = repetitions(n)
     return Rounds(
         rounds=g.rounds,
         spaces=SpaceList(tuple((rep_label(l, m), d) for m in reps for l, d in g.spaces)),
@@ -412,17 +404,23 @@ def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
     """Tensor ``n`` independent copies of a game, with the rounds of
     :func:`parallel_rounds`.
 
-    Outcomes are indexed by tuples of single-copy outcome keys; the
-    operator for a tuple is the tensor word of the per-copy operators.
-    The words are checked PSD through their spectra, which are the
-    products of the per-copy spectra, not by an eigensolve each.
+    Built copy by copy from the empty word: copy ``m`` extends every word
+    by each of its relabelled outcome operators, so outcomes are indexed
+    by tuples of single-copy outcome keys in lexicographic order, and the
+    first word past the desk cap is refused by
+    :func:`~hedgekit.operators.kron`.  Each word's spectrum is extended
+    alongside, as the products of the per-copy spectra, so the words are
+    checked PSD without an eigensolve each.
     """
     rounds = parallel_rounds(g, n)
     reps = repetitions(n)
-    idxs = list(itertools.product(range(g.outcome_count), repeat=n))
-    # Each copy's outcomes are relabelled once; the words keep those labels.
-    copies = [[tensor_word([p], (m,)) for p in g.outcomes] for m in reps]
-    ops = [tensor_word([c[i] for c, i in zip(copies, idx)], (None,) * n) for idx in idxs]
+    spectra = [np.linalg.eigvalsh(p.entries) for p in g.outcomes]
+    ops, keys, word_spectra = [None], [()], [1.0]
+    for m in reps:
+        copy = [tensor_word([p], (m,)) for p in g.outcomes]
+        ops = [_extend(w, p) for w in ops for p in copy]
+        keys = [k + (key,) for k in keys for key in g.outcome_keys]
+        word_spectra = [np.multiply.outer(s, t).reshape(-1) for s in word_spectra for t in spectra]
     rho = tensor_word([g.rho] * n, reps)
     game = object.__new__(OutcomeOperators)
     fields = {
@@ -431,26 +429,12 @@ def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
         "outcomes": tuple(ops),
         "rho": DensityOperator(rho.spaces, rho.entries),
         "r_blocks": tuple(tensor_word([r] * n, reps) for r in g.r_blocks),
-        "outcome_keys": tuple(tuple(g.outcome_keys[i] for i in idx) for idx in idxs),
+        "outcome_keys": tuple(keys),
     }
     for f in dataclasses.fields(OutcomeOperators):
         object.__setattr__(game, f.name, fields[f.name])
-    game._validate(_word_min_eigenvalues(g, n))
+    game._validate([float(s.min()) for s in word_spectra])
     return game
-
-
-def _word_min_eigenvalues(g: OutcomeOperators, n: int) -> list:
-    """Smallest eigenvalue of every n-fold outcome word, in
-    :func:`parallel_game` order: the spectrum of ``A (x) B`` is the set of
-    products ``a_i b_j``."""
-    spectra = [np.linalg.eigvalsh(p.entries) for p in g.outcomes]
-    out = []
-    for idx in itertools.product(range(g.outcome_count), repeat=n):
-        s = spectra[idx[0]]
-        for i in idx[1:]:
-            s = np.multiply.outer(s, spectra[i]).reshape(-1)
-        out.append(float(s.min()))
-    return out
 
 
 def group_outcomes(g: OutcomeOperators, winning) -> OutcomeOperators:
@@ -483,7 +467,7 @@ def threshold_objective(g: OutcomeOperators, n: int, k: int) -> HermitianOperato
         )
     if not 0 <= k <= n:
         raise ValidationError(f"threshold {k} out of range 0..{n}")
-    return word_sum(g.outcomes[0], g.outcomes[1], _capped_repetitions(g, n), lambda ones: ones >= k)
+    return word_sum(g.outcomes[0], g.outcomes[1], repetitions(n), lambda ones: ones >= k)
 
 
 def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
@@ -496,7 +480,7 @@ def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
         raise ValidationError(
             f"need one value per outcome ({g.outcome_count}), got {len(values)}"
         )
-    reps = _capped_repetitions(g, n)
+    reps = repetitions(n)
     ops = g.outcomes
     total = sum(ops[1:], ops[0])
     valued = sum((p * v for p, v in zip(ops[1:], values[1:])), ops[0] * values[0])

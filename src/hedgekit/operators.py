@@ -4,9 +4,11 @@ Operators are stored as dense matrices tagged with a
 :class:`~hedgekit.spaces.SpaceList`: ``float64`` when the symmetrized
 matrix has no imaginary part (exactly zero, no tolerance), ``complex128``
 otherwise.  Tensor products, partial traces, sums and scalings of real
-operators stay real.  Hermiticity is enforced on
-construction by symmetrizing away floating-point drift; drift beyond
-tolerance is an error, not silently absorbed.  Eigendecomposition
+operators stay real.  No operator past ``DESK_DIM_CAP`` exists: the
+constructor refuses one, and :func:`kron` and :func:`identity` refuse it
+before allocating.  Hermiticity is enforced on construction by
+symmetrizing away floating-point drift; drift beyond tolerance is an
+error, not silently absorbed.  Eigendecomposition
 (``numpy.linalg.eigvalsh``) is the single numerical kernel behind
 positivity tests.
 """
@@ -25,6 +27,13 @@ PSD_TOL = 1e-10
 TRACE_PRESERVING_TOL = 1e-10
 #: Largest off-diagonal entry of an operator that counts as diagonal.
 DIAGONAL_TOL = 1e-12
+
+
+def _check_cap(spaces: SpaceList):
+    if spaces.dim > DESK_DIM_CAP:
+        raise ValidationError(
+            f"total dimension {spaces.dim} exceeds the desk-scale cap {DESK_DIM_CAP}"
+        )
 
 
 def _as_matrix(entries) -> np.ndarray:
@@ -46,10 +55,7 @@ class HermitianOperator:
     def __init__(self, spaces: SpaceList, entries, *, _trusted: bool = False):
         if not isinstance(spaces, SpaceList):
             spaces = SpaceList(spaces)
-        if spaces.dim > DESK_DIM_CAP:
-            raise ValidationError(
-                f"total dimension {spaces.dim} exceeds the desk-scale cap {DESK_DIM_CAP}"
-            )
+        _check_cap(spaces)
         mat = entries if _trusted else _as_matrix(entries)
         if mat.shape[0] != spaces.dim:
             raise SpaceError(
@@ -174,6 +180,7 @@ class KrausChannel:
 def identity(spaces) -> HermitianOperator:
     if not isinstance(spaces, SpaceList):
         spaces = SpaceList(spaces)
+    _check_cap(spaces)
     return HermitianOperator._wrap(spaces, np.eye(spaces.dim))
 
 
@@ -181,10 +188,11 @@ def identity(spaces) -> HermitianOperator:
 
 
 def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Tensor product; spaces are concatenated (labels must not collide)."""
-    return HermitianOperator._wrap(
-        a.spaces.concat(b.spaces), np.kron(a.entries, b.entries)
-    )
+    """Tensor product; spaces are concatenated (labels must not collide).
+    A product past the desk-scale cap is refused before it is allocated."""
+    spaces = a.spaces.concat(b.spaces)
+    _check_cap(spaces)
+    return HermitianOperator._wrap(spaces, np.kron(a.entries, b.entries))
 
 
 def _tensor_view(op: HermitianOperator) -> np.ndarray:

@@ -56,6 +56,7 @@ from .sdp import (
     repair_witness,
     solve,
 )
+from .spaces import DESK_DIM_CAP
 
 INPUT_FEASIBILITY_TOL = 1e-9
 #: Solver tolerance of the single-round problem behind a witness.
@@ -243,10 +244,12 @@ def verify_monotone_inequality(
     the sum of ``b``-words over any monotone subset of ``{0,1}^n``
     dominates the sum of ``a``-words.  Returns ``(holds, min_eig)`` for
     the difference; preconditions are checked and the failing operator
-    is named.
+    is named.  Words past the desk-scale cap are refused.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if a0.dim**n > DESK_DIM_CAP:  # the words below are built with raw np.kron
+        raise ValidationError(f"words of dimension {a0.dim**n} exceed the desk-scale cap")
     b1 = a1 + r
     b0 = a0 - r
     for name, op in (("a0", a0), ("a1", a1), ("r", r), ("a1 + r", b1), ("a0 - r", b0)):

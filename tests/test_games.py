@@ -126,13 +126,19 @@ def test_parallel_word_psd_check_uses_copy_spectra(hedging, monkeypatch, n):
     # eigenvalues are those of the words.
     from hedgekit import games
 
-    solved = []
+    solved, derived = [], []
     original = games.min_eigenvalue
     monkeypatch.setattr(games, "min_eigenvalue", lambda op: solved.append(op) or original(op))
+    validate = games.OutcomeOperators._validate
+    monkeypatch.setattr(
+        games.OutcomeOperators, "_validate",
+        lambda self, lows=None: derived.append(lows) or validate(self, lows),
+    )
     pg = parallel_game(hedging, n)
     assert solved == []
     expect = [np.linalg.eigvalsh(w.entries)[0] for w in pg.outcomes]
-    assert_allclose(games._word_min_eigenvalues(hedging, n), expect, atol=1e-12)
+    assert len(derived) == 1
+    assert_allclose(derived[0], expect, atol=1e-12)
 
 
 def test_parallel_cap_enforced(hedging):
@@ -161,8 +167,12 @@ def test_rounds_spaces():
 
 
 def test_rounds_validated(hedging):
-    with pytest.raises(ValidationError):
-        parallel_rounds(hedging, 5)  # the desk cap, as for parallel_game
+    # The rounds hold labels only, so they build past the desk cap; the
+    # first operator past it is refused where it is built.
+    assert parallel_rounds(hedging, 8).block(1).dim == 4**8
+    for build in (lambda: threshold_objective(hedging, 5, 2), lambda: parallel_game(hedging, 5)):
+        with pytest.raises(ValidationError, match="desk-scale cap"):
+            build()
     sp = space(("Y1", 2), ("X1", 2))
     with pytest.raises(ValidationError):
         Rounds(2, sp, (("X1",),), (("Y1",),))  # one group for two rounds

@@ -126,6 +126,20 @@ def test_kron_label_collision():
         kron(identity(A2), identity(A2))
 
 
+def test_kron_and_identity_refuse_past_the_cap_before_allocating(monkeypatch):
+    a, b = identity(space(("A", 16))), identity(space(("B", 32)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a past-cap matrix was allocated")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
+    with pytest.raises(ValidationError, match="desk-scale cap"):
+        kron(a, b)  # 16 * 32 = 512 > 256
+    with pytest.raises(ValidationError, match="desk-scale cap"):
+        identity(space(("big", 4**8)))  # the block of 8 hedging copies
+
+
 def test_kron_psd_monotonicity(rng):
     # A >= B >= 0 and C >= D >= 0 implies the tensor products stay ordered.
     for _ in range(10):

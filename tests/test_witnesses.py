@@ -266,6 +266,16 @@ def test_monotone_precondition_reporting(rng):
         verify_monotone_inequality(a0, a1, big_r, 2, 1)
 
 
+def test_monotone_words_held_to_the_desk_cap():
+    rng = np.random.default_rng(0)
+    a0, a1, r = random_monotone_instance(rng, 8)
+    with pytest.raises(ValidationError, match="desk-scale cap"):
+        verify_monotone_inequality(a0, a1, r, 3, 2)  # 8^3 = 512 > 256
+    a0, a1, r = random_monotone_instance(rng, 2)
+    ok, lo = verify_monotone_inequality(a0, a1, r, 8, 7)  # 2^8 = 256, at the cap
+    assert ok, lo
+
+
 # ------------------------------------------------------------ classical oracle
 
 
