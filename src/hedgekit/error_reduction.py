@@ -19,6 +19,7 @@ from .errors import DomainError, ValidationError
 _MAX_DENOMINATOR = 64
 _COEFFICIENT_MARGIN = 0.01
 _SEARCH_CAP = 1 << 62
+_MAX_CURVE_SAMPLES = 10**6
 
 
 def binary_entropy(x: float) -> float:
@@ -219,14 +220,17 @@ def entropy_curve(x_min: float, x_max: float, step: float):
 
     Every sample satisfies ``y > x / 3``, which is what makes the
     threshold condition non-vacuous; the curve is monotone increasing
-    with ``y(1) = 1``.
+    with ``y(1) = 1``.  The step must give at most 10^6 samples.
     """
     x_min, x_max, step = float(x_min), float(x_max), float(step)
     if not (0.0 < x_min <= x_max <= 1.0):
         raise ValidationError(f"need 0 < x_min <= x_max <= 1, got [{x_min}, {x_max}]")
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValidationError(f"step must be positive, got {step!r}")
-    count = int(math.floor((x_max - x_min) / step + 1e-9)) + 1
+    span = (x_max - x_min) / step + 1e-9
+    if span >= _MAX_CURVE_SAMPLES:
+        raise ValidationError(f"step {step!r} gives over {_MAX_CURVE_SAMPLES} samples")
+    count = math.floor(span) + 1
     points = []
     for i in range(count):
         x = min(x_min + i * step, x_max)

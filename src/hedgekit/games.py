@@ -19,7 +19,8 @@ from a concrete description: an initial question/memory state and a
 final measurement.
 
 Parallel repetition is one builder: :func:`repetitions` fixes the labels
-of the copies (``L#1 ... L#n``, while a single copy keeps ``L``),
+of the copies (``L#1 ... L#n``, while a single copy keeps ``L``), and
+:func:`copy_split`, the one parser of such labels, reads them back.
 :func:`tensor_word` tensors per-copy operators under those labels and
 :func:`word_sum` sums the words over the bit strings in ``{0,1}^n`` whose
 count of ones passes a predicate, one partial sum per count of ones.
@@ -29,14 +30,15 @@ threshold objective sums ``(P_0, P_1)`` over the counts ``>= k``, the
 value objective is ``1/n`` times the words with ``sum_i v_i P_i`` in one
 slot and ``sum_i P_i`` in the others, and each witness of
 :mod:`hedgekit.witnesses` is one word sum per chain level.  So they pair
-for every ``n``.  Words are built copy by copy, each copy extending the
-words before it.  The desk cap is not checked here: :func:`parallel_rounds`
-holds labels only and builds for any ``n``, and
-:func:`~hedgekit.operators.kron` refuses the first product past the cap.
+for every ``n``.  Every word, the monotone inequality's too, extends the
+empty word copy by copy.  No cap is checked here: :func:`parallel_rounds`
+holds labels only, and :func:`~hedgekit.operators.kron` refuses the first
+product past the desk cap.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +317,9 @@ def _verify_against_simulation(g: SingleRoundGameSpec, game: OutcomeOperators):
     """Cross-check <P_k, J(Phi)> against Tr[Q_k (Phi (x) 1)(sigma)]."""
     rng = np.random.default_rng(20110301)
     in_sp, out_sp = game.question(1), game.answer(1)
+    kraus_count = max(2, math.ceil(in_sp.dim / out_sp.dim))
     for _ in range(3):
-        ch = random_channel(rng, in_sp, out_sp)
+        ch = random_channel(rng, in_sp, out_sp, kraus_count)
         j = choi(ch)
         final = apply_channel(ch, g.sigma)
         for k, (p, q) in enumerate(zip(game.outcomes, g.measurement)):
@@ -346,6 +349,27 @@ def rep_label(label: str, rep: int | None) -> str:
     return label if rep is None else f"{label}#{rep}"
 
 
+def copy_split(spaces: SpaceList, labels) -> tuple:
+    """The inverse of :func:`repetitions` and :func:`rep_label` on
+    ``labels``: ``(n, dimension of one copy)`` when they are ``L#m`` for
+    the repetitions ``m`` of ``n >= 2`` copies (outer) and the labels ``L``
+    of copy 1 (inner), with equal dimensions in every copy; else
+    ``(0, 0)``."""
+    base = [l.rpartition("#")[0] for l in labels if l.rpartition("#")[2] == "1"]
+    n = len(labels) // max(1, len(base))
+    if n < 2 or tuple(labels) != tuple(rep_label(l, m) for m in repetitions(n) for l in base):
+        return 0, 0
+    dims = [spaces.dim_of(l) for l in labels]
+    if dims != dims[: len(base)] * n:
+        return 0, 0
+    return n, math.prod(dims[: len(base)])
+
+
+def _extend(word, op) -> HermitianOperator:
+    """``word (x) op``, or ``op`` when ``word`` is the empty word (None)."""
+    return op if word is None else kron(word, op)
+
+
 def tensor_word(ops, reps) -> HermitianOperator:
     """The word ``ops[0] (x) ops[1] (x) ...`` with ``ops[m]`` relabelled to
     repetition ``reps[m]``."""
@@ -353,7 +377,7 @@ def tensor_word(ops, reps) -> HermitianOperator:
     for op, rep in zip(ops, reps):
         if rep is not None:
             op = op.relabel({l: rep_label(l, rep) for l in op.spaces.labels})
-        word = op if word is None else kron(word, op)
+        word = _extend(word, op)
     return word
 
 
@@ -380,11 +404,6 @@ def word_sum(f0, f1, reps, passes) -> HermitianOperator:
             word = _extend(sum(group[1:], group[0]), g)
             total = word if total is None else total + word
     return total
-
-
-def _extend(word, op) -> HermitianOperator:
-    """``word (x) op``, or ``op`` when ``word`` is the empty word (None)."""
-    return op if word is None else kron(word, op)
 
 
 def parallel_rounds(g: Rounds, n: int) -> Rounds:
@@ -476,6 +495,8 @@ def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:
     tuples, that is the mean over the copies of the words with the valued
     sum ``sum_i v_i P_i`` in one slot and ``sum_i P_i`` in the others."""
     values = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"outcome values must be finite, got {values}")
     if len(values) != g.outcome_count:
         raise ValidationError(
             f"need one value per outcome ({g.outcome_count}), got {len(values)}"

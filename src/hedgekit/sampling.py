@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .operators import DensityOperator, HermitianOperator, KrausChannel
 from .spaces import SpaceList
 
@@ -80,6 +81,8 @@ def random_channel(rng, input_spaces, output_spaces, kraus_count: int = 2) -> Kr
     if not isinstance(output_spaces, SpaceList):
         output_spaces = SpaceList(output_spaces)
     din, dout = input_spaces.dim, output_spaces.dim
+    if dout * kraus_count < din:
+        raise ValidationError(f"need dout * kraus_count >= din, got {dout} * {kraus_count} < {din}")
     g = _gaussian(rng, dout * kraus_count, din)
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r).real + 1e-300)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import solver as _solver
 from .errors import DomainError, SpaceError, ValidationError
-from .games import Rounds, rep_label, repetitions
+from .games import Rounds, copy_split
 from .operators import (
     HERMITICITY_TOL,
     HermitianOperator,
@@ -136,9 +136,6 @@ class SdpProblem:
     @property
     def block_names(self):
         return tuple(name for name, _ in self.blocks)
-
-    def block_space(self, name: str) -> SpaceList:
-        return dict(self.blocks)[name]
 
 
 def _check_rows(name: str, bm: _solver.BlockMap):
@@ -285,25 +282,11 @@ def _copy_symmetry(g: Rounds, objective: np.ndarray) -> CopySymmetry | None:
     objective (on ``g.block(1)``) it fixes, else None."""
     if g.rounds != 1:
         return None
-    (n, dy), (nx, dx) = (_copies(g.spaces, labels) for labels in (g.y_rounds[0], g.x_rounds[0]))
+    (n, dy), (nx, dx) = (copy_split(g.spaces, labels) for labels in (g.y_rounds[0], g.x_rounds[0]))
     if n != nx or n < 3:
         return None
     sym = CopySymmetry(n, dy, dx)
     return sym if sym.is_invariant(objective, COPY_INVARIANCE_TOL) else None
-
-
-def _copies(spaces: SpaceList, labels) -> tuple:
-    """``(n, dimension of one copy)`` when ``labels`` are ``L#m`` for the
-    repetitions ``m`` of ``n >= 2`` copies (outer) and the labels ``L`` of
-    copy 1 (inner), with equal dimensions in every copy; else ``(0, 0)``."""
-    base = [l.rpartition("#")[0] for l in labels if l.rpartition("#")[2] == "1"]
-    n = len(labels) // max(1, len(base))
-    if n < 2 or tuple(labels) != tuple(rep_label(l, m) for m in repetitions(n) for l in base):
-        return 0, 0
-    dims = [spaces.dim_of(l) for l in labels]
-    if dims != dims[: len(base)] * n:
-        return 0, 0
-    return n, math.prod(dims[: len(base)])
 
 
 def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int, basis):

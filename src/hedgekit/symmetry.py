@@ -298,7 +298,7 @@ def _reduction(sym: CopySymmetry) -> tuple:
     """The :class:`Reduction` of ``sym`` and its reduced constraints, built
     once per ``(n, dy, dx)`` and shared by every solve, which only reads
     them.  :func:`~hedgekit.sdp.compile_primal` attaches a symmetry only
-    to ``n >= 3`` copies of a block of at most ``DESK_DIM_CAP``, so few
-    keys arise."""
+    to ``n >= 3`` copies (:func:`~hedgekit.games.copy_split`) of a block
+    within the desk cap, so few keys arise."""
     red = Reduction(sym)
     return red, red.constraints()

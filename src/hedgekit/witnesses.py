@@ -25,7 +25,8 @@ for every ``n``, a single copy included.
 
 The positivity engine behind the threshold constructions is the
 monotone-set operator inequality checked by
-:func:`verify_monotone_inequality`.
+:func:`verify_monotone_inequality`, on words of the same builder's
+:func:`~hedgekit.games.tensor_word`, which leaves the desk cap to ``kron``.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .games import (
     OutcomeOperators,
     is_diagonal_game,
     repetitions,
+    tensor_word,
     value_objective,
     word_sum,
 )
@@ -56,7 +58,6 @@ from .sdp import (
     repair_witness,
     solve,
 )
-from .spaces import DESK_DIM_CAP
 
 INPUT_FEASIBILITY_TOL = 1e-9
 #: Solver tolerance of the single-round problem behind a witness.
@@ -246,10 +247,7 @@ def verify_monotone_inequality(
     the difference; preconditions are checked and the failing operator
     is named.  Words past the desk-scale cap are refused.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if a0.dim**n > DESK_DIM_CAP:  # the words below are built with raw np.kron
-        raise ValidationError(f"words of dimension {a0.dim**n} exceed the desk-scale cap")
+    reps = repetitions(n)
     b1 = a1 + r
     b0 = a0 - r
     for name, op in (("a0", a0), ("a1", a1), ("r", r), ("a1 + r", b1), ("a0 - r", b0)):
@@ -265,39 +263,29 @@ def verify_monotone_inequality(
         if not _is_monotone(indices, n):
             raise ValidationError("index set is not monotone under 0 -> 1 flips")
     diff = None
-    pairs = {0: (b0.entries, a0.entries), 1: (b1.entries, a1.entries)}
     for bits in indices:
-        left = right = np.ones((1, 1))
-        for b in bits:
-            left = np.kron(left, pairs[b][0])
-            right = np.kron(right, pairs[b][1])
+        left = tensor_word([(b0, b1)[b] for b in bits], reps)
+        right = tensor_word([(a0, a1)[b] for b in bits], reps)
         term = left - right
         diff = term if diff is None else diff + term
     if diff is None:
         return True, 0.0
-    lo = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
+    lo = min_eigenvalue(diff)
     return lo >= -1e-9, lo
 
 
-# -- classical enumeration oracle ----------------------------------------------------
+# -- classical oracle ---------------------------------------------------------------
 
 
 def classical_optimum(g: OutcomeOperators) -> float:
-    """Exhaustive deterministic-strategy optimum of a diagonal two-outcome
-    single-round game; independent of the SDP machinery."""
+    """Deterministic-strategy optimum of a diagonal two-outcome
+    single-round game, independent of the SDP machinery: the best answer
+    to each question, summed (bit for bit the enumerated maximum)."""
     _require_two_outcomes(g)
     if g.rounds != 1:
-        raise ValidationError("the enumeration oracle handles single-round games only")
+        raise ValidationError("the classical oracle handles single-round games only")
     if not is_diagonal_game(g):
-        raise DomainError("the enumeration oracle requires a diagonal game")
+        raise DomainError("the classical oracle requires a diagonal game")
     p1 = permute_systems(g.outcomes[1], g.answer(1).concat(g.question(1)).labels)
-    dy = g.answer(1).dim
-    dx = g.question(1).dim
-    if dy**dx > 2_000_000:
-        raise ValidationError("response-function alphabet exceeds desk scale")
-    table = np.diag(p1.entries).real.reshape(dy, dx)
-    best = -np.inf
-    for f in itertools.product(range(dy), repeat=dx):
-        val = sum(table[f[j], j] for j in range(dx))
-        best = max(best, val)
-    return float(best)
+    table = np.diag(p1.entries).real.reshape(g.answer(1).dim, g.question(1).dim)
+    return float(sum(table.max(axis=0)))

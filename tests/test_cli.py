@@ -420,6 +420,27 @@ def test_plot_entropy_bad_range():
     assert run("plot-entropy", "--min", "0.9", "--max", "0.5", "--step", "0.1", "--quiet") == 1
 
 
+@pytest.mark.parametrize("step", ["nan", "1e-320", "1e-12"])
+def test_plot_entropy_unusable_step_is_input_error(step, capsys):
+    assert run("plot-entropy", "--min", "0.1", "--max", "0.9", "--step", step, "--quiet") == 1
+    assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "hedging", "--objective", "value", "--values", "nan,1"),
+        ("solve", "hedging", "--objective", "value", "--values", "0,-inf", "--reps", "2"),
+        ("certify", "hedging", "--construction", "average", "--values", "1,inf"),
+        ("certify", "hedging", "--construction", "average", "--values", "nan,1", "--reps", "2"),
+    ],
+    ids=["solve-nan", "solve-inf", "certify-inf", "certify-nan"],
+)
+def test_non_finite_values_are_input_errors(argv, capsys):
+    assert run(*argv, "--quiet") == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_reports_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run("solve", "hedging", "--quiet", "--out", str(a)) == 0

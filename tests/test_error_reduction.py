@@ -214,6 +214,14 @@ def test_curve_range_validation():
         entropy_curve(0.5, 0.4, 0.1)
 
 
+@pytest.mark.parametrize("step", [float("nan"), 1e-320, 1e-12, 0.4 / 1_000_001, -0.1, 0.0])
+def test_curve_refuses_unusable_steps(step):
+    # NaN, a step whose grid overflows, and grids past 10^6 samples are
+    # refused before the first sample is drawn.
+    with pytest.raises(ValidationError, match="step"):
+        entropy_curve(0.5, 0.9, step)
+
+
 # ------------------------------------------------------------------- binomial
 
 

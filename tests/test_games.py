@@ -27,7 +27,13 @@ from hedgekit import (
     value_objective,
 )
 from hedgekit.errors import SpaceError, ValidationError
-from hedgekit.games import repetitions, strategy_from_channel, tensor_word, word_sum
+from hedgekit.games import (
+    copy_split,
+    repetitions,
+    strategy_from_channel,
+    tensor_word,
+    word_sum,
+)
 from hedgekit.hedging import WIN_PROBABILITY, hedging_game, phase_flip_strategy
 
 from hedgekit.sampling import random_channel, random_density, random_measurement
@@ -77,6 +83,24 @@ def test_incomplete_measurement_rejected(rng):
     q0, q1 = random_measurement(rng, ya.concat(z), 2)
     with pytest.raises(ValidationError):
         SingleRoundGameSpec(sigma, (q0, q1 * 0.5))
+
+
+@pytest.mark.parametrize("dq,dy", [(5, 2), (3, 1), (9, 4)])
+def test_questions_wider_than_two_answers_compile(dq, dy):
+    # The simulation cross-check draws enough Kraus operators for an
+    # isometry from the question space, so these games compile.
+    rng = np.random.default_rng(dq * 10 + dy)
+    g = make_random_game(rng, dq=dq, dy=dy)
+    assert (g.question(1).dim, g.answer(1).dim) == (dq, dy)
+    ch = random_channel(rng, g.question(1), g.answer(1), kraus_count=-(-dq // dy))
+    probs = outcome_probabilities(g, strategy_from_channel(ch))
+    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_random_channel_refuses_too_few_kraus_operators(rng):
+    with pytest.raises(ValidationError, match="kraus_count"):
+        random_channel(rng, space(("X1", 5)), space(("Y1", 2)))
+    random_channel(rng, space(("X1", 5)), space(("Y1", 2)), kraus_count=3)
 
 
 # ------------------------------------------------------------------- parallel
@@ -180,6 +204,37 @@ def test_rounds_validated(hedging):
         Rounds(1, sp, (("X1",),), (("Z",),))  # Y1 missing, Z unknown
 
 
+def _two_labels_per_round():
+    return Rounds(2, space(("Y1", 2), ("A1", 3), ("X1", 2), ("Y2", 1), ("X2", 5)),
+                  (("X1",), ("X2",)), (("Y1", "A1"), ("Y2",)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_copy_split_inverts_the_repetition_labels(hedging, n):
+    r = parallel_rounds(hedging, n)
+    assert copy_split(r.spaces, r.y_rounds[0]) == copy_split(r.spaces, r.x_rounds[0]) == (n, 2)
+    r = parallel_rounds(_two_labels_per_round(), n)
+    assert copy_split(r.spaces, r.y_rounds[0]) == (n, 6)  # two labels per copy
+    assert [copy_split(r.spaces, grp) for grp in r.x_rounds] == [(n, 2), (n, 5)]
+    assert copy_split(r.spaces, r.y_rounds[1]) == (n, 1)
+
+
+def test_copy_split_near_misses():
+    sp = space(("X#1", 2), ("X#2", 2), ("X#3", 3), ("Y#1", 2), ("Y#2", 2), ("Y#3", 2), ("X", 2))
+    for labels in (
+        ("X#2", "X#1"),  # copies out of order
+        ("X#1", "X#2", "X#3"),  # unequal per-copy dimensions
+        ("Y#1", "Y#3"),  # a missing copy
+        ("Y#1",),  # n = 1
+        ("X",),  # a single copy keeps its label
+        ("Y#1", "X#1", "Y#2"),  # a label of copy 1 with no copy 2
+    ):
+        assert copy_split(sp, labels) == (0, 0), labels
+    r = parallel_rounds(_two_labels_per_round(), 3)
+    assert copy_split(r.spaces, ("Y1#1", "A1#1", "A1#2", "Y1#2", "Y1#3", "A1#3")) == (0, 0)
+    assert copy_split(r.spaces, r.x_rounds[0] + r.x_rounds[1]) == (0, 0)
+
+
 # ------------------------------------------------------------------ objectives
 
 
@@ -273,6 +328,13 @@ def test_value_objective_constant_values(rng):
 def test_value_objective_length_mismatch(hedging):
     with pytest.raises(ValidationError):
         value_objective(hedging, (0.0, 1.0, 2.0), 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_value_objective_refuses_non_finite_values(hedging, bad):
+    for values in ((bad, 1.0), (0.0, bad)):
+        with pytest.raises(ValidationError, match="finite"):
+            value_objective(hedging, values, 2)
 
 
 # ------------------------------------------------------------------ strategies

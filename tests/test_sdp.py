@@ -36,14 +36,14 @@ P = WIN_PROBABILITY
 def test_compile_primal_shape_single_round(hedging):
     prob = compile_primal(hedging, hedging.outcomes[1])
     assert prob.block_names == ("X",)
-    assert prob.block_space("X").dim == 4
+    assert dict(prob.blocks)["X"].dim == 4
     assert prob.constraint_map.m == 4
 
 
 def test_compile_primal_shape_two_copies(hedging):
     pg = parallel_game(hedging, 2)
     prob = compile_primal(pg, threshold_objective(hedging, 2, 1))
-    assert prob.block_space("X").dim == 16
+    assert dict(prob.blocks)["X"].dim == 16
     assert prob.constraint_map.m == 16
 
 
@@ -75,7 +75,7 @@ def test_compile_from_parallel_rounds_matches_parallel_game(name, n):
 def test_uniform_point_is_feasible(hedging):
     # X = I / dim(Y) satisfies the scalarized partial-trace constraints.
     prob = compile_primal(hedging, hedging.outcomes[1])
-    x = identity(prob.block_space("X")) * 0.5
+    x = identity(dict(prob.blocks)["X"]) * 0.5
     cmap = prob.constraint_map
     assert_allclose(cmap.apply([x.entries]), cmap.b, rtol=0, atol=1e-12)
 
@@ -143,7 +143,7 @@ def test_hedging_n4_solves_without_dense_constraints(hedging):
     import tracemalloc
 
     prob = compile_primal(parallel_game(hedging, 4), threshold_objective(hedging, 4, 2))
-    m, d = prob.constraint_map.m, prob.block_space("X").dim
+    m, d = prob.constraint_map.m, dict(prob.blocks)["X"].dim
     assert (m, d) == (256, 256)
     tracemalloc.start()
     try:
@@ -388,7 +388,7 @@ def test_weak_duality_on_slater_pair(hedging):
 
 def test_weak_duality_rejects_infeasible_point(hedging):
     prob = compile_primal(hedging, hedging.outcomes[1])
-    bad = {"X": identity(prob.block_space("X"))}  # trace constraint violated
+    bad = {"X": identity(dict(prob.blocks)["X"])}  # trace constraint violated
     with pytest.raises(ValidationError, match="constraint"):
         check_weak_duality(prob, bad, prob.dual_start)
 

@@ -163,7 +163,7 @@ def assert_matches_the_dense_oracle(prob):
     rep = solve(prob, TOL)
     oracle = solve(plain(prob), TOL)
     assert rep.status == oracle.status == "optimal"
-    assert rep.solved_blocks != oracle.solved_blocks == (prob.block_space("X").dim,)
+    assert rep.solved_blocks != oracle.solved_blocks == (dict(prob.blocks)["X"].dim,)
     assert abs(rep.primal_value - oracle.primal_value) <= 10 * TOL
     assert abs(rep.dual_value - oracle.dual_value) <= 10 * TOL
     assert len(rep.dual_multipliers) == prob.constraint_map.m

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from hedgekit.hedging import (
     hedging_game,
     hedging_optimal_witness,
 )
-from hedgekit.operators import HermitianOperator
+from hedgekit.operators import HermitianOperator, permute_systems
 from hedgekit.sampling import random_monotone_instance, random_psd
 from hedgekit.witnesses import elementwise_min
 
@@ -314,6 +315,23 @@ def test_classical_optimum_matches_sdp(rng):
         assert rep.primal_value == pytest.approx(oracle, abs=1e-6)
 
 
+def test_classical_optimum_is_the_enumerated_maximum():
+    # The best answer to each question, summed, is the maximum over every
+    # response function bit for bit; past 2 million response functions
+    # (4^11) nothing is enumerated.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        dq, dy = (int(d) for d in rng.integers(1, 5, size=2))
+        g = make_random_diagonal_game(rng, dq=dq, dy=dy)
+        p1 = permute_systems(g.outcomes[1], g.answer(1).concat(g.question(1)).labels)
+        table = np.diag(p1.entries).reshape(dy, dq)
+        f_all = itertools.product(range(dy), repeat=dq)
+        assert classical_optimum(g) == max(sum(table[f[x], x] for x in range(dq)) for f in f_all)
+    g = make_random_diagonal_game(np.random.default_rng(11), dq=11, dz=1, dy=4)
+    rep = solve(compile_primal(g, g.outcomes[1]), 1e-8)
+    assert rep.primal_value == pytest.approx(classical_optimum(g), abs=1e-6)
+
+
 def test_classical_optimum_rejects_quantum_game(game):
     with pytest.raises(DomainError):
         classical_optimum(game)
@@ -414,6 +432,7 @@ def test_parallel_game_pairs_with_objectives_and_witnesses(game, w_opt, n):
 def test_zero_repetitions_rejected(game, w_opt):
     dg = dephase_game(game)
     wd = single_round_witness(dg, dg.outcomes[1])
+    monotone = random_monotone_instance(np.random.default_rng(0), 2)
     for build in (
         lambda: parallel_game(game, 0),
         lambda: threshold_objective(game, 0, 0),
@@ -423,6 +442,7 @@ def test_zero_repetitions_rejected(game, w_opt):
         lambda: witness_naive(w_opt, game, 0, 0),
         lambda: witness_recursive_snk(w_opt, game, 0, 0),
         lambda: witness_classical_binomial(wd, dg, 0, 0),
+        lambda: verify_monotone_inequality(*monotone, 0, 0),
     ):
         with pytest.raises(ValidationError, match="repetition count"):
             build()
