@@ -22,8 +22,10 @@ unseeded randomness.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -293,6 +295,8 @@ def cmd_certify(args) -> int:
     else:
         reads = {"average": ("values",), "tensor-power": ()}.get(args.construction, ("wins",))
         _refuse_unread(args, reads, f"--construction {args.construction}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValidationError(f"--tol must be finite and non-negative, got {args.tol!r}")
     run = _Run("certify")
     game, winning = _load_game(run, args.game)
     t0 = time.perf_counter()
@@ -437,7 +441,11 @@ def _add_common(sub, tol=False, max_iter=False):
     sub.add_argument("--quiet", action="store_true", help="suppress stdout output")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; every parse
+    returns a fresh namespace, and the ``cmd_*`` functions look up what
+    they call at call time."""
     parser = _Parser(prog="hedgekit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hedgekit {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)

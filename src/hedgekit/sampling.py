@@ -18,13 +18,6 @@ def _gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_hermitian(rng, spaces, scale: float = 1.0) -> HermitianOperator:
-    if not isinstance(spaces, SpaceList):
-        spaces = SpaceList(spaces)
-    g = _gaussian(rng, spaces.dim, spaces.dim)
-    return HermitianOperator(spaces, scale * (g + g.conj().T) / 2)
-
-
 def random_psd(rng, spaces, scale: float = 1.0) -> HermitianOperator:
     if not isinstance(spaces, SpaceList):
         spaces = SpaceList(spaces)
@@ -39,13 +32,6 @@ def random_density(rng, spaces) -> DensityOperator:
     g = _gaussian(rng, spaces.dim, spaces.dim)
     mat = g @ g.conj().T
     return DensityOperator(spaces, mat / np.trace(mat).real)
-
-
-def random_diagonal_density(rng, spaces) -> DensityOperator:
-    if not isinstance(spaces, SpaceList):
-        spaces = SpaceList(spaces)
-    w = rng.random(spaces.dim) + 1e-3
-    return DensityOperator(spaces, np.diag(w / w.sum()))
 
 
 def random_measurement(rng, spaces, outcomes: int) -> tuple[HermitianOperator, ...]:
@@ -63,15 +49,6 @@ def random_measurement(rng, spaces, outcomes: int) -> tuple[HermitianOperator, .
     return tuple(
         HermitianOperator(spaces, inv_sqrt @ m @ inv_sqrt) for m in raw
     )
-
-
-def random_diagonal_measurement(rng, spaces, outcomes: int) -> tuple[HermitianOperator, ...]:
-    if not isinstance(spaces, SpaceList):
-        spaces = SpaceList(spaces)
-    d = spaces.dim
-    w = rng.random((outcomes, d)) + 1e-3
-    w /= w.sum(axis=0)
-    return tuple(HermitianOperator(spaces, np.diag(w[i])) for i in range(outcomes))
 
 
 def random_channel(rng, input_spaces, output_spaces, kraus_count: int = 2) -> KrausChannel:

@@ -13,10 +13,19 @@ form: every partial-trace equality is expanded against an orthonormal
 Hermitian basis of the constrained space, giving ``dim^2`` scalar
 equations per chain link.
 A problem holds its equations only as a
-:class:`~hedgekit.solver.ConstraintMap`.  For the primal, link ``j``
-acts on the last chain block as ``I_{Y_j} (x) H_k`` up to a fixed factor
-permutation, so the solver never forms the ``d x d`` operator of a row;
-the dual's rows are built as operators and stacked with pad 1.
+:class:`~hedgekit.solver.ConstraintMap`.  For the primal, the last link
+acts on the last chain block as ``I_{Y_r} (x) H_k`` up to a fixed factor
+permutation, and its ``H_k`` are the whole basis
+(:func:`~hedgekit.solver.hermitian_basis`), so the map holds them as
+coordinates, not as a dense ``(w^2, w, w)`` array: ``b``, the dual
+start, the feasibility re-checks, the witness read-back and the
+copy-symmetric solve read and scatter the basis coordinates off matrix
+entries.  At ``w = 2^n`` copies' questions that array would be 16 MB,
+256 MB and 4 GB at ``n = 5``, 6 and 7.  Only the dense kernel builds
+the basis, once per solve, into the map it iterates on; earlier chain
+blocks hold their rows expanded (pad 1), since each carries the partial
+trace of the next link's basis too, and the dual's rows are built as
+operators and stacked with pad 1.
 
 Compilation and the witness checks read a game only through its
 :class:`~hedgekit.games.Rounds` and take a game or a bare ``Rounds``,
@@ -31,7 +40,6 @@ and its checks stay those of the dense problem.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +57,7 @@ from .operators import (
     min_eigenvalue,
     partial_trace,
 )
+from .solver import hermitian_basis, hermitian_combination, hermitian_coordinates
 from .spaces import SpaceList
 from .symmetry import CopySymmetry
 
@@ -59,30 +68,6 @@ REPAIR_MARGIN = 1e-11
 #: Entrywise drift, relative to the largest entry, up to which an
 #: objective counts as invariant under permuting the copies.
 COPY_INVARIANCE_TOL = 1e-12
-
-
-# -- scalarization machinery -----------------------------------------------------
-
-
-def hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of the Hermitian matrices of a given dimension,
-    as one ``(dim^2, dim, dim)`` array.
-
-    Order: diagonal units first, then symmetric and antisymmetric pairs
-    in row-major order.  Deterministic, so scalarized constraints can be
-    mapped back to operator form.
-    """
-    out = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
-    diag = np.arange(dim)
-    out[diag, diag, diag] = 1.0
-    rows, cols = np.triu_indices(dim, 1)
-    sym = dim + 2 * np.arange(len(rows))
-    inv = 1.0 / math.sqrt(2.0)
-    out[sym, rows, cols] = inv
-    out[sym, cols, rows] = inv
-    out[sym + 1, rows, cols] = -1j * inv
-    out[sym + 1, cols, rows] = 1j * inv
-    return out
 
 
 # -- problem containers ------------------------------------------------------------
@@ -97,8 +82,9 @@ class SdpProblem:
     The equalities are the :class:`~hedgekit.solver.ConstraintMap`
     ``constraint_map``, one block map per entry of ``blocks``.  Compilers
     pass Kronecker-structured maps; a hand-built problem stacks its rows'
-    matrices with pad dimension 1.  Every ``G_i`` must be finite and
-    Hermitian and every ``b_i`` finite.
+    matrices with pad dimension 1.  Every held ``G_i`` must be finite and
+    Hermitian and every ``b_i`` finite; coordinate rows (``G=None``) are
+    the Hermitian basis and need no check.
     """
 
     def __init__(
@@ -131,7 +117,8 @@ class SdpProblem:
         if bad.size:
             raise ValidationError(f"constraint {bad[0]} has non-finite rhs")
         for name, bm in zip(names, constraint_map.blocks):
-            _check_rows(name, bm)
+            if bm.G is not None:  # coordinate rows are a Hermitian basis
+                _check_rows(name, bm)
 
     @property
     def block_names(self):
@@ -231,7 +218,8 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     orthonormal Hermitian basis ``H_k`` of the constrained space ``W_j``.
     On block ``X_j`` they read ``<I_{Y_j} (x) H_k, X_j>``; for ``j > 1``
     they also carry ``-<Tr_{X_j}(H_k), X_{j-1}>``.  The last block keeps
-    the Kronecker form (pad ``dim Y_r``); earlier blocks, which carry
+    the Kronecker form (pad ``dim Y_r``) with its ``H_k`` held as
+    coordinates, never as a dense basis; earlier blocks, which carry
     two links, hold their rows expanded (pad 1).
 
     A single-round game of ``n >= 3`` copies labelled by
@@ -243,28 +231,23 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     r = g.rounds
     blocks = tuple((_block_name(g, j), g.block(j)) for j in range(1, r + 1))
     families = [g.family(j) for j in range(1, r + 1)]
-    bases = [hermitian_basis(w.dim) for w in families]
-    offsets = [0, *itertools.accumulate(len(basis) for basis in bases)]
+    offsets = [0, *itertools.accumulate(w.dim**2 for w in families)]
     maps = []
-    for j, basis in enumerate(bases, start=1):
-        link = _chain_link_map(g, j, families[j - 1], offsets[j - 1], basis)
+    for j, w in enumerate(families, start=1):
+        link = _chain_link_map(g, j, w, offsets[j - 1])
         if j < r:
             d = blocks[j - 1][1].dim
             x = g.question(j + 1).dim
-            coupling = -np.trace(bases[j].reshape(-1, d, x, d, x), axis1=2, axis2=4)
+            basis = hermitian_basis(families[j].dim)
+            coupling = -np.trace(basis.reshape(-1, d, x, d, x), axis1=2, axis2=4)
             link = _solver.BlockMap(
                 offsets[j - 1], offsets[j + 1], np.concatenate([link.expand(), coupling])
             )
         maps.append(link)
     b = np.zeros(offsets[-1])
-    b[: len(bases[0])] = np.trace(bases[0], axis1=1, axis2=2).real
+    b[: families[0].dim] = 1.0  # Tr H_k: 1 on the diagonal units, 0 on the pairs
     primal_point, dual_chain = slater_points(g, objective)
-    dual_start = np.concatenate(
-        [
-            (basis.reshape(len(basis), -1) @ yop.entries.T.reshape(-1)).real
-            for basis, yop in zip(bases, dual_chain)
-        ]
-    )
+    dual_start = np.concatenate([hermitian_coordinates(yop.entries) for yop in dual_chain])
     aligned = align(objective, dict(blocks)[_block_name(g, r)])
     problem = SdpProblem(
         blocks=blocks,
@@ -289,10 +272,11 @@ def _copy_symmetry(g: Rounds, objective: np.ndarray) -> CopySymmetry | None:
     return sym if sym.is_invariant(objective, COPY_INVARIANCE_TOL) else None
 
 
-def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int, basis):
+def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int):
     """Link ``j``'s rows on block ``X_j``, from row ``start``:
     ``P (I_{Y_j} (x) H_k) P^T``, where ``P`` moves the factors from
-    ``Y_j, W_j`` order to the block's (``w = W_j``)."""
+    ``Y_j, W_j`` order to the block's (``w = W_j``) and the ``H_k`` are
+    held as coordinates."""
     block = g.block(j)
     natural = tuple(g.y_rounds[j - 1]) + w.labels
     perm = None
@@ -300,7 +284,7 @@ def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int, basis):
         axes = [block.position(label) for label in natural]
         perm = np.arange(block.dim).reshape(block.dims).transpose(axes).reshape(-1)
     pad = g.answer(j).dim
-    return _solver.BlockMap(start, start + len(basis), basis, pad=pad, perm=perm)
+    return _solver.BlockMap(start, start + w.dim**2, None, pad=pad, perm=perm)
 
 
 def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
@@ -445,9 +429,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
             else cmap.compact_adjoint(problem.dual_start)[0],
         )
         (rows,) = cmap.blocks
-        raw["y"] = (rows.gflat @ raw["y"].T.reshape(-1)).real
+        raw["y"] = rows.read(raw["y"])
         if raw["farkas"] is not None:
-            ray = (rows.gflat @ raw["farkas"].T.reshape(-1)).real
+            ray = rows.read(raw["farkas"])
             raw["farkas"] = ray / np.max(np.abs(ray))
     primal_blocks = {
         n: HermitianOperator(spaces[n], x) for n, x in zip(names, raw["X"])
@@ -591,7 +575,7 @@ def dual_witness_from_report(
         raise DomainError("problem is not the compiled primal of this game")
     y = np.asarray(report.dual_multipliers, dtype=float)
     chain = [
-        HermitianOperator(w, np.tensordot(coeffs, hermitian_basis(w.dim), 1))
+        HermitianOperator(w, hermitian_combination(coeffs))
         for w, coeffs in zip(spaces, np.split(y, np.cumsum(counts)[:-1]))
     ]
     return DualWitness(Y=chain[0], Y_blocks=tuple(chain[1:]), meta=dict(meta or {}))

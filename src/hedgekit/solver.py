@@ -19,7 +19,13 @@ The constraints come as a :class:`ConstraintMap`: per block, a row range
 whose ``F_i`` are ``P (I_pad (x) G_i) P^T``.  ``A``, ``A*`` and the
 Schur matrix work on the ``w x w`` matrices ``G_i``, so a Kronecker
 block of dimension ``d = pad * w`` costs ``O(pad^2 w^4 + m w^4 + m^2 w^2)``
-per Schur assembly instead of ``O(m d^3 + m^2 d^2)``.
+per Schur assembly instead of ``O(m d^3 + m^2 d^2)``.  A block whose
+rows are the whole :func:`hermitian_basis` of the ``w x w`` matrices
+holds no ``G`` at all: ``A`` reads the basis coordinates of
+``Tr_pad(P^T X P)`` off its entries and ``A*`` scatters them back.  The
+kernel materializes such rows once, at entry, into the map it iterates
+on (:meth:`ConstraintMap.dense`), so its iterates do not depend on how
+the rows were held.
 
 Each iteration factors each block of ``X`` and ``Z`` once, a Cholesky
 factor and its inverse, then every step length costs two matmuls and one
@@ -45,6 +51,8 @@ The iterates ``X`` and ``Z`` come back in the dtype they were iterated
 in, so real data stay real from the operators to the report.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,6 +106,60 @@ def _max_step(li: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / lam
 
 
+#: The off-diagonal coefficient of the Hermitian basis.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal basis of the Hermitian matrices of a given dimension,
+    as one ``(dim^2, dim, dim)`` array.
+
+    Order: diagonal units first, then symmetric and antisymmetric pairs
+    in row-major order.  Deterministic, so scalarized constraints can be
+    mapped back to operator form.
+    """
+    out = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    diag = np.arange(dim)
+    out[diag, diag, diag] = 1.0
+    rows, cols = np.triu_indices(dim, 1)
+    sym = dim + 2 * np.arange(len(rows))
+    out[sym, rows, cols] = _INV_SQRT2
+    out[sym, cols, rows] = _INV_SQRT2
+    out[sym + 1, rows, cols] = -1j * _INV_SQRT2
+    out[sym + 1, cols, rows] = 1j * _INV_SQRT2
+    return out
+
+
+def hermitian_coordinates(s: np.ndarray) -> np.ndarray:
+    """``Re Tr(H_k s)`` for every element ``H_k`` of
+    :func:`hermitian_basis`, read off the entries of a ``w x w`` ``s``
+    (which need not be Hermitian): ``s_ii``, then ``c s_ji + c s_ij`` and
+    ``c Im s_ji - c Im s_ij`` per pair ``i < j``, ``c = 1/sqrt(2)``."""
+    w = s.shape[0]
+    rows, cols = np.triu_indices(w, 1)
+    lo, hi = s[cols, rows], s[rows, cols]
+    out = np.empty(w * w)
+    out[:w] = s.diagonal().real
+    out[w::2] = (_INV_SQRT2 * lo + _INV_SQRT2 * hi).real
+    out[w + 1 :: 2] = (_INV_SQRT2 * lo - _INV_SQRT2 * hi).imag
+    return out
+
+
+def hermitian_combination(y) -> np.ndarray:
+    """``sum_k y_k H_k`` over the elements ``H_k`` of
+    :func:`hermitian_basis`, for real coordinates ``y``, as a complex
+    ``w x w`` matrix with ``w^2 = len(y)``."""
+    y = np.asarray(y, dtype=float)
+    w = math.isqrt(len(y))
+    rows, cols = np.triu_indices(w, 1)
+    sym, anti = _INV_SQRT2 * y[w::2], _INV_SQRT2 * y[w + 1 :: 2]
+    out = np.zeros((w, w), dtype=np.complex128)
+    out[np.arange(w), np.arange(w)] = y[:w]
+    out[rows, cols] = sym - 1j * anti
+    out[cols, rows] = sym + 1j * anti
+    return out
+
+
 class BlockMap:
     """The constraint rows ``start:stop`` restricted to one PSD block.
 
@@ -106,6 +168,10 @@ class BlockMap:
     ``pad * w``.  ``perm[k]`` is the block index of natural-order index
     ``k`` (the pad factor first); ``perm=None`` means ``P = I``.  A real
     ``G`` is kept as ``float64``, any other as ``complex128``.
+    ``G=None`` stands for the rows ``hermitian_basis(w)``, ``w^2 = stop -
+    start``, held as coordinates: :meth:`read` and :meth:`scatter` work
+    on the matrix entries, :meth:`rows` builds the basis on demand and
+    :meth:`schur` needs it held (:meth:`dense`).
 
     The Schur contribution ``Re Tr(F_i X F_j Z^-1)`` of the block is
     assembled by whichever of two formulas needs fewer flops for its
@@ -114,36 +180,66 @@ class BlockMap:
     """
 
     def __init__(self, start: int, stop: int, G, pad: int = 1, perm=None):
-        G = np.asarray(G)
-        G = np.asarray(G, dtype=np.complex128 if np.iscomplexobj(G) else np.float64)
         count = stop - start
-        if count < 0 or G.ndim != 3 or G.shape[0] != count or G.shape[1] != G.shape[2]:
-            raise ValidationError(
-                f"block map rows {start}:{stop} do not match a G of shape {G.shape}"
-            )
+        if G is None:
+            w = math.isqrt(max(count, 0))
+            fits = w * w == count
+        else:
+            G = np.asarray(G)
+            G = np.asarray(G, dtype=np.complex128 if np.iscomplexobj(G) else np.float64)
+            w = G.shape[-1] if G.ndim == 3 else -1
+            fits = G.shape == (count, w, w)
+        if count < 0 or not fits:
+            shape = "the Hermitian basis" if G is None else f"a G of shape {G.shape}"
+            raise ValidationError(f"block map rows {start}:{stop} do not match {shape}")
         if pad < 1:
             raise ValidationError("pad dimension must be positive")
-        self.start, self.stop, self.pad, self.G = start, stop, pad, G
-        self.w = G.shape[1]
-        self.dim = pad * self.w
+        self.start, self.stop, self.pad, self.G, self.w = start, stop, pad, G, w
+        self.dim = pad * w
         self.perm = None if perm is None else np.asarray(perm, dtype=np.intp)
         self.inv = None if perm is None else np.argsort(self.perm)
-        w2 = self.w * self.w
-        self.gflat = G.reshape(count, w2)
+        w2 = w * w
         self._eye = np.eye(pad)[:, None, :, None]
         kron_flops = pad * pad * w2 * w2 + count * w2 * w2 + count * count * w2
         batched_flops = 2 * count * self.dim**3 + count * count * self.dim**2
         self.kron_schur = kron_flops < batched_flops
+        self.gflat = None if G is None else G.reshape(count, w2)
+        if G is None:
+            return
         if self.kron_schur:
             self._gt = G.transpose(0, 2, 1).reshape(count, w2)
         else:
             self._f = self.expand()
             self._fflat = self._f.reshape(count, self.dim * self.dim)
 
+    def rows(self) -> np.ndarray:
+        """The ``(stop - start, w, w)`` stack of the ``G_i``."""
+        return hermitian_basis(self.w) if self.G is None else self.G
+
+    def dense(self) -> "BlockMap":
+        """This map with its rows held as ``G``: itself unless it holds
+        coordinate rows, whose basis it then materializes."""
+        if self.G is not None:
+            return self
+        return BlockMap(self.start, self.stop, self.rows(), pad=self.pad, perm=self.perm)
+
     def expand(self) -> np.ndarray:
         """Dense ``(stop - start, dim, dim)`` stack of the ``F_i``, block order."""
-        f = self.G if self.pad == 1 else np.kron(np.eye(self.pad), self.G)
+        G = self.rows()
+        f = G if self.pad == 1 else np.kron(np.eye(self.pad), G)
         return f if self.inv is None else f[:, self.inv[:, None], self.inv]
+
+    def read(self, s: np.ndarray) -> np.ndarray:
+        """``Re Tr(G_i s)`` over this block's rows, for a ``w x w`` ``s``."""
+        if self.G is None:
+            return hermitian_coordinates(s)
+        return (self.gflat @ s.T.reshape(-1)).real
+
+    def scatter(self, y: np.ndarray) -> np.ndarray:
+        """``sum_i y_i G_i`` for one coefficient per row of this block."""
+        if self.G is None:
+            return hermitian_combination(y)
+        return (y @ self.gflat).reshape(self.w, self.w)
 
     def natural(self, a: np.ndarray) -> np.ndarray:
         """``P^T a P``: a block matrix in natural (pad-first) order."""
@@ -166,7 +262,8 @@ class BlockMap:
         return np.trace(a.reshape(p, w, p, w), axis1=0, axis2=2)
 
     def schur(self, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-        """``Re Tr(F_i x F_j zi)`` over this block's rows."""
+        """``Re Tr(F_i x F_j zi)`` over this block's rows, which it must
+        hold as ``G`` (:meth:`dense`)."""
         count = self.stop - self.start
         if self.kron_schur:
             # K[(b,a),(c,e)] = sum_{y,z} x[yb, zc] zi[ze, ya], then M = G^T K G
@@ -199,26 +296,33 @@ class ConstraintMap:
         """A(X): the vector of ``Re Tr(F_i X)`` (``X`` need not be Hermitian)."""
         out = np.zeros(self.m)
         for bm, a in zip(self.blocks, mats):
-            out[bm.start : bm.stop] += (bm.gflat @ bm.pad_trace(a).T.reshape(-1)).real
+            out[bm.start : bm.stop] += bm.read(bm.pad_trace(a))
         return out
 
     def compact_adjoint(self, y: np.ndarray):
         """Per block ``sum_i y_i G_i``; ``A*(y)`` is its lift."""
-        return [(y[bm.start : bm.stop] @ bm.gflat).reshape(bm.w, bm.w) for bm in self.blocks]
+        return [bm.scatter(y[bm.start : bm.stop]) for bm in self.blocks]
 
     def adjoint(self, y: np.ndarray):
         """A*(y): block list of ``sum_i y_i F_i``."""
         return [bm.lift(s) for bm, s in zip(self.blocks, self.compact_adjoint(y))]
 
     def schur(self, X, Zi) -> np.ndarray:
-        """The HKM Schur matrix ``M_ij = Re Tr(F_i X F_j Z^-1)``."""
+        """The HKM Schur matrix ``M_ij = Re Tr(F_i X F_j Z^-1)``, on a map
+        that holds its rows (:meth:`dense`)."""
         M = np.zeros((self.m, self.m))
         for bm, x, zi in zip(self.blocks, X, Zi):
             M[bm.start : bm.stop, bm.start : bm.stop] += bm.schur(x, zi)
         return M
 
+    def dense(self) -> "ConstraintMap":
+        """This map with every block's rows held as ``G``
+        (:meth:`BlockMap.dense`): the map the kernel iterates on."""
+        return ConstraintMap([bm.dense() for bm in self.blocks], self.b)
+
     def max_row_norm(self) -> float:
-        """Largest Frobenius norm of one constraint restricted to one block."""
+        """Largest Frobenius norm of one constraint restricted to one block
+        (of a map that holds its rows, like :meth:`schur`)."""
         return max(
             (
                 float(np.sqrt(bm.pad) * np.max(np.linalg.norm(bm.gflat, axis=1)))
@@ -252,7 +356,7 @@ def interior_point(
     the dropped rows, and ``X`` and ``Z`` as ``float64``; any other problem
     returns them as ``complex128``.  ``blocks`` lists the block dimensions.
     """
-    A = constraints
+    A = constraints.dense()
     C = [np.asarray(c, dtype=np.complex128) for c in c_blocks]
     if A.m == 0:
         raise ValidationError("problem has no constraints")

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from hedgekit import (
+    DensityOperator,
+    HermitianOperator,
     OutcomeOperators,
     SingleRoundGameSpec,
     SpaceList,
@@ -10,12 +12,31 @@ from hedgekit import (
     kron,
     outcome_operators_single_round,
 )
-from hedgekit.sampling import (
-    random_density,
-    random_diagonal_density,
-    random_diagonal_measurement,
-    random_measurement,
-)
+from hedgekit.sampling import random_density, random_measurement
+
+
+def random_hermitian(rng, spaces, scale: float = 1.0) -> HermitianOperator:
+    if not isinstance(spaces, SpaceList):
+        spaces = SpaceList(spaces)
+    d = spaces.dim
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return HermitianOperator(spaces, scale * (g + g.conj().T) / 2)
+
+
+def random_diagonal_density(rng, spaces) -> DensityOperator:
+    if not isinstance(spaces, SpaceList):
+        spaces = SpaceList(spaces)
+    w = rng.random(spaces.dim) + 1e-3
+    return DensityOperator(spaces, np.diag(w / w.sum()))
+
+
+def random_diagonal_measurement(rng, spaces, outcomes: int) -> tuple:
+    """A POVM of diagonal effects, for classical games."""
+    if not isinstance(spaces, SpaceList):
+        spaces = SpaceList(spaces)
+    w = rng.random((outcomes, spaces.dim)) + 1e-3
+    w /= w.sum(axis=0)
+    return tuple(HermitianOperator(spaces, np.diag(w[i])) for i in range(outcomes))
 
 
 def make_random_game(rng, dq=2, dz=2, dy=2, outcomes=2) -> OutcomeOperators:

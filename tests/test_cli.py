@@ -8,7 +8,7 @@ from hedgekit.cli import main
 from hedgekit.errors import DomainError, NumericalError, SpaceError, ValidationError
 from hedgekit.serialize import dump_json, game_to_json, load_json
 
-from conftest import make_random_game
+from conftest import make_random_game, random_diagonal_density, random_diagonal_measurement
 
 P = math.cos(math.pi / 8) ** 2
 
@@ -263,7 +263,6 @@ def test_solve_and_certify_build_no_parallel_game(tmp_path, monkeypatch):
     # and check against parallel_rounds; the demo still evaluates a
     # strategy on the outcome words of parallel_game.
     from hedgekit import cli
-    from hedgekit.sampling import random_diagonal_density, random_diagonal_measurement
     from hedgekit.serialize import operator_to_json
     from hedgekit.spaces import space
 
@@ -439,6 +438,36 @@ def test_plot_entropy_unusable_step_is_input_error(step, capsys):
 def test_non_finite_values_are_input_errors(argv, capsys):
     assert run(*argv, "--quiet") == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_certify_refuses_an_unusable_tolerance(tol, tmp_path, capsys):
+    # a NaN or negative tolerance read every witness as infeasible, and
+    # an infinite one passed any witness
+    out = tmp_path / "r.json"
+    code = run(
+        "certify", "hedging", "--construction", "naive", "--reps", "2", "--wins", "1",
+        f"--tol={tol}", "--quiet", "--out", str(out),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--tol" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_main_runs_repeatedly_in_one_process(tmp_path, capsys):
+    # the parser is built once and every call parses afresh
+    out = tmp_path / "r.json"
+    assert run("solve", "hedging", "--quiet", "--out", str(out)) == 0
+    assert read(out)["results"]["status"] == "optimal"
+    assert run("solve", "hedging", "--objective", "threshold", "--reps", "2", "--quiet") == 1
+    assert "--wins" in capsys.readouterr().err
+    assert run(
+        "certify", "hedging", "--construction", "naive", "--reps", "2", "--wins", "1",
+        "--quiet", "--out", str(out),
+    ) == 0
+    assert read(out)["results"]["feasible"] is True
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_reports_deterministic(tmp_path):

@@ -19,7 +19,9 @@ from hedgekit import (
     space,
 )
 from hedgekit.errors import SpaceError, ValidationError
-from hedgekit.sampling import random_channel, random_density, random_hermitian, random_psd
+from hedgekit.sampling import random_channel, random_density, random_psd
+
+from conftest import random_hermitian
 
 A2 = space(("A", 2))
 B2 = space(("B", 2))

@@ -75,7 +75,7 @@ def phase_rotated(prob: SdpProblem) -> SdpProblem:
     Kronecker form: ``G_i -> D_w G_i D_w^dag``, and ``C`` and the primal
     start ``-> D . D^dag``.  The optimum and the multipliers do not change."""
     maps, objective, start = [], {}, {}
-    for (name, sp), bm in zip(prob.blocks, prob.constraint_map.blocks):
+    for (name, sp), bm in zip(prob.blocks, prob.constraint_map.dense().blocks):
         dw = np.exp(1j * (0.4 + 0.9 * np.arange(bm.w)))
         maps.append(
             BlockMap(bm.start, bm.stop, dw[:, None] * bm.G * dw.conj(), pad=bm.pad, perm=bm.perm)
@@ -131,7 +131,7 @@ def test_real_form_multipliers_are_a_complex_dual_point(hedging, kernel_dtype):
 
 def test_real_form_drops_exactly_the_imaginary_rows(hedging):
     prob = compile_primal(parallel_game(hedging, 4), threshold_objective(hedging, 4, 2))
-    A = prob.constraint_map
+    A = prob.constraint_map.dense()
     (name,) = prob.block_names
     c = [prob.objective[name].entries]
     keep = solver._real_rows(c, A, [prob.primal_start[name].entries], prob.dual_start)

@@ -21,6 +21,7 @@ from hedgekit import (
 )
 from hedgekit.errors import DomainError, SpaceError, ValidationError
 from hedgekit.hedging import WIN_PROBABILITY, hedging_optimal_witness
+from hedgekit import sdp, solver
 from hedgekit.sdp import check_weak_duality, compile_dual, hermitian_basis, slater_points
 from hedgekit.solver import BlockMap, ConstraintMap
 from hedgekit.witnesses import classical_optimum
@@ -52,7 +53,8 @@ def _problem_bytes(prob):
            prob.dual_start.tobytes()]
     for bm in prob.constraint_map.blocks:
         perm = None if bm.perm is None else bm.perm.tobytes()
-        out += [bm.start, bm.stop, bm.pad, bm.G.dtype, bm.G.shape, bm.G.tobytes(), perm]
+        rows = bm.dense().G
+        out += [bm.start, bm.stop, bm.pad, rows.dtype, rows.shape, rows.tobytes(), perm]
     for ops in (prob.objective, prob.primal_start):
         out += [(name, op.spaces, op.entries.tobytes()) for name, op in sorted(ops.items())]
     return out
@@ -134,7 +136,7 @@ def test_constraint_map_matches_dense_expansion(name, hedging):
         for f, x, zi in zip(F, X, Zi)
     )
     scale = max(1.0, float(np.max(np.abs(dense_m))))
-    assert_allclose(cmap.schur(X, Zi), dense_m, rtol=0, atol=1e-12 * scale)
+    assert_allclose(cmap.dense().schur(X, Zi), dense_m, rtol=0, atol=1e-12 * scale)
 
 
 def test_hedging_n4_solves_without_dense_constraints(hedging):
@@ -154,6 +156,84 @@ def test_hedging_n4_solves_without_dense_constraints(hedging):
     assert rep.status == "optimal"
     assert abs(rep.primal_value - 1.0) <= 10 * 1e-8
     assert peak < m * d * d * 16 / 8
+
+
+def _refuse_the_basis(monkeypatch):
+    def refuse(dim):
+        raise AssertionError(f"a dense Hermitian basis of dimension {dim} was built")
+
+    monkeypatch.setattr(solver, "hermitian_basis", refuse)
+    monkeypatch.setattr(sdp, "hermitian_basis", refuse)
+
+
+def test_last_link_rows_of_seven_copies_hold_no_basis(hedging, monkeypatch):
+    # w = 2^7: the dense basis would be a (16384, 128, 128) complex array,
+    # 4 GB.  The rows are read and scattered as coordinates instead.
+    g = parallel_rounds(hedging, 7)
+    _refuse_the_basis(monkeypatch)
+    bm = sdp._chain_link_map(g, 1, g.family(1), 0)
+    assert (bm.w, bm.pad, bm.stop, bm.G) == (128, 128, 128**2, None)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(bm.stop)
+    (s,) = ConstraintMap([bm], np.zeros(bm.stop)).compact_adjoint(y)
+    assert np.array_equal(s, s.conj().T)
+    # the same rows on a block without the pad factor, through apply
+    cmap = ConstraintMap([BlockMap(0, bm.stop, None)], np.zeros(bm.stop))
+    assert_allclose(cmap.apply(cmap.compact_adjoint(y)), y, rtol=0, atol=1e-15)
+    a = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    assert_allclose(cmap.adjoint(cmap.apply([a]))[0], (a + a.conj().T) / 2, rtol=0, atol=1e-14)
+
+
+def test_copy_symmetric_solve_never_builds_the_basis(hedging, monkeypatch):
+    g = parallel_rounds(hedging, 3)
+    objective = threshold_objective(hedging, 3, 2)
+    _refuse_the_basis(monkeypatch)
+    prob = compile_primal(g, objective)
+    rep = solve(prob, 1e-8)
+    assert rep.status == "optimal" and rep.solved_blocks != (64,)
+    pv, dv = check_weak_duality(prob, rep.primal_blocks, rep.dual_multipliers)
+    assert pv == pytest.approx(rep.primal_value, abs=1e-12)
+    witness = dual_witness_from_report(g, prob, rep)
+    assert witness.value == pytest.approx(rep.dual_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("w", [2, 4, 8, 16])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_coordinate_rows_match_their_expansion(w, dtype):
+    # apply, compact_adjoint and adjoint of coordinate rows (behind a pad
+    # factor and a permutation) against the products of the expand() rows,
+    # on matrices that need not be Hermitian
+    rng = np.random.default_rng(w)
+    pad = 3
+    bm = BlockMap(0, w * w, None, pad=pad, perm=rng.permutation(pad * w))
+    cmap = ConstraintMap([bm], np.zeros(w * w))
+    f = bm.expand()
+    x = rng.standard_normal((pad * w,) * 2).astype(dtype)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal((pad * w,) * 2)
+    y = rng.standard_normal(w * w)
+    assert_allclose(cmap.apply([x]), np.einsum("iab,ba->i", f, x).real, rtol=0, atol=1e-12)
+    assert_allclose(
+        cmap.compact_adjoint(y)[0], np.tensordot(y, hermitian_basis(w), 1), rtol=0, atol=1e-15
+    )
+    assert_allclose(cmap.adjoint(y)[0], np.tensordot(y, f, 1), rtol=0, atol=1e-15)
+    with pytest.raises(ValidationError, match="Hermitian basis"):
+        BlockMap(0, w * w + 1, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compiled_b_and_dual_start_are_the_dense_rows_products(hedging, n):
+    # w = 2^n; the kernel starts from these bits, so they match exactly
+    objective = hedging.outcomes[1] if n == 1 else threshold_objective(hedging, n, 1)
+    g = parallel_rounds(hedging, n)
+    prob = compile_primal(g, objective)
+    (bm,) = prob.constraint_map.blocks
+    assert bm.G is None
+    (working,) = prob.constraint_map.dense().blocks
+    assert np.array_equal(working.G, hermitian_basis(2**n))
+    (y,) = slater_points(g, objective)[1]
+    assert np.array_equal(prob.constraint_map.b, np.trace(working.G, axis1=1, axis2=2).real)
+    assert np.array_equal(prob.dual_start, (working.gflat @ y.entries.T.reshape(-1)).real)
 
 
 # ---------------------------------------------------------------------- solving

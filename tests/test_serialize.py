@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from hedgekit import space
 from hedgekit.errors import ValidationError
 from hedgekit.hedging import hedging_game, hedging_optimal_witness
-from hedgekit.sampling import random_density, random_hermitian
+from hedgekit.sampling import random_density
 from hedgekit.serialize import (
     game_from_json,
     game_to_json,
@@ -18,7 +18,7 @@ from hedgekit.serialize import (
 )
 from hedgekit.witnesses import single_round_witness
 
-from conftest import make_r2_product_game
+from conftest import make_r2_product_game, random_hermitian
 
 
 def test_operator_round_trip(rng):
@@ -107,7 +107,7 @@ def test_game_requires_type():
 
 
 def test_two_round_game_round_trip(rng):
-    from conftest import make_r2_product_game
+    from conftest import make_r2_product_game, random_hermitian
 
     _, _, stacked = make_r2_product_game(rng)
     data = game_to_json(stacked, winning=(3,))  # winning holds P-list indices
@@ -122,7 +122,7 @@ def test_two_round_game_round_trip(rng):
 
 
 def test_multi_round_game_needs_round_groups(rng):
-    from conftest import make_r2_product_game
+    from conftest import make_r2_product_game, random_hermitian
 
     _, _, stacked = make_r2_product_game(rng)
     data = game_to_json(stacked)
