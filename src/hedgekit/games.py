@@ -484,9 +484,10 @@ def threshold_objective(g: OutcomeOperators, n: int, k: int) -> HermitianOperato
         raise ValidationError(
             f"threshold objectives need exactly two outcomes, got {g.outcome_count}"
         )
+    reps = repetitions(n)
     if not 0 <= k <= n:
         raise ValidationError(f"threshold {k} out of range 0..{n}")
-    return word_sum(g.outcomes[0], g.outcomes[1], repetitions(n), lambda ones: ones >= k)
+    return word_sum(g.outcomes[0], g.outcomes[1], reps, lambda ones: ones >= k)
 
 
 def value_objective(g: OutcomeOperators, values, n: int) -> HermitianOperator:

@@ -33,13 +33,15 @@ such as :func:`~hedgekit.games.parallel_rounds`, alike.
 
 A compiled single-round game of ``n >= 3`` identical copies whose
 objective is invariant under permuting them carries its
-:class:`~hedgekit.symmetry.CopySymmetry`; :func:`solve` then iterates on
-the ``S_n``-reduced blocks and lifts the solution back, so the report
-and its checks stay those of the dense problem.
+:class:`~hedgekit.symmetry.CopySymmetry`; :func:`solve` then passes the
+kernel the ``S_n``-reduced problem in place of the dense one, a change
+of variables around its one kernel call, and lifts the solution back,
+so the report and its checks stay those of the dense problem.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +61,7 @@ from .operators import (
 )
 from .solver import hermitian_basis, hermitian_combination, hermitian_coordinates
 from .spaces import SpaceList
-from .symmetry import CopySymmetry
+from .symmetry import CopySymmetry, reduction
 
 FEASIBILITY_TOL = 1e-8
 WEAK_DUALITY_SLACK = 1e-7
@@ -102,6 +104,8 @@ class SdpProblem:
         self.offset = offset
         self.primal_start = primal_start
         self.dual_start = dual_start
+        #: set by :func:`compile_primal` on a copy-symmetric problem
+        self._copy_symmetry = None
         names = [name for name, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate block names")
@@ -391,14 +395,21 @@ def slater_points(g: Rounds, objective: HermitianOperator):
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
     """Solve a standard-form problem with the embedded interior-point kernel.
 
-    A problem that :func:`compile_primal` found copy-symmetric iterates
-    on its ``S_n``-reduced blocks (:meth:`~hedgekit.symmetry.CopySymmetry.interior_point`); the
-    report is the dense problem's all the same, with the solution lifted
-    back and re-checked against the dense constraints, and
-    ``solved_blocks`` naming the blocks the kernel iterated on.
+    The kernel runs once.  A problem that :func:`compile_primal` found
+    copy-symmetric hands it the ``S_n``-reduced problem
+    (:func:`~hedgekit.symmetry.reduction`): the objective and the starting
+    points compressed into the reduced blocks, and the reduced rows.  The
+    report is the dense problem's all the same: ``X`` lifted back and
+    re-checked against the dense constraints, the multipliers and any
+    Farkas ray read back in the dense rows, and ``solved_blocks`` naming
+    the blocks the kernel iterated on.
     """
     if not 1e-10 <= tol <= 1e-2:
         raise ValidationError(f"tol must lie in [1e-10, 1e-2], got {tol!r}")
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise ValidationError(f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 1:
         raise ValidationError("max_iter must be positive")
     names = problem.block_names
@@ -411,27 +422,24 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     x_start = None
     if problem.primal_start is not None:
         x_start = [problem.primal_start[n].entries for n in names]
-    cmap = problem.constraint_map
-    symmetry = getattr(problem, "_copy_symmetry", None)
-    if symmetry is None:
-        raw = _solver.interior_point(
-            c_blocks, cmap, tol=tol, max_iter=max_iter,
-            x_start=x_start, y_start=problem.dual_start,
-        )
-    else:
+    cmap, y_start, symmetry = problem.constraint_map, problem.dual_start, problem._copy_symmetry
+    if symmetry is not None:
         # compile_primal's rows are an orthonormal Hermitian basis G_k of
-        # the question space; the reduced kernel takes and returns dual
-        # points as operators there, and y_k = Re Tr(G_k Y)
-        raw = symmetry.interior_point(
-            c_blocks[0], tol, max_iter,
-            x_start=None if x_start is None else x_start[0],
-            y_start=None if problem.dual_start is None
-            else cmap.compact_adjoint(problem.dual_start)[0],
-        )
+        # the question space: a dual point y is the operator Y = sum_k y_k G_k
+        # there, and the reduced rows read its coordinates off Y
         (rows,) = cmap.blocks
-        raw["y"] = rows.read(raw["y"])
+        red, cmap = reduction(symmetry)
+        c_blocks = [f * c for f, c in zip(red.multiplicities, red.compress(c_blocks[0]))]
+        x_start = None if x_start is None else red.compress(x_start[0])
+        y_start = None if y_start is None else red.coordinates(rows.scatter(y_start))
+    raw = _solver.interior_point(
+        c_blocks, cmap, tol=tol, max_iter=max_iter, x_start=x_start, y_start=y_start
+    )
+    if symmetry is not None:
+        raw["X"] = [red.lift(raw["X"])]
+        raw["y"] = rows.read(red.operator(raw["y"]))
         if raw["farkas"] is not None:
-            ray = rows.read(raw["farkas"])
+            ray = rows.read(red.operator(raw["farkas"]))
             raw["farkas"] = ray / np.max(np.abs(ray))
     primal_blocks = {
         n: HermitianOperator(spaces[n], x) for n, x in zip(names, raw["X"])
@@ -537,8 +545,11 @@ def check_dual_feasibility(
 
     Returns the per-constraint minimum eigenvalues; the witness is
     feasible iff all are at least ``-tol``, in which case ``Tr(Y)`` is a
-    certified upper bound on the primal optimum by weak duality.
+    certified upper bound on the primal optimum by weak duality.  A
+    ``tol`` that is not finite and non-negative is refused.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and non-negative, got {tol!r}")
     _check_objective(g, objective)
     if w.rounds != g.rounds:
         raise SpaceError(f"witness has {w.rounds} rounds, game has {g.rounds}")

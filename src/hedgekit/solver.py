@@ -25,7 +25,8 @@ holds no ``G`` at all: ``A`` reads the basis coordinates of
 ``Tr_pad(P^T X P)`` off its entries and ``A*`` scatters them back.  The
 kernel materializes such rows once, at entry, into the map it iterates
 on (:meth:`ConstraintMap.dense`), so its iterates do not depend on how
-the rows were held.
+the rows were held; a problem solved in its real form (below) iterates
+on the real rows alone, and that complex map is dropped first.
 
 Each iteration factors each block of ``X`` and ``Z`` once, a Cholesky
 factor and its inverse, then every step length costs two matmuls and one
@@ -44,8 +45,8 @@ at the imaginary rows, are a complex dual point (its Farkas rays
 likewise).  Such a problem drops its imaginary rows and iterates in
 ``float64``; at four hedging copies solved densely 136 of 256 rows
 remain, and each Cholesky factor, inverse and ``eigvalsh`` costs about a
-quarter of its complex flops.  (:mod:`hedgekit.sdp` solves those copies
-in their ``S_n``-reduced blocks, through this same kernel.)  The test is
+quarter of its complex flops.  (:func:`hedgekit.sdp.solve` passes this
+kernel those copies' ``S_n``-reduced problem instead.)  The test is
 exact, with no tolerance; any other problem iterates in ``complex128``.
 The iterates ``X`` and ``Z`` come back in the dtype they were iterated
 in, so real data stay real from the operators to the report.
@@ -176,7 +177,9 @@ class BlockMap:
     The Schur contribution ``Re Tr(F_i X F_j Z^-1)`` of the block is
     assembled by whichever of two formulas needs fewer flops for its
     shape: the Kronecker contraction, which never forms an ``F_i``, or
-    the batched ``X F_j Z^-1`` products over the expanded ``F_i``.
+    the batched ``X F_j Z^-1`` products over the expanded ``F_i``.  The
+    map holds only ``G``; each assembly forms the ``G_i^T`` or the
+    ``F_i`` it reads (with pad 1 and no permutation the ``F_i`` are ``G``).
     """
 
     def __init__(self, start: int, stop: int, G, pad: int = 1, perm=None):
@@ -204,13 +207,6 @@ class BlockMap:
         batched_flops = 2 * count * self.dim**3 + count * count * self.dim**2
         self.kron_schur = kron_flops < batched_flops
         self.gflat = None if G is None else G.reshape(count, w2)
-        if G is None:
-            return
-        if self.kron_schur:
-            self._gt = G.transpose(0, 2, 1).reshape(count, w2)
-        else:
-            self._f = self.expand()
-            self._fflat = self._f.reshape(count, self.dim * self.dim)
 
     def rows(self) -> np.ndarray:
         """The ``(stop - start, w, w)`` stack of the ``G_i``."""
@@ -273,9 +269,12 @@ class BlockMap:
             xs = x4.transpose(1, 3, 0, 2).reshape(w * w, p * p)
             zs = z4.transpose(2, 0, 3, 1).reshape(p * p, w * w)
             k = (xs @ zs).reshape(w, w, w, w).transpose(0, 2, 1, 3).reshape(w * w, w * w)
-            return (self._gt @ k @ self.gflat.T).real
-        t = x[None] @ self._f @ zi[None]
-        return (self._fflat @ t.transpose(0, 2, 1).reshape(count, self.dim * self.dim).T).real
+            gt = self.G.transpose(0, 2, 1).reshape(count, w * w)
+            return (gt @ k @ self.gflat.T).real
+        f = self.expand()
+        t = x[None] @ f @ zi[None]
+        fflat = f.reshape(count, self.dim * self.dim)
+        return (fflat @ t.transpose(0, 2, 1).reshape(count, self.dim * self.dim).T).real
 
 
 class ConstraintMap:
@@ -363,9 +362,10 @@ def interior_point(
     keep = _real_rows(C, A, x_start, y_start)
     if keep is None:
         return _iterate(C, A, tol, max_iter, x_start, y_start)
+    m, A = A.m, _real_map(A, keep)  # the complex rows are not kept while iterating
     out = _iterate(
         [c.real for c in C],
-        _real_map(A, keep),
+        A,
         tol,
         max_iter,
         None if x_start is None else [np.asarray(x).real for x in x_start],
@@ -373,7 +373,7 @@ def interior_point(
     )
     for key in ("y", "farkas"):
         if out[key] is not None:
-            full = np.zeros(A.m)
+            full = np.zeros(m)
             full[keep] = out[key]
             out[key] = full
     return out

@@ -23,14 +23,16 @@ the content of ``k`` in ``T``.  The reduced problem
 (``U = U_{T_0}``, the first tableau of each shape) has one row per
 element ``K_a`` of an orthonormal basis of the ``S_n``-invariant Hermitian
 operators on ``X^(x)n``.  Its optimum is the dense optimum: the dense
-rows outside that span vanish on invariant ``X``.  The kernel needs only
-the dense objective ``C``: the rows are fixed by ``(n, dy, dx)``.  Its
-solution lifts back: ``X`` as the ``S_n`` average of ``sum_lambda f_lambda
-U X_lambda U^T``, which by Schur's lemma is the sum above (the Reynolds
-operator of the group), and ``y`` and any Farkas ray as the
-operator ``Y = sum_a y_a K_a`` on ``X^(x)n``, whose dense dual slack
-``I_Y (x) Y - C`` restricts to ``f_lambda`` copies of each reduced slack.
-Any basis of dense rows reads its multipliers off ``Y``.
+rows outside that span vanish on invariant ``X``.  The reduced rows are
+fixed by ``(n, dy, dx)`` (:func:`reduction`); this module builds them and
+the maps between the two problems, and :func:`~hedgekit.sdp.solve` runs
+the kernel on the reduced one.  Its solution lifts back: ``X`` as the
+``S_n`` average of ``sum_lambda f_lambda U X_lambda U^T``, which by
+Schur's lemma is the sum above (the Reynolds operator of the group), and
+``y`` and any Farkas ray as the operator ``Y = sum_a y_a K_a`` on
+``X^(x)n``, whose dense dual slack ``I_Y (x) Y - C`` restricts to
+``f_lambda`` copies of each reduced slack.  Any basis of dense rows
+reads its multipliers off ``Y``.
 
 Nothing here enumerates ``S_n`` or its tableaux: the shapes are the
 partitions of ``n`` with at most ``D`` rows, ``f_lambda`` is the hook
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver as _solver
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -89,34 +91,6 @@ class CopySymmetry:
             if np.max(np.abs(mat[p[:, None], p] - mat)) > bound:
                 return False
         return True
-
-    def interior_point(self, c, tol, max_iter, x_start=None, y_start=None):
-        """:func:`~hedgekit.solver.interior_point` on the reduced strategy
-        SDP whose dense objective block is ``c``: maximize ``<c, X>``
-        subject to ``Tr_{Y^n} X = I``.  ``x_start`` is a dense strategy and
-        ``y_start`` a dual operator on ``X^(x)n``; ``X`` comes back lifted,
-        ``y`` and ``farkas`` as operators ``sum_a y_a K_a`` on ``X^(x)n``,
-        ``Z`` is left out, and ``blocks`` lists the reduced block
-        dimensions.  Raises :class:`~hedgekit.errors.ValidationError` when
-        ``c`` is not a ``dim x dim`` block."""
-        if np.shape(c) != (self.dim, self.dim):
-            raise ValidationError(
-                f"objective of shape {np.shape(c)} is not a block of dimension {self.dim}"
-            )
-        red, reduced = _reduction(self)
-        out = _solver.interior_point(
-            [f * cb for f, cb in zip(red.multiplicities, red.compress(c))],
-            reduced,
-            tol=tol,
-            max_iter=max_iter,
-            x_start=None if x_start is None else red.compress(x_start),
-            y_start=None if y_start is None else red.coordinates(y_start),
-        )
-        lifted = dict(out, X=[red.lift(out["X"])], y=red.operator(out["y"]), blocks=red.dims)
-        del lifted["Z"]
-        if out["farkas"] is not None:
-            lifted["farkas"] = red.operator(out["farkas"])
-        return lifted
 
 
 # -- tableaux --------------------------------------------------------------------------
@@ -294,7 +268,7 @@ class Reduction:
 
 
 @functools.cache
-def _reduction(sym: CopySymmetry) -> tuple:
+def reduction(sym: CopySymmetry) -> tuple:
     """The :class:`Reduction` of ``sym`` and its reduced constraints, built
     once per ``(n, dy, dx)`` and shared by every solve, which only reads
     them.  :func:`~hedgekit.sdp.compile_primal` attaches a symmetry only

@@ -103,6 +103,7 @@ def _verify_input(w: DualWitness, g: OutcomeOperators, objective: HermitianOpera
 
 
 def _check_threshold(w: DualWitness, g: OutcomeOperators, n: int, k: int):
+    repetitions(n)  # names the repetition count before the threshold
     if not 0 <= k <= n:
         raise ValidationError(f"threshold {k} out of range 0..{n}")
     _require_two_outcomes(g)

@@ -170,6 +170,21 @@ def test_zero_repetitions_is_input_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "hedging", "--objective", "threshold", "--reps", "-1", "--wins", "0"),
+        ("certify", "hedging", "--construction", "naive", "--reps", "-2", "--wins", "0"),
+    ],
+    ids=["solve-threshold", "certify-naive"],
+)
+def test_negative_repetitions_are_named_before_the_threshold(argv, capsys):
+    # the threshold's range 0..n is read only once n is a repetition count
+    assert run(*argv, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "repetition count" in err and "Traceback" not in err
+
+
 def snk_witness(tmp_path):
     path = tmp_path / "snk.json"
     code = run(

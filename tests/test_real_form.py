@@ -1,6 +1,9 @@
 """The real form of a conjugation-symmetric problem: which problems take
 it, that it returns the optimum and certificates of the complex problem,
 and that every other problem keeps the complex iteration."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,30 @@ def solve_2x2(c, rows, b, kernel_dtype, extra=None, **starts):
     assert res["status"] == solver.STATUS_OPTIMAL
     assert kernel_dtype() == COMPLEX
     return res["primal_value"]
+
+
+def test_real_form_iterates_without_the_complex_working_map(hedging, monkeypatch):
+    # the kernel materializes the coordinate rows into a complex working
+    # map; once the real rows are taken, that map is not kept alive
+    working, alive = [], []
+    dense, iterate = ConstraintMap.dense, solver._iterate
+
+    def recorded_dense(self):
+        out = dense(self)
+        working.append(weakref.ref(out))
+        return out
+
+    def checked_iterate(C, A, *args):
+        gc.collect()
+        alive.append([ref() is not None for ref in working])
+        assert all(c.dtype == REAL for c in C)
+        return iterate(C, A, *args)
+
+    monkeypatch.setattr(ConstraintMap, "dense", recorded_dense)
+    monkeypatch.setattr(solver, "_iterate", checked_iterate)
+    prob = compile_primal(parallel_game(hedging, 2), threshold_objective(hedging, 2, 1))
+    assert solve(prob, 1e-8).status == "optimal"
+    assert alive == [[False]]
 
 
 def test_imaginary_row_with_nonzero_rhs_stays_complex(kernel_dtype):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -271,6 +273,33 @@ def test_tolerance_validation(hedging):
         solve(prob, 0.5)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, "3"])
+def test_max_iter_must_be_an_integer(hedging, max_iter):
+    prob = compile_primal(hedging, hedging.outcomes[1])
+    with pytest.raises(ValidationError, match="max_iter"):
+        solve(prob, 1e-8, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("case", ["dense", "reduced"])
+def test_solve_calls_the_kernel_once(hedging, monkeypatch, case):
+    # the S_n-reduced solve is a change of variables around the one call
+    n = 2 if case == "dense" else 3
+    prob = compile_primal(parallel_rounds(hedging, n), threshold_objective(hedging, n, 1))
+    callers = []
+    kernel = solver.interior_point
+
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "interior_point", counted)
+    rep = solve(prob, 1e-8)
+    assert rep.status == "optimal"
+    assert callers == [("hedgekit.sdp", "solve")]
+    assert (rep.solved_blocks == (16,)) == (case == "dense")
+
+
 def test_two_outcome_value_in_unit_interval(rng):
     for _ in range(3):
         g = make_random_game(rng)
@@ -527,6 +556,17 @@ def test_snk_witness_value(hedging):
     feas = check_dual_feasibility(pg, threshold_objective(hedging, 2, 1), w, 1e-9)
     assert feas.feasible
     assert feas.value == pytest.approx(2 * P, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_check_dual_feasibility_refuses_an_unusable_tolerance(hedging, tol):
+    # the zero witness (smallest eigenvalue -0.25) read feasible at tol=inf,
+    # a "certified" bound of 0 on an optimum of 1; NaN and negative values
+    # read every witness infeasible
+    g = parallel_rounds(hedging, 2)
+    zero = DualWitness(Y=identity(g.family(1)) * 0.0)
+    with pytest.raises(ValidationError, match="tol"):
+        check_dual_feasibility(g, threshold_objective(hedging, 2, 1), zero, tol)
 
 
 def test_witness_space_mismatch(hedging):

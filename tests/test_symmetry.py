@@ -22,9 +22,8 @@ from hedgekit import (
 )
 from hedgekit.cli import main
 from hedgekit.games import repetitions, tensor_word
-from hedgekit.operators import align
+from hedgekit.operators import align, identity, kron, min_eigenvalue
 from hedgekit.sampling import random_measurement
-from hedgekit.errors import ValidationError
 from hedgekit.sdp import SdpProblem, check_dual_feasibility, check_weak_duality
 from hedgekit.serialize import load_json
 from hedgekit import symmetry
@@ -191,29 +190,28 @@ def test_complex_random_game_matches_the_dense_oracle():
     assert_matches_the_dense_oracle(prob)
 
 
-def test_reduced_kernel_refuses_other_problems(hedging):
-    c = threshold_objective(hedging, 3, 2).entries
-    with pytest.raises(ValidationError):
-        CopySymmetry(3, 2, 1).interior_point(c, tol=TOL, max_iter=50)
-
-
 def test_reduced_dual_is_an_invariant_operator_on_the_questions(hedging):
-    # given the objective alone, y comes back as the operator Y on X^(x)n
-    # with I_{Y^n} (x) Y >= C and Tr Y the dual value
-    n, dy, dx = 3, 2, 2
-    c = align(threshold_objective(hedging, n, 2), parallel_rounds(hedging, n).block(1)).entries
-    out = CopySymmetry(n, dy, dx).interior_point(c, tol=TOL, max_iter=50)
-    assert out["status"] == "optimal"
-    y = out["y"]
+    # read back from the report, y is the operator Y on X^(x)n with
+    # I_{Y^n} (x) Y >= C and Tr Y the dual value
+    n, dx = 3, 2
+    rounds = parallel_rounds(hedging, n)
+    objective = threshold_objective(hedging, n, 2)
+    prob = compile_primal(rounds, objective)
+    rep = solve(prob, TOL, max_iter=50)
+    assert rep.status == "optimal" and rep.solved_blocks != (64,)
+    Y = dual_witness_from_report(rounds, prob, rep).Y
+    y = Y.entries
     assert y.shape == (dx**n, dx**n)
     questions = CopySymmetry(n, 1, dx)
     for i in range(n):
         for j in range(i + 1, n):
             p = questions.transposition(i, j)
             assert np.max(np.abs(y[p[:, None], p] - y)) <= 1e-12 * np.max(np.abs(y))
-    assert abs(np.trace(y).real - out["dual_value"]) <= 1e-10
-    slack = np.kron(np.eye(dy**n), y) - c
-    assert np.linalg.eigvalsh((slack + slack.conj().T) / 2)[0] >= -1e-6
+    assert abs(Y.trace() - rep.dual_value) <= 1e-10
+    slack = align(kron(identity(rounds.answer(1)), Y), rounds.block(1)) - align(
+        objective, rounds.block(1)
+    )
+    assert min_eigenvalue(slack) >= -1e-6
 
 
 def test_lifted_n4_report_gives_a_feasible_witness(hedging):
@@ -248,13 +246,13 @@ def test_repeated_solves_share_one_reduction(hedging, monkeypatch):
             built.append(sym)
             super().__init__(sym)
 
-    symmetry._reduction.cache_clear()
+    symmetry.reduction.cache_clear()
     monkeypatch.setattr(symmetry, "Reduction", Counted)
     rounds = parallel_rounds(hedging, 3)
     first, second = (
         solve(compile_primal(rounds, threshold_objective(hedging, 3, 2)), TOL) for _ in range(2)
     )
-    symmetry._reduction.cache_clear()
+    symmetry.reduction.cache_clear()
     assert built == [CopySymmetry(3, 2, 2)]
     assert (first.status, first.iterations, first.primal_value, first.dual_value) == (
         second.status, second.iterations, second.primal_value, second.dual_value
@@ -274,7 +272,7 @@ def test_trivial_question_at_eight_copies_reduces_without_enumerating(monkeypatc
     )
     n, k = 8, 5
     built = []
-    symmetry._reduction.cache_clear()
+    symmetry.reduction.cache_clear()
     original = CopySymmetry.transposition
     monkeypatch.setattr(
         CopySymmetry, "transposition",
