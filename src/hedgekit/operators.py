@@ -6,9 +6,12 @@ matrix has no imaginary part (exactly zero, no tolerance), ``complex128``
 otherwise.  Tensor products, partial traces, sums and scalings of real
 operators stay real.  No operator past ``DESK_DIM_CAP`` exists: the
 constructor refuses one, and :func:`kron` and :func:`identity` refuse it
-before allocating.  Hermiticity is enforced on construction by
-symmetrizing away floating-point drift; drift beyond tolerance is an
-error, not silently absorbed.  Eigendecomposition
+before allocating.  Only this module decides what a valid matrix is:
+one cast refuses non-finite entries, and :func:`hermitian_violation`
+serves the constructor and :mod:`hedgekit.sdp`'s constraint rows.
+Construction symmetrizes away floating-point drift; drift beyond
+tolerance is an error, and so is an overflowing symmetrization, so no
+constructed operator holds a NaN or an infinity.  Eigendecomposition
 (``numpy.linalg.eigvalsh``) is the single numerical kernel behind
 positivity tests.
 """
@@ -36,12 +39,33 @@ def _check_cap(spaces: SpaceList):
         )
 
 
-def _as_matrix(entries) -> np.ndarray:
-    mat = np.asarray(entries)
-    mat = np.asarray(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
+def _as_array(entries, what: str = "matrix") -> np.ndarray:
+    """``entries`` as ``float64`` when real and ``complex128`` otherwise;
+    a non-finite entry is refused, naming ``what``."""
+    arr = np.asarray(entries)
+    arr = np.asarray(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return arr
+
+
+def hermitian_violation(stack: np.ndarray):
+    """``(index, reason)`` for the first matrix of a ``(k, w, w)`` stack
+    that has a non-finite entry or drifts from Hermitian by more than
+    ``HERMITICITY_TOL * max(1, largest entry)``; None when all pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.abs(stack - stack.conj().transpose(0, 2, 1))
+    # a non-finite entry makes its drift NaN or infinite, failing this test too
+    if drift.max(initial=0.0) <= HERMITICITY_TOL:  # every scale is at least 1
+        return None
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        return int(np.argmin(finite)), "has non-finite entries"
+    drift = drift.max(axis=(1, 2))
+    bad = np.flatnonzero(drift > HERMITICITY_TOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2))))
+    if bad.size:
+        return int(bad[0]), f"is not Hermitian: drift {drift[bad[0]]:.3e} exceeds tolerance"
+    return None
 
 
 @dataclass(frozen=True)
@@ -56,19 +80,21 @@ class HermitianOperator:
         if not isinstance(spaces, SpaceList):
             spaces = SpaceList(spaces)
         _check_cap(spaces)
-        mat = entries if _trusted else _as_matrix(entries)
-        if mat.shape[0] != spaces.dim:
+        mat = entries if _trusted else _as_array(entries)
+        if mat.shape != (spaces.dim,) * 2:
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
             raise SpaceError(
                 f"matrix of size {mat.shape[0]} does not match total dimension {spaces.dim}"
             )
         if not _trusted:
-            drift = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-            scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-            if drift > HERMITICITY_TOL * scale:
-                raise ValidationError(
-                    f"matrix is not Hermitian: drift {drift:.3e} exceeds tolerance"
-                )
-            mat = (mat + mat.conj().T) / 2
+            found = hermitian_violation(mat[None])
+            if found is not None:
+                raise ValidationError(f"matrix {found[1]}")
+            with np.errstate(over="ignore"):  # an overflowing sum is refused below
+                mat = (mat + mat.conj().T) / 2
+            if not np.isfinite(mat).all():
+                raise ValidationError("symmetrized matrix has non-finite entries")
             if np.iscomplexobj(mat) and not np.any(mat.imag):
                 mat = mat.real
         mat = np.ascontiguousarray(mat)
@@ -151,8 +177,7 @@ class KrausChannel:
         din, dout = input_spaces.dim, output_spaces.dim
         ops = []
         for k, op in enumerate(kraus):
-            op = np.asarray(op)
-            op = np.asarray(op, dtype=np.complex128 if np.iscomplexobj(op) else np.float64)
+            op = _as_array(op, f"Kraus operator {k}")
             if op.shape != (dout, din):
                 raise SpaceError(
                     f"Kraus operator {k} has shape {op.shape}, expected {(dout, din)}"
@@ -164,7 +189,7 @@ class KrausChannel:
             raise ValidationError("a channel needs at least one Kraus operator")
         total = sum(op.conj().T @ op for op in ops)
         drift = np.max(np.abs(total - np.eye(din)))
-        if drift > TRACE_PRESERVING_TOL:
+        if not drift <= TRACE_PRESERVING_TOL:  # an overflowing sum is no identity
             raise ValidationError(
                 f"channel is not trace preserving: sum of K^dag K deviates from the "
                 f"identity by {drift:.3e}"

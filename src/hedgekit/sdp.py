@@ -50,9 +50,9 @@ from . import solver as _solver
 from .errors import DomainError, SpaceError, ValidationError
 from .games import Rounds, copy_split
 from .operators import (
-    HERMITICITY_TOL,
     HermitianOperator,
     align,
+    hermitian_violation,
     identity,
     inner,
     kron,
@@ -84,9 +84,11 @@ class SdpProblem:
     The equalities are the :class:`~hedgekit.solver.ConstraintMap`
     ``constraint_map``, one block map per entry of ``blocks``.  Compilers
     pass Kronecker-structured maps; a hand-built problem stacks its rows'
-    matrices with pad dimension 1.  Every held ``G_i`` must be finite and
-    Hermitian and every ``b_i`` finite; coordinate rows (``G=None``) are
-    the Hermitian basis and need no check.
+    matrices with pad dimension 1.  Every held ``G_i`` must pass
+    :func:`~hedgekit.operators.hermitian_violation`, the test a
+    :class:`~hedgekit.operators.HermitianOperator` passes, and every
+    ``b_i`` must be finite; coordinate rows (``G=None``) are the Hermitian
+    basis and need no check.
     """
 
     def __init__(
@@ -130,27 +132,13 @@ class SdpProblem:
 
 
 def _check_rows(name: str, bm: _solver.BlockMap):
-    """Reject a non-finite or non-Hermitian ``G_i``, with the Hermiticity
-    tolerance of :class:`~hedgekit.operators.HermitianOperator`."""
-    G = bm.G
-    finite = np.isfinite(G).all(axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(
-            f"constraint {bm.start + np.flatnonzero(~finite)[0]} block {name!r} "
-            "has non-finite coefficients"
-        )
-    drift = np.abs(G - G.conj().transpose(0, 2, 1))
-    if drift.max(initial=0.0) <= HERMITICITY_TOL:  # every row's scale is at least 1
-        return
-    drift = drift.max(axis=(1, 2))
-    scale = np.maximum(1.0, np.abs(G).max(axis=(1, 2)))
-    bad = np.flatnonzero(drift > HERMITICITY_TOL * scale)
-    if bad.size:
-        k = bad[0]
-        raise ValidationError(
-            f"constraint {bm.start + k} block {name!r} is not Hermitian: "
-            f"drift {drift[k]:.3e} exceeds tolerance"
-        )
+    """Refuse the first ``G_i`` that
+    :func:`~hedgekit.operators.hermitian_violation` refuses, naming its
+    constraint and block."""
+    found = hermitian_violation(bm.G)
+    if found is not None:
+        k, reason = found
+        raise ValidationError(f"constraint {bm.start + k} block {name!r} {reason}")
 
 
 @dataclass(frozen=True)
@@ -249,7 +237,7 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
             )
         maps.append(link)
     b = np.zeros(offsets[-1])
-    b[: families[0].dim] = 1.0  # Tr H_k: 1 on the diagonal units, 0 on the pairs
+    b[: offsets[1]] = hermitian_coordinates(np.eye(families[0].dim))  # the Tr H_k
     primal_point, dual_chain = slater_points(g, objective)
     dual_start = np.concatenate([hermitian_coordinates(yop.entries) for yop in dual_chain])
     aligned = align(objective, dict(blocks)[_block_name(g, r)])

@@ -57,7 +57,8 @@ def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
         raise ValidationError(
             f"expected {rows * cols} [re, im] pairs, got shape {tuple(arr.shape)}"
         )
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
+    with np.errstate(invalid="ignore"):  # 1j * inf; the operator refuses what is not finite
+        return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
 def _spaces_to_json(spaces: SpaceList):
@@ -205,8 +206,8 @@ def witness_from_json(data) -> DualWitness:
     if not all(_is(v, (int, float)) for v in values):
         raise ValidationError("witness JSON 'meta' field 'values' must list numbers")
     w = DualWitness(Y=y, Y_blocks=blocks, meta=meta)
-    declared = _field(data, "value", (int, float), "witness JSON", None)
-    if declared is not None and abs(declared - w.value) > 1e-8 * max(1.0, abs(w.value)):
+    declared = _field(data, "value", (int, float), "witness JSON", None)  # json reads NaN
+    if declared is not None and not abs(declared - w.value) <= 1e-8 * max(1.0, abs(w.value)):
         raise ValidationError(
             f"declared witness value {declared!r} does not match Tr(Y) = {w.value!r}"
         )

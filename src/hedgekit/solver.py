@@ -13,7 +13,13 @@ predictor-corrector iteration (HKM search direction).  The dual is
     subject to  sum_i y_i F_i - C = Z >= 0.
 
 Primal infeasibility is certified through a Farkas ray (``A*(u) >= 0``
-with ``b . u < 0``) and never silently returned as a large value.
+with ``b . u < 0``) and never silently returned as a large value.  The
+iteration has one way out besides convergence and the iteration limit:
+each guard (the Farkas tests, a non-finite or non-positive ``mu``, a
+failed factorization, a non-finite direction, a vanishing step, a
+non-finite next iterate) raises, naming itself, and one ``except`` per
+status catches it.  A new iterate is checked finite before it is taken,
+so ``X``, ``y`` and ``Z`` come back finite.
 
 The constraints come as a :class:`ConstraintMap`: per block, a row range
 whose ``F_i`` are ``P (I_pad (x) G_i) P^T``.  ``A``, ``A*`` and the
@@ -333,7 +339,7 @@ class ConstraintMap:
 
 
 class _FarkasRay(Exception):
-    """A singular Schur system exposed the infeasibility ray ``args[0]``."""
+    """:func:`_farkas_certificate` found the infeasibility ray ``args[0]``."""
 
 
 def _ip(a_blocks, b_blocks) -> float:
@@ -416,6 +422,7 @@ def _real_map(A: ConstraintMap, keep: np.ndarray) -> ConstraintMap:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
     """The iteration in the dtype of ``C``; a real ``C`` needs a real ``A``."""
     dtype = np.result_type(*C)
@@ -425,31 +432,23 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
     cnorm = max(1.0, max(float(np.linalg.norm(c)) for c in C))
     bnorm = max(1.0, float(np.max(np.abs(b))))
 
-    X = None
-    if x_start is not None:
-        X = [_herm(np.asarray(x, dtype=dtype)) for x in x_start]
-        if any(float(np.linalg.eigvalsh(x)[0]) <= 0.0 for x in X):
-            X = None
-    if X is None:
-        xi = max(10.0, np.sqrt(nu), nu * bnorm / fnorm)
-        X = [xi * np.eye(d, dtype=dtype) for d in A.dims]
-
-    y = None
-    if y_start is not None:
-        y = np.asarray(y_start, dtype=float).copy()
-        Z = [_herm(az - c) for az, c in zip(A.adjoint(y), C)]
-        if any(float(np.linalg.eigvalsh(z)[0]) <= 0.0 for z in Z):
-            y = None
-    if y is None:
-        eta = max(10.0, np.sqrt(nu), (cnorm + fnorm) / np.sqrt(nu))
-        y = np.zeros(m)
-        Z = [eta * np.eye(d, dtype=dtype) for d in A.dims]
-
     status = STATUS_ITERATION_LIMIT
     iterations = 0
     farkas = None
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # a start is kept only if positive definite; a NaN eigenvalue is not
+    X = None if x_start is None else [_herm(np.asarray(x, dtype=dtype)) for x in x_start]
+    if X is None or not all(np.linalg.eigvalsh(x)[0] > 0.0 for x in X):
+        xi = max(10.0, np.sqrt(nu), nu * bnorm / fnorm)
+        X = [xi * np.eye(d, dtype=dtype) for d in A.dims]
+    y = None if y_start is None else np.asarray(y_start, dtype=float).copy()
+    Z = None if y is None else [_herm(az - c) for az, c in zip(A.adjoint(y), C)]
+    if Z is None or not all(np.linalg.eigvalsh(z)[0] > 0.0 for z in Z):
+        eta = max(10.0, np.sqrt(nu), (cnorm + fnorm) / np.sqrt(nu))
+        y = np.zeros(m)
+        Z = [eta * np.eye(d, dtype=dtype) for d in A.dims]
+
+    try:
         for iterations in range(1, max_iter + 1):
             rp = b - A.apply(X)
             Rd = [_herm(c - az + z) for c, az, z in zip(C, A.adjoint(y), Z)]
@@ -464,94 +463,77 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
                 status = STATUS_OPTIMAL
                 break
 
-            cert = _farkas_certificate(A, y)
-            if cert is not None:
-                status = STATUS_INFEASIBLE
-                farkas = cert
-                break
+            _farkas_certificate(A, y)
 
             mu = _ip(X, Z) / nu
-            if not np.isfinite(mu) or mu <= 0.0:
-                status = STATUS_NUMERICAL
-                break
+            if not 0.0 < mu < np.inf:
+                raise NumericalError(f"duality measure mu = {mu!r} is not finite and positive")
 
-            try:
-                Lxi = [_inv_chol(x) for x in X]
-                Lzi = [_inv_chol(z) for z in Z]
-                Zi = [_herm(li.conj().T @ li) for li in Lzi]
+            Lxi = [_inv_chol(x) for x in X]
+            Lzi = [_inv_chol(z) for z in Z]
+            Zi = [_herm(li.conj().T @ li) for li in Lzi]
 
-                M = A.schur(X, Zi)
+            M = A.schur(X, Zi)
 
-                def solve_m(rhs):
-                    try:
-                        return np.linalg.solve(M, rhs)
-                    except np.linalg.LinAlgError:
-                        dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
-                        # rhs is A(.) - b and null(M) = null(A*), so the part of
-                        # rhs that M cannot reach is a ray u with A*(u) = 0, b.u < 0
-                        ray = _farkas_certificate(A, rhs - M @ dy)
-                        if ray is not None:
-                            raise _FarkasRay(ray)
-                        return dy
+            def solve_m(rhs):
+                try:
+                    return np.linalg.solve(M, rhs)
+                except np.linalg.LinAlgError:
+                    dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
+                    # rhs is A(.) - b and null(M) = null(A*), so the part of
+                    # rhs that M cannot reach is a ray u with A*(u) = 0, b.u < 0
+                    _farkas_certificate(A, rhs - M @ dy)
+                    return dy
 
-                xrz = [x @ rd @ zi for x, rd, zi in zip(X, Rd, Zi)]
+            xrz = [x @ rd @ zi for x, rd, zi in zip(X, Rd, Zi)]
 
-                def directions(mu_target, second_order):
-                    # second_order[k] is dXa dZa Z^-1 on block k (zero in the predictor)
-                    dy = solve_m(
-                        A.apply([mu_target * zi + g - s for zi, g, s in zip(Zi, xrz, second_order)])
-                        - b
-                    )
-                    dZ = [_herm(az - rd) for az, rd in zip(A.adjoint(dy), Rd)]
-                    dX = [
-                        _herm(mu_target * zi - x - x @ dz @ zi - s)
-                        for x, zi, dz, s in zip(X, Zi, dZ, second_order)
-                    ]
-                    return dX, dy, dZ
-
-                dXa, dya, dZa = directions(0.0, [0.0] * len(X))
-                ap = min(1.0, *[_max_step(li, d) for li, d in zip(Lxi, dXa)])
-                ad = min(1.0, *[_max_step(li, d) for li, d in zip(Lzi, dZa)])
-                mu_aff = max(
-                    0.0,
-                    _ip(
-                        [x + ap * d for x, d in zip(X, dXa)],
-                        [z + ad * d for z, d in zip(Z, dZa)],
-                    )
-                    / nu,
+            def directions(mu_target, second_order):
+                # second_order[k] is dXa dZa Z^-1 on block k (zero in the predictor)
+                dy = solve_m(
+                    A.apply([mu_target * zi + g - s for zi, g, s in zip(Zi, xrz, second_order)])
+                    - b
                 )
-                sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3))
-                cross = [dx @ dz @ zi for dx, dz, zi in zip(dXa, dZa, Zi)]
-                dX, dy, dZ = directions(sigma * mu, cross)
+                dZ = [_herm(az - rd) for az, rd in zip(A.adjoint(dy), Rd)]
+                dX = [
+                    _herm(mu_target * zi - x - x @ dz @ zi - s)
+                    for x, zi, dz, s in zip(X, Zi, dZ, second_order)
+                ]
+                return dX, dy, dZ
 
-                gamma = _STEP_FRACTION_FLOOR + 0.09 * min(1.0, ap, ad)
-                ap = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lxi, dX)]))
-                ad = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lzi, dZ)]))
-            except _FarkasRay as exc:
-                status = STATUS_INFEASIBLE
-                farkas = exc.args[0]
-                break
-            except (NumericalError, np.linalg.LinAlgError, FloatingPointError):
-                status = STATUS_NUMERICAL
-                break
+            dXa, dya, dZa = directions(0.0, [0.0] * len(X))
+            ap = min(1.0, *[_max_step(li, d) for li, d in zip(Lxi, dXa)])
+            ad = min(1.0, *[_max_step(li, d) for li, d in zip(Lzi, dZa)])
+            mu_aff = max(
+                0.0,
+                _ip(
+                    [x + ap * d for x, d in zip(X, dXa)],
+                    [z + ad * d for z, d in zip(Z, dZa)],
+                )
+                / nu,
+            )
+            sigma = min(1.0, max(1e-8, (mu_aff / mu) ** 3))
+            cross = [dx @ dz @ zi for dx, dz, zi in zip(dXa, dZa, Zi)]
+            dX, dy, dZ = directions(sigma * mu, cross)
 
+            gamma = _STEP_FRACTION_FLOOR + 0.09 * min(1.0, ap, ad)
+            ap = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lxi, dX)]))
+            ad = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lzi, dZ)]))
             if not (np.isfinite(ap) and np.isfinite(ad)) or max(ap, ad) < _MIN_STEP:
-                status = STATUS_NUMERICAL
-                break
+                raise NumericalError(f"step lengths {ap!r}, {ad!r} not finite or below {_MIN_STEP}")
 
-            X = [_herm(x + ap * d) for x, d in zip(X, dX)]
-            y = y + ad * dy
-            Z = [_herm(z + ad * d) for z, d in zip(Z, dZ)]
-
-            if any(not np.all(np.isfinite(x)) for x in X) or not np.all(np.isfinite(y)):
-                status = STATUS_NUMERICAL
-                break
-
-    if status == STATUS_ITERATION_LIMIT:
-        cert = _farkas_certificate(A, y)
-        if cert is not None:
-            status = STATUS_INFEASIBLE
-            farkas = cert
+            X_next = [_herm(x + ap * d) for x, d in zip(X, dX)]
+            y_next = y + ad * dy
+            Z_next = [_herm(z + ad * d) for z, d in zip(Z, dZ)]
+            if not all(np.isfinite(a).all() for a in (*X_next, y_next, *Z_next)):
+                raise NumericalError("the next iterate is not finite")
+            X, y, Z = X_next, y_next, Z_next
+        else:
+            _farkas_certificate(A, y)
+    except _FarkasRay as exc:
+        status = STATUS_INFEASIBLE
+        farkas = exc.args[0]
+    except (NumericalError, np.linalg.LinAlgError):
+        status = STATUS_NUMERICAL
 
     return {
         "status": status,
@@ -567,7 +549,8 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
 
 
 def _farkas_certificate(A: ConstraintMap, y: np.ndarray):
-    """Return a normalized infeasibility ray if ``y`` certifies one.
+    """Raise :class:`_FarkasRay` with a normalized infeasibility ray if
+    ``y`` certifies one.
 
     Primal infeasibility: a ray ``u`` with ``A*(u) >= 0`` (within a tight
     tolerance) and ``b . u < 0`` proves no feasible ``X`` exists.  The
@@ -579,13 +562,12 @@ def _farkas_certificate(A: ConstraintMap, y: np.ndarray):
     """
     scale = float(np.max(np.abs(y))) if y.size else 0.0
     if scale <= 0.0:
-        return None
+        return
     u = y / scale
     if float(A.b @ u) > -_FARKAS_OBJ_TOL:
-        return None
+        return
     blocks = A.compact_adjoint(u)
     mag = max(1.0, max(float(np.max(np.abs(s))) for s in blocks))
     lo = min(float(np.linalg.eigvalsh(_herm(s))[0]) for s in blocks)
     if lo >= -_FARKAS_EIG_TOL * mag:
-        return u
-    return None
+        raise _FarkasRay(u)

@@ -144,14 +144,16 @@ def witness_average(
     """Symmetrized witness for the n-fold average-value dual: the words
     with exactly one ``Y`` factor and ``n - 1`` game-consistency factors,
     averaged.  Its trace equals ``Tr(Y)`` exactly (the consistency blocks
-    have unit trace)."""
+    have unit trace).  The outcome values come from ``values`` or else
+    from the input's metadata, and the input is verified against them;
+    without either the witness is refused."""
     if values is None:
         values = w.meta.get("values")
-    meta = {}
-    if values is not None:
-        _verify_input(w, g, value_objective(g, values, 1))
-        meta["values"] = [float(v) for v in values]
-    return _word_witness(w, g, n, lambda ones: ones == 1, "average", mean=True, **meta)
+    if values is None:
+        raise ValidationError("witness_average needs values, as an argument or in the meta")
+    _verify_input(w, g, value_objective(g, values, 1))
+    values = [float(v) for v in values]
+    return _word_witness(w, g, n, lambda ones: ones == 1, "average", mean=True, values=values)
 
 
 def witness_tensor_power(w: DualWitness, n: int, g: OutcomeOperators) -> DualWitness:

@@ -332,6 +332,54 @@ def test_certify_witness_round_trip(tmp_path):
     )
 
 
+def test_certify_witness_with_a_nan_value_is_refused(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    dump_json({**snk_witness(tmp_path), "value": float("nan")}, wfile)
+    assert run("certify", "hedging", "--witness", str(wfile), "--quiet") == 1
+    assert "declared witness value nan" in capsys.readouterr().err
+
+
+def bundled_game_data():
+    from importlib import resources
+
+    with resources.as_file(
+        resources.files("hedgekit.data").joinpath("hedging_game.json")
+    ) as path:
+        return load_json(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_game_with_a_non_finite_entry_names_it(bad, tmp_path, capsys):
+    # a NaN measurement entry used to be reported as "measurement operator is not PSD"
+    data = bundled_game_data()
+    data["measurement"][0]["entries"][0][0] = bad
+    game = tmp_path / "nan.json"
+    dump_json(data, game)
+    assert run("solve", str(game), "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "non-finite entries" in err and "PSD" not in err
+
+
+def test_two_outcome_game_without_a_winning_set_wins_on_outcome_one(tmp_path):
+    g = make_random_game(np.random.default_rng(3))
+    game, out = tmp_path / "g.json", tmp_path / "r.json"
+    dump_json(game_to_json(g), game)
+    assert run("solve", str(game), "--quiet", "--out", str(out)) == 0
+    from hedgekit import compile_primal, solve
+
+    expect = solve(compile_primal(g, g.outcomes[1])).primal_value
+    assert read(out)["results"]["primal_value"]["value"] == expect
+
+
+@pytest.mark.parametrize(
+    "values, message", [(None, "needs --values"), ("0,1,2", "3 values for 2 outcomes")]
+)
+def test_value_objective_needs_one_value_per_outcome(values, message, capsys):
+    argv = ["solve", "hedging", "--objective", "value", "--quiet"]
+    assert run(*argv, *([] if values is None else ["--values", values])) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_certify_infeasible_witness(tmp_path):
     # a too-small scaled witness cannot dominate the threshold objective
     from hedgekit.hedging import hedging_game, hedging_optimal_witness
@@ -428,6 +476,17 @@ def test_plot_entropy_csv(tmp_path):
 
     expect = 2.0 ** (-((-0.25 * _m.log2(0.25) - 0.75 * _m.log2(0.75)) / 0.25))
     assert y == pytest.approx(expect, rel=1e-11)
+
+
+def test_plot_entropy_writes_to_stdout_or_names_its_file(tmp_path, capsys):
+    argv = ["plot-entropy", "--min", "0.25", "--max", "1.0", "--step", "0.25"]
+    assert run(*argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,y" and len(lines) == 5
+    out = tmp_path / "curve.csv"
+    assert run(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote 4 samples to {out}\n"
+    assert out.read_text().splitlines() == lines
 
 
 def test_plot_entropy_bad_range():

@@ -63,6 +63,31 @@ def test_kraus_channel_trace_preservation_checked():
         KrausChannel(A2, A2, (np.diag([1.0, 0.5]),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_are_refused(bad):
+    """A NaN passes every ``drift > tol`` comparison, so the cast refuses
+    it before any of them are made; an infinity likewise."""
+    mat = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=type(bad))
+    mat[0, 0] = bad
+    for build in (
+        lambda: HermitianOperator(A2, mat),
+        lambda: DensityOperator(A2, mat),
+        lambda: KrausChannel(A2, A2, (mat,)),
+    ):
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            build()
+
+
+def test_symmetrization_that_overflows_is_refused():
+    """Entries near the largest float are finite, but ``(m + m^dag) / 2``
+    overflows to infinity: the stored matrix is checked, not the input."""
+    with pytest.raises(ValidationError, match="symmetrized matrix has non-finite entries"):
+        HermitianOperator(A2, 1e308 * np.eye(2))
+    with pytest.raises(ValidationError, match="drift inf exceeds"):
+        HermitianOperator(A2, np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    assert HermitianOperator(A2, 8e307 * np.eye(2)).trace() == 1.6e308
+
+
 def test_operator_without_imaginary_part_is_stored_real():
     real = np.array([[1.0, 0.5], [0.5, 2.0]])
     for mat in (real, real.astype(complex), [[1, 0], [0, 1]]):

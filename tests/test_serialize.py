@@ -65,6 +65,26 @@ def test_game_round_trip_operators_form(hedging):
         assert_allclose(a.entries, b.entries, atol=1e-15)
 
 
+def test_single_round_operator_game_infers_its_rounds_from_rho(hedging):
+    data = game_to_json(hedging, winning=(1,))
+    del data["x_rounds"], data["y_rounds"]
+    game, winning = game_from_json(data)
+    assert winning == (1,)
+    assert game.x_rounds == hedging.x_rounds and game.y_rounds == hedging.y_rounds
+    assert game.spaces == hedging.spaces
+    for a, b in zip(game.outcomes, hedging.outcomes):
+        np.testing.assert_array_equal(a.entries, b.entries)
+    np.testing.assert_array_equal(game.rho.entries, hedging.rho.entries)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_operator_with_a_non_finite_entry_is_refused(bad):
+    data = operator_to_json(hedging_optimal_witness().Y)
+    data["entries"][1][1] = bad
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        operator_from_json(json.loads(json.dumps(data)))
+
+
 def test_game_round_trip_with_tuple_outcome_keys():
     # winning is written as positions in outcome_keys, which game_from_json reads
     game = make_r2_product_game(np.random.default_rng(1))[2]
@@ -144,5 +164,13 @@ def test_witness_value_mismatch_rejected():
     data = witness_to_json(hedging_optimal_witness())
     data["value"] = 0.5
     with pytest.raises(ValidationError):
+        witness_from_json(data)
+
+
+@pytest.mark.parametrize("declared", ["NaN", "Infinity"])
+def test_non_finite_declared_witness_value_rejected(declared):
+    # json reads NaN, which no `difference > tolerance` test catches
+    data = {**witness_to_json(hedging_optimal_witness()), "value": json.loads(declared)}
+    with pytest.raises(ValidationError, match="declared witness value"):
         witness_from_json(data)
 

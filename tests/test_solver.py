@@ -116,6 +116,28 @@ def test_indefinite_iterate_ends_in_numerical_failure(monkeypatch):
     assert res["iterations"] == 3
 
 
+def test_start_that_overflows_falls_back_to_the_default_start():
+    """``1e308 I`` symmetrizes to an infinite matrix, whose eigenvalues are
+    NaN: no positive definite start, so the default start is taken."""
+    A = ConstraintMap([BlockMap(0, 1, [np.eye(2)])], [1.0])
+    res = interior_point([np.diag([1.0, 0.0])], A, x_start=[1e308 * np.eye(2)])
+    assert res["status"] == solver.STATUS_OPTIMAL
+    assert np.isfinite(res["X"][0]).all()
+    assert res["primal_value"] == pytest.approx(1.0, abs=1e-7)
+
+
+def test_unbounded_problem_ends_numerical_with_a_finite_iterate():
+    """max Tr X s.t. <diag(1, -1), X> = 1 is unbounded; the kernel has no
+    status for that, and it ends on a named guard with the last finite
+    iterate rather than a non-finite one."""
+    A = ConstraintMap([BlockMap(0, 1, [np.diag([1.0, -1.0])])], [1.0])
+    res = interior_point([np.eye(2)], A)
+    assert res["status"] == solver.STATUS_NUMERICAL
+    for part in (res["X"][0], res["y"], res["Z"][0]):
+        assert np.isfinite(part).all()
+    assert np.isfinite(res["primal_value"])
+
+
 @pytest.mark.parametrize("scale, b2", [(1.0, 2.0), (0.7, 1.5), (1.7, 1.5), (3.0, 3.0), (5.0, 2.0)])
 def test_dependent_rows_with_inconsistent_rhs_are_infeasible(scale, b2):
     # Two copies of one row make the Schur matrix singular; b outside the

@@ -80,6 +80,17 @@ def test_average_rejects_infeasible_input(game):
         witness_average(too_small, game, 2, values=(0.0, 1.0))
 
 
+def test_average_without_values_is_refused(game, w_opt):
+    # with no values there is no objective to verify the input against: the
+    # infeasible halved witness would pass unchecked
+    too_small = DualWitness(Y=0.5 * hedging_optimal_witness().Y)
+    for w in (too_small, w_opt):
+        with pytest.raises(ValidationError, match="needs values"):
+            witness_average(w, game, 2)
+    from_meta = DualWitness(Y=w_opt.Y, meta={"values": [0.0, 1.0]})
+    assert witness_average(from_meta, game, 2).meta["values"] == [0.0, 1.0]
+
+
 # -------------------------------------------------------------- tensor power
 
 
