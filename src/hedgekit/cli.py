@@ -4,7 +4,8 @@ Commands: ``solve``, ``certify``, ``hedging-demo``, ``error-reduction``,
 ``plot-entropy``.  Every run but ``plot-entropy``, which writes the curve
 as CSV, emits a JSON report whose numeric results carry the tolerance
 they were computed under.  A ``solve`` report lists the PSD block
-dimensions the solver iterated on as ``solved_blocks``.
+dimensions the solver iterated on as ``solved_blocks``, and why a
+solve is not optimal as ``reason`` (null when it is).
 
 Exit codes: 0 success, 1 malformed input (``SpaceError``,
 ``ValidationError``), 2 domain-negative outcome (infeasible problem or
@@ -138,9 +139,9 @@ def _read_json(run: _Run, path: str, what: str):
 
 def _load_game(run: _Run, name: str):
     if name == "hedging":
-        with resources.as_file(
-            resources.files("hedgekit.data").joinpath("hedging_game.json")
-        ) as path:
+        # through the package, not the data directory, which is not a
+        # package and so cannot be found inside a zipped install
+        with resources.as_file(resources.files("hedgekit") / "data" / "hedging_game.json") as path:
             data = _read_json(run, str(path), "game")
     else:
         data = _read_json(run, name, "game")
@@ -236,6 +237,7 @@ def cmd_solve(args) -> int:
             "gap": {"value": report.gap, **_tolerance(args.tol)},
             "iterations": report.iterations,
             "solved_blocks": list(report.solved_blocks),
+            "reason": report.reason,
         }
     )
     _emit(run.report(results), args)

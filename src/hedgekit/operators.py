@@ -217,7 +217,9 @@ def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     A product past the desk-scale cap is refused before it is allocated."""
     spaces = a.spaces.concat(b.spaces)
     _check_cap(spaces)
-    return HermitianOperator._wrap(spaces, np.kron(a.entries, b.entries))
+    # np.kron's multiply, without its generic shape handling
+    prod = a.entries[:, None, :, None] * b.entries[None, :, None, :]
+    return HermitianOperator._wrap(spaces, prod.reshape(spaces.dim, spaces.dim))
 
 
 def _tensor_view(op: HermitianOperator) -> np.ndarray:

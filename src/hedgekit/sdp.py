@@ -154,6 +154,8 @@ class SolveReport:
     farkas_ray: tuple | None = None
     #: dimensions of the PSD blocks the interior-point kernel iterated on
     solved_blocks: tuple = ()
+    #: why the solve is not optimal (the guard that ended it); None if optimal
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -435,13 +437,13 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     pval = raw["primal_value"] + problem.offset
     dval = raw["dual_value"] + problem.offset
     mults = tuple(float(v) for v in raw["y"])
-    status = raw["status"]
+    status, reason = raw["status"], raw["reason"]
     ray = None if raw["farkas"] is None else tuple(float(v) for v in raw["farkas"])
     # re-verify the optimal-status contract; downgrade on violation
-    if status == _solver.STATUS_OPTIMAL and _primal_violation(
-        problem, [primal_blocks[n] for n in names]
-    ):
-        status = _solver.STATUS_NUMERICAL
+    if status == _solver.STATUS_OPTIMAL:
+        reason = _primal_violation(problem, [primal_blocks[n] for n in names])
+        if reason:
+            status = _solver.STATUS_NUMERICAL
     return SolveReport(
         status=status,
         primal_value=pval,
@@ -452,6 +454,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
         iterations=raw["iterations"],
         farkas_ray=ray,
         solved_blocks=raw["blocks"],
+        reason=reason,
     )
 
 

@@ -18,8 +18,9 @@ iteration has one way out besides convergence and the iteration limit:
 each guard (the Farkas tests, a non-finite or non-positive ``mu``, a
 failed factorization, a non-finite direction, a vanishing step, a
 non-finite next iterate) raises, naming itself, and one ``except`` per
-status catches it.  A new iterate is checked finite before it is taken,
-so ``X``, ``y`` and ``Z`` come back finite.
+status catches it, keeping the message as the result's ``reason``.  A
+new iterate is checked finite before it is taken, so ``X``, ``y`` and
+``Z`` come back finite.
 
 The constraints come as a :class:`ConstraintMap`: per block, a row range
 whose ``F_i`` are ``P (I_pad (x) G_i) P^T``.  ``A``, ``A*`` and the
@@ -29,10 +30,10 @@ per Schur assembly instead of ``O(m d^3 + m^2 d^2)``.  A block whose
 rows are the whole :func:`hermitian_basis` of the ``w x w`` matrices
 holds no ``G`` at all: ``A`` reads the basis coordinates of
 ``Tr_pad(P^T X P)`` off its entries and ``A*`` scatters them back.  The
-kernel materializes such rows once, at entry, into the map it iterates
-on (:meth:`ConstraintMap.dense`), so its iterates do not depend on how
-the rows were held; a problem solved in its real form (below) iterates
-on the real rows alone, and that complex map is dropped first.
+kernel builds the one map it iterates on once, at entry, with every
+block's rows held as ``G``, so its iterates do not depend on how the
+rows were held; a problem solved in its real form (below) holds only its
+real rows there, as contiguous ``float64``.
 
 Each iteration factors each block of ``X`` and ``Z`` once, a Cholesky
 factor and its inverse, then every step length costs two matmuls and one
@@ -178,7 +179,7 @@ class BlockMap:
     ``G=None`` stands for the rows ``hermitian_basis(w)``, ``w^2 = stop -
     start``, held as coordinates: :meth:`read` and :meth:`scatter` work
     on the matrix entries, :meth:`rows` builds the basis on demand and
-    :meth:`schur` needs it held (:meth:`dense`).
+    :meth:`schur` needs it held, as the kernel's working map holds it.
 
     The Schur contribution ``Re Tr(F_i X F_j Z^-1)`` of the block is
     assembled by whichever of two formulas needs fewer flops for its
@@ -217,13 +218,6 @@ class BlockMap:
     def rows(self) -> np.ndarray:
         """The ``(stop - start, w, w)`` stack of the ``G_i``."""
         return hermitian_basis(self.w) if self.G is None else self.G
-
-    def dense(self) -> "BlockMap":
-        """This map with its rows held as ``G``: itself unless it holds
-        coordinate rows, whose basis it then materializes."""
-        if self.G is not None:
-            return self
-        return BlockMap(self.start, self.stop, self.rows(), pad=self.pad, perm=self.perm)
 
     def expand(self) -> np.ndarray:
         """Dense ``(stop - start, dim, dim)`` stack of the ``F_i``, block order."""
@@ -265,7 +259,7 @@ class BlockMap:
 
     def schur(self, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
         """``Re Tr(F_i x F_j zi)`` over this block's rows, which it must
-        hold as ``G`` (:meth:`dense`)."""
+        hold as ``G`` (the kernel's working map does)."""
         count = self.stop - self.start
         if self.kron_schur:
             # K[(b,a),(c,e)] = sum_{y,z} x[yb, zc] zi[ze, ya], then M = G^T K G
@@ -314,16 +308,11 @@ class ConstraintMap:
 
     def schur(self, X, Zi) -> np.ndarray:
         """The HKM Schur matrix ``M_ij = Re Tr(F_i X F_j Z^-1)``, on a map
-        that holds its rows (:meth:`dense`)."""
+        that holds its rows, like the kernel's working map."""
         M = np.zeros((self.m, self.m))
         for bm, x, zi in zip(self.blocks, X, Zi):
             M[bm.start : bm.stop, bm.start : bm.stop] += bm.schur(x, zi)
         return M
-
-    def dense(self) -> "ConstraintMap":
-        """This map with every block's rows held as ``G``
-        (:meth:`BlockMap.dense`): the map the kernel iterates on."""
-        return ConstraintMap([bm.dense() for bm in self.blocks], self.b)
 
     def max_row_norm(self) -> float:
         """Largest Frobenius norm of one constraint restricted to one block
@@ -359,16 +348,15 @@ def interior_point(
     A conjugation-symmetric problem is solved in its real form (module
     docstring); ``y`` and ``farkas`` come back full length, with zeros at
     the dropped rows, and ``X`` and ``Z`` as ``float64``; any other problem
-    returns them as ``complex128``.  ``blocks`` lists the block dimensions.
+    returns them as ``complex128``.  ``blocks`` lists the block dimensions,
+    and ``reason`` says why a run is not optimal (None when it is).
     """
-    A = constraints.dense()
     C = [np.asarray(c, dtype=np.complex128) for c in c_blocks]
-    if A.m == 0:
+    if constraints.m == 0:
         raise ValidationError("problem has no constraints")
-    keep = _real_rows(C, A, x_start, y_start)
+    A, keep = _working_map(C, constraints, x_start, y_start)
     if keep is None:
         return _iterate(C, A, tol, max_iter, x_start, y_start)
-    m, A = A.m, _real_map(A, keep)  # the complex rows are not kept while iterating
     out = _iterate(
         [c.real for c in C],
         A,
@@ -379,47 +367,42 @@ def interior_point(
     )
     for key in ("y", "farkas"):
         if out[key] is not None:
-            full = np.zeros(m)
+            full = np.zeros(constraints.m)
             full[keep] = out[key]
             out[key] = full
     return out
 
 
-def _real_rows(C, A: ConstraintMap, x_start, y_start):
-    """The mask of the rows that are not imaginary, or None when the
-    problem is not conjugation-symmetric (module docstring)."""
-    if any(np.any(c.imag) for c in C):
-        return None
-    if x_start is not None and any(np.any(np.asarray(x).imag) for x in x_start):
-        return None
-    real = np.zeros(A.m, dtype=bool)
-    imag = np.zeros(A.m, dtype=bool)
-    for bm in A.blocks:
-        real[bm.start : bm.stop] |= np.any(bm.gflat.real, axis=1)
-        imag[bm.start : bm.stop] |= np.any(bm.gflat.imag, axis=1)
-    if np.any(real & imag) or np.any(A.b[imag]):
-        return None
-    if y_start is not None and np.any(np.asarray(y_start, dtype=float)[imag]):
-        return None
-    return ~imag
-
-
-def _real_map(A: ConstraintMap, keep: np.ndarray) -> ConstraintMap:
-    """The rows ``keep`` of ``A`` with real ``G``, renumbered in order."""
-    pos = np.concatenate([[0], np.cumsum(keep)])
-    return ConstraintMap(
-        [
-            BlockMap(
-                pos[bm.start],
-                pos[bm.stop],
-                bm.G[keep[bm.start : bm.stop]].real,
-                pad=bm.pad,
-                perm=bm.perm,
-            )
-            for bm in A.blocks
-        ],
-        A.b[keep],
-    )
+def _working_map(C, constraints: ConstraintMap, x_start, y_start):
+    """The map the kernel iterates on, with every block's rows held as
+    ``G`` (:meth:`BlockMap.rows`, built once here), and the mask of the
+    rows it keeps.  A conjugation-symmetric problem (module docstring)
+    keeps the rows that are not imaginary, renumbered in order, as one
+    contiguous ``float64`` copy of their real parts per block, so no
+    complex row array outlives this call; any other problem keeps every
+    row, and the mask is None."""
+    rows = [bm.rows() for bm in constraints.blocks]
+    b, keep = constraints.b, None
+    real = np.zeros(constraints.m, dtype=bool)
+    imag = np.zeros(constraints.m, dtype=bool)
+    for bm, G in zip(constraints.blocks, rows):
+        real[bm.start : bm.stop] |= np.any(G.real, axis=(1, 2))
+        imag[bm.start : bm.stop] |= np.any(G.imag, axis=(1, 2))
+    if not (
+        any(np.any(c.imag) for c in C)
+        or (x_start is not None and any(np.any(np.asarray(x).imag) for x in x_start))
+        or np.any(real & imag)
+        or np.any(b[imag])
+        or (y_start is not None and np.any(np.asarray(y_start, dtype=float)[imag]))
+    ):
+        keep, b = ~imag, b[~imag]
+        rows = [G.real[keep[bm.start : bm.stop]] for bm, G in zip(constraints.blocks, rows)]
+    pos = np.arange(constraints.m + 1) if keep is None else np.cumsum(np.r_[0, keep])
+    maps = [
+        BlockMap(pos[bm.start], pos[bm.stop], G, pad=bm.pad, perm=bm.perm)
+        for bm, G in zip(constraints.blocks, rows)
+    ]
+    return ConstraintMap(maps, b), keep
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -434,7 +417,8 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
 
     status = STATUS_ITERATION_LIMIT
     iterations = 0
-    farkas = None
+    farkas = reason = None
+    relgap = prel = drel = math.nan  # as measured before the last step
 
     # a start is kept only if positive definite; a NaN eigenvalue is not
     X = None if x_start is None else [_herm(np.asarray(x, dtype=dtype)) for x in x_start]
@@ -529,11 +513,15 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
             X, y, Z = X_next, y_next, Z_next
         else:
             _farkas_certificate(A, y)
+            reason = (
+                f"iteration limit {max_iter} reached; before the last step relgap "
+                f"{relgap:.3e}, prel {prel:.3e}, drel {drel:.3e}"
+            )
     except _FarkasRay as exc:
-        status = STATUS_INFEASIBLE
-        farkas = exc.args[0]
-    except (NumericalError, np.linalg.LinAlgError):
-        status = STATUS_NUMERICAL
+        status, farkas = STATUS_INFEASIBLE, exc.args[0]
+        reason = "a Farkas ray certifies the primal infeasible"
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        status, reason = STATUS_NUMERICAL, str(exc)
 
     return {
         "status": status,
@@ -545,6 +533,7 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
         "iterations": iterations,
         "farkas": farkas,
         "blocks": tuple(A.dims),
+        "reason": reason,
     }
 
 

@@ -19,7 +19,11 @@ DESK_DIM_CAP = 256
 
 @dataclass(frozen=True)
 class SpaceList:
-    """Ordered sequence of labeled tensor factors."""
+    """Ordered sequence of labeled tensor factors.
+
+    ``labels``, ``dims`` and ``dim`` are set once, at construction (the
+    list is frozen); equality, hashing and the repr read ``entries``
+    alone."""
 
     entries: tuple[tuple[str, int], ...]
 
@@ -33,18 +37,9 @@ class SpaceList:
                 raise SpaceError(f"duplicate label {label!r}")
             seen.add(label)
         object.__setattr__(self, "entries", ents)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.entries)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.entries)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
+        object.__setattr__(self, "labels", tuple(label for label, _ in ents))
+        object.__setattr__(self, "dims", tuple(dim for _, dim in ents))
+        object.__setattr__(self, "dim", math.prod(self.dims))
 
     def __len__(self) -> int:
         return len(self.entries)

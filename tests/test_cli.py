@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,37 @@ def test_solve_bundled_win(tmp_path):
     assert rep["results"]["primal_value"]["tol"] == 1e-8
     assert rep["command"] == "solve"
     assert rep["inputs"]  # digest of the bundled file recorded
+
+
+def test_solve_report_names_why_a_solve_is_not_optimal(tmp_path):
+    out = tmp_path / "r.json"
+    assert run("solve", "hedging", "--quiet", "--out", str(out)) == 0
+    assert read(out)["results"]["reason"] is None
+    assert run("solve", "hedging", "--max-iter", "1", "--quiet", "--out", str(out)) == 3
+    results = read(out)["results"]
+    assert results["status"] == "iteration-limit"
+    assert results["reason"].startswith("iteration limit 1 reached; before the last step relgap ")
+
+
+def test_bundled_game_loads_from_a_zipped_install(tmp_path):
+    # a zip archive holds no directory for data/ to be found as a package,
+    # so the bundled game is found through the hedgekit package itself
+    package = Path(cli.__file__).parent
+    archive = tmp_path / "hedgekit.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*.py")) + sorted(package.rglob("*.json")):
+            zf.write(path, path.relative_to(package.parent))
+    script = (
+        f"import sys; sys.path.insert(0, {str(archive)!r}); from hedgekit import cli; "
+        "sys.exit(cli.main(['certify', 'hedging', '--construction', 'snk', '--reps', '2', "
+        "'--wins', '1', '--quiet']))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_solve_threshold(tmp_path):

@@ -167,6 +167,32 @@ def test_kron_and_identity_refuse_past_the_cap_before_allocating(monkeypatch):
         identity(space(("big", 4**8)))  # the block of 8 hedging copies
 
 
+@pytest.mark.parametrize("da, db", [(1, 1), (1, 4), (2, 2), (4, 4), (8, 2), (64, 4)])
+@pytest.mark.parametrize("real_a", [True, False])
+@pytest.mark.parametrize("real_b", [True, False])
+def test_kron_matches_numpy_kron_bit_for_bit(rng, da, db, real_a, real_b):
+    # up to the size of the words of four hedging copies (64 x 64 (x) 4 x 4)
+    a, b = random_hermitian(rng, [("A", da)]), random_hermitian(rng, [("B", db)])
+    a = op((("A", da),), a.entries.real) if real_a else a
+    b = op((("B", db),), b.entries.real) if real_b else b
+    out, want = kron(a, b).entries, np.kron(a.entries, b.entries)
+    assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+
+def test_kron_past_the_cap_allocates_nothing_of_its_size():
+    import tracemalloc
+
+    a, b = identity(space(("A", 16))), identity(space(("B", 32)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="desk-scale cap"):
+            kron(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 8 // 4
+
+
 def test_kron_psd_monotonicity(rng):
     # A >= B >= 0 and C >= D >= 0 implies the tensor products stay ordered.
     for _ in range(10):

@@ -12,6 +12,7 @@ from hedgekit import (
     SdpProblem,
     compile_primal,
     parallel_game,
+    parallel_rounds,
     solve,
     space,
     threshold_objective,
@@ -78,11 +79,10 @@ def phase_rotated(prob: SdpProblem) -> SdpProblem:
     Kronecker form: ``G_i -> D_w G_i D_w^dag``, and ``C`` and the primal
     start ``-> D . D^dag``.  The optimum and the multipliers do not change."""
     maps, objective, start = [], {}, {}
-    for (name, sp), bm in zip(prob.blocks, prob.constraint_map.dense().blocks):
+    for (name, sp), bm in zip(prob.blocks, prob.constraint_map.blocks):
         dw = np.exp(1j * (0.4 + 0.9 * np.arange(bm.w)))
-        maps.append(
-            BlockMap(bm.start, bm.stop, dw[:, None] * bm.G * dw.conj(), pad=bm.pad, perm=bm.perm)
-        )
+        rows = dw[:, None] * bm.rows() * dw.conj()
+        maps.append(BlockMap(bm.start, bm.stop, rows, pad=bm.pad, perm=bm.perm))
         d = np.diag(bm.lift(np.diag(dw)))
 
         def rotate(op, d=d, sp=sp):
@@ -134,13 +134,12 @@ def test_real_form_multipliers_are_a_complex_dual_point(hedging, kernel_dtype):
 
 def test_real_form_drops_exactly_the_imaginary_rows(hedging):
     prob = compile_primal(parallel_game(hedging, 4), threshold_objective(hedging, 4, 2))
-    A = prob.constraint_map.dense()
+    A = prob.constraint_map
     (name,) = prob.block_names
     c = [prob.objective[name].entries]
-    keep = solver._real_rows(c, A, [prob.primal_start[name].entries], prob.dual_start)
+    reduced, keep = solver._working_map(c, A, [prob.primal_start[name].entries], prob.dual_start)
     # the 16 diagonal and 120 symmetric basis elements of the 16-dim W stay
     assert (A.m, keep.sum()) == (256, 136)
-    reduced = solver._real_map(A, keep)
     (bm,) = reduced.blocks
     assert bm.G.dtype == REAL and (bm.start, bm.stop) == (0, 136)
     x = np.random.default_rng(3).normal(size=(bm.dim, bm.dim))
@@ -166,13 +165,13 @@ def solve_2x2(c, rows, b, kernel_dtype, extra=None, **starts):
 
 
 def test_real_form_iterates_without_the_complex_working_map(hedging, monkeypatch):
-    # the kernel materializes the coordinate rows into a complex working
-    # map; once the real rows are taken, that map is not kept alive
+    # the kernel materializes the coordinate rows as a complex basis; once
+    # the real rows are taken, that basis is not kept alive
     working, alive = [], []
-    dense, iterate = ConstraintMap.dense, solver._iterate
+    rows, iterate = BlockMap.rows, solver._iterate
 
-    def recorded_dense(self):
-        out = dense(self)
+    def recorded_rows(self):
+        out = rows(self)
         working.append(weakref.ref(out))
         return out
 
@@ -182,11 +181,35 @@ def test_real_form_iterates_without_the_complex_working_map(hedging, monkeypatch
         assert all(c.dtype == REAL for c in C)
         return iterate(C, A, *args)
 
-    monkeypatch.setattr(ConstraintMap, "dense", recorded_dense)
+    monkeypatch.setattr(BlockMap, "rows", recorded_rows)
     monkeypatch.setattr(solver, "_iterate", checked_iterate)
     prob = compile_primal(parallel_game(hedging, 2), threshold_objective(hedging, 2, 1))
     assert solve(prob, 1e-8).status == "optimal"
     assert alive == [[False]]
+
+
+@pytest.mark.parametrize("n, k, reduced", [(2, 1, False), (4, 2, True)])
+def test_real_form_rows_are_contiguous_float64(hedging, monkeypatch, n, k, reduced):
+    # densely at n = 2, in the S_n-reduced blocks at n = 4: every working
+    # row array the kernel iterates on is contiguous float64, and no
+    # complex array sits behind it as the base of a view
+    found, iterate = [], solver._iterate
+
+    def checked_iterate(C, A, *args):
+        for bm in A.blocks:
+            for a in (bm.G, bm.gflat):
+                found.append(a.flags.c_contiguous and a.dtype == REAL)
+                while a is not None:
+                    found.append(a.dtype != COMPLEX)
+                    a = a.base
+        return iterate(C, A, *args)
+
+    monkeypatch.setattr(solver, "_iterate", checked_iterate)
+    prob = compile_primal(parallel_rounds(hedging, n), threshold_objective(hedging, n, k))
+    rep = solve(prob, 1e-8)
+    assert rep.status == "optimal"
+    assert (rep.solved_blocks != (4**n,)) == reduced
+    assert found and all(found)
 
 
 def test_imaginary_row_with_nonzero_rhs_stays_complex(kernel_dtype):

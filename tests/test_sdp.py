@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from hedgekit import (
     DualWitness,
+    HermitianOperator,
     SdpProblem,
     check_dual_feasibility,
     compile_primal,
@@ -55,7 +57,7 @@ def _problem_bytes(prob):
            prob.dual_start.tobytes()]
     for bm in prob.constraint_map.blocks:
         perm = None if bm.perm is None else bm.perm.tobytes()
-        rows = bm.dense().G
+        rows = bm.rows()
         out += [bm.start, bm.stop, bm.pad, rows.dtype, rows.shape, rows.tobytes(), perm]
     for ops in (prob.objective, prob.primal_start):
         out += [(name, op.spaces, op.entries.tobytes()) for name, op in sorted(ops.items())]
@@ -91,6 +93,15 @@ def test_hermitian_basis_orthonormal():
         for j, b in enumerate(basis):
             expect = 1.0 if i == j else 0.0
             assert np.vdot(a, b).real == pytest.approx(expect, abs=1e-12)
+
+
+def _held(cmap):
+    """``cmap`` with every block's rows held as ``G``, as the kernel holds
+    them while it iterates."""
+    return ConstraintMap(
+        [BlockMap(bm.start, bm.stop, bm.rows(), pad=bm.pad, perm=bm.perm) for bm in cmap.blocks],
+        cmap.b,
+    )
 
 
 def _map_case(name, hedging):
@@ -138,7 +149,7 @@ def test_constraint_map_matches_dense_expansion(name, hedging):
         for f, x, zi in zip(F, X, Zi)
     )
     scale = max(1.0, float(np.max(np.abs(dense_m))))
-    assert_allclose(cmap.dense().schur(X, Zi), dense_m, rtol=0, atol=1e-12 * scale)
+    assert_allclose(_held(cmap).schur(X, Zi), dense_m, rtol=0, atol=1e-12 * scale)
 
 
 def test_hedging_n4_solves_without_dense_constraints(hedging):
@@ -231,7 +242,7 @@ def test_compiled_b_and_dual_start_are_the_dense_rows_products(hedging, n):
     prob = compile_primal(g, objective)
     (bm,) = prob.constraint_map.blocks
     assert bm.G is None
-    (working,) = prob.constraint_map.dense().blocks
+    (working,) = _held(prob.constraint_map).blocks
     assert np.array_equal(working.G, hermitian_basis(2**n))
     (y,) = slater_points(g, objective)[1]
     assert np.array_equal(prob.constraint_map.b, np.trace(working.G, axis1=1, axis2=2).real)
@@ -354,6 +365,61 @@ def test_infeasible_certified():
     )
     rep = solve(prob, 1e-8)
     assert rep.status == "infeasible"
+
+
+def _two_by_two_problem(rows, b, objective):
+    sp = space(("A", 2))
+    return SdpProblem(
+        blocks=(("B", sp),),
+        objective={"B": HermitianOperator(sp, objective)},
+        constraint_map=ConstraintMap([BlockMap(0, len(rows), rows)], b),
+    )
+
+
+def test_optimal_report_gives_no_reason(hedging):
+    rep = solve(compile_primal(hedging, hedging.outcomes[1]), 1e-8)
+    assert rep.status == "optimal" and rep.reason is None
+
+
+def test_iteration_limit_report_names_the_limit(hedging):
+    rep = solve(compile_primal(hedging, hedging.outcomes[1]), 1e-8, max_iter=1)
+    assert rep.status == "iteration-limit"
+    number = r"[-+.\de]+"
+    assert re.fullmatch(
+        rf"iteration limit 1 reached; before the last step relgap {number}, "
+        rf"prel {number}, drel {number}",
+        rep.reason,
+    )
+
+
+def test_infeasible_report_names_the_farkas_ray():
+    # Tr X = 1 and Tr X = 2
+    rep = solve(_two_by_two_problem([np.eye(2)] * 2, [1.0, 2.0], np.eye(2)), 1e-8)
+    assert rep.status == "infeasible" and rep.farkas_ray is not None
+    assert rep.reason == "a Farkas ray certifies the primal infeasible"
+
+
+def test_unbounded_report_names_the_guard_that_ended_it():
+    # max Tr X s.t. <diag(1, -1), X> = 1 has no finite optimum
+    rep = solve(_two_by_two_problem([np.diag([1.0, -1.0])], [1.0], np.eye(2)), 1e-8)
+    assert rep.status == "numerical-failure"
+    assert rep.reason == "search direction is not finite"
+
+
+def test_downgraded_report_carries_the_recheck_message(hedging, monkeypatch):
+    # an "optimal" X that violates the trace constraint by 1 is downgraded,
+    # and the report says which constraint the re-check found violated
+    kernel = solver.interior_point
+
+    def doubled(*args, **kwargs):
+        raw = kernel(*args, **kwargs)
+        raw["X"] = [2 * x for x in raw["X"]]
+        return raw
+
+    monkeypatch.setattr(solver, "interior_point", doubled)
+    rep = solve(compile_primal(hedging, hedging.outcomes[1]), 1e-8)
+    assert rep.status == "numerical-failure"
+    assert re.fullmatch(r"primal point violates constraint \d+: residual [-+.\de]+", rep.reason)
 
 
 def test_problem_rejects_malformed_constraint_map():

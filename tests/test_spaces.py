@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from hedgekit import space
+from hedgekit import SpaceList, space
 from hedgekit.errors import SpaceError
 
 
@@ -48,3 +50,15 @@ def test_relabel():
 def test_unknown_label():
     with pytest.raises(SpaceError):
         space(("A", 2)).restrict(["Q"])
+
+
+def test_equal_entries_compare_and_hash_equal():
+    # labels, dims and dim are stored once; equality, hashing and the repr
+    # still read the entries alone
+    a = space(("A", 2), ("B", 3))
+    b = SpaceList([["A", 2.0], ("B", 3)])
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == repr(b) == "SpaceList(entries=(('A', 2), ('B', 3)))"
+    assert a != space(("A", 2), ("B", 2)) and a != space(("B", 3), ("A", 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.dim = 7
