@@ -54,7 +54,8 @@ print("solver reaches 1.0 > 0.9786.  The certified bounds are the last two")
 print("columns, and p^k C(n,k) is the sharper of the pair (it exceeds 1 where")
 print("k is small).  Pairing copies with the perfect hedge wins k <= n/2 surely,")
 print("and k = n is multiplicative (p^n); the n=4, k=3 optimum has no closed form")
-print("in the paper.  At n >= 3 the solver works in the S_n-reduced blocks.")
+print("in the paper.  At n >= 3 the solver works in the phase sectors of the copies,")
+print("blocks at most n + 1 wide with one row per Hamming weight of the questions.")
 
 # -- the classical case ----------------------------------------------------------
 print("\n" + "-" * 72)

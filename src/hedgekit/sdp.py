@@ -33,8 +33,10 @@ such as :func:`~hedgekit.games.parallel_rounds`, alike.
 
 A compiled single-round game of ``n >= 3`` identical copies whose
 objective is invariant under permuting them carries its
-:class:`~hedgekit.symmetry.CopySymmetry`; :func:`solve` then passes the
-kernel the ``S_n``-reduced problem in place of the dense one, a change
+:class:`~hedgekit.symmetry.CopySymmetry`, with the letter classes of the
+per-copy phases that fix the objective; :func:`solve` then passes the
+kernel the reduced problem (``S_n`` blocks, or the phase sectors when
+there is more than one class) in place of the dense one, a change
 of variables around its one kernel call, and lifts the solution back,
 so the report and its checks stay those of the dense problem.
 """
@@ -61,7 +63,7 @@ from .operators import (
 )
 from .solver import hermitian_basis, hermitian_combination, hermitian_coordinates
 from .spaces import SpaceList
-from .symmetry import CopySymmetry, reduction
+from .symmetry import CopySymmetry, phase_classes, reduction
 
 FEASIBILITY_TOL = 1e-8
 WEAK_DUALITY_SLACK = 1e-7
@@ -219,7 +221,8 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     A single-round game of ``n >= 3`` copies labelled by
     :func:`~hedgekit.games.repetitions`, with the same factors in every
     copy, whose objective is invariant under permuting the copies, gets
-    its :class:`~hedgekit.symmetry.CopySymmetry` recorded on the problem.
+    its :class:`~hedgekit.symmetry.CopySymmetry` recorded on the problem,
+    with the letter classes of :func:`~hedgekit.symmetry.phase_classes`.
     """
     _check_objective(g, objective)
     r = g.rounds
@@ -256,14 +259,17 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
 
 def _copy_symmetry(g: Rounds, objective: np.ndarray) -> CopySymmetry | None:
     """The copy symmetry of a single-round game of ``n >= 3`` copies whose
-    objective (on ``g.block(1)``) it fixes, else None."""
+    objective (on ``g.block(1)``) it fixes, with the objective's phase
+    classes, else None."""
     if g.rounds != 1:
         return None
     (n, dy), (nx, dx) = (copy_split(g.spaces, labels) for labels in (g.y_rounds[0], g.x_rounds[0]))
     if n != nx or n < 3:
         return None
     sym = CopySymmetry(n, dy, dx)
-    return sym if sym.is_invariant(objective, COPY_INVARIANCE_TOL) else None
+    if not sym.is_invariant(objective, COPY_INVARIANCE_TOL):
+        return None
+    return CopySymmetry(n, dy, dx, *phase_classes(objective, sym, COPY_INVARIANCE_TOL))
 
 
 def _chain_link_map(g: Rounds, j: int, w: SpaceList, start: int):
@@ -386,7 +392,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     """Solve a standard-form problem with the embedded interior-point kernel.
 
     The kernel runs once.  A problem that :func:`compile_primal` found
-    copy-symmetric hands it the ``S_n``-reduced problem
+    copy-symmetric hands it the reduced problem
     (:func:`~hedgekit.symmetry.reduction`): the objective and the starting
     points compressed into the reduced blocks, and the reduced rows.  The
     report is the dense problem's all the same: ``X`` lifted back and

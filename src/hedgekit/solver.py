@@ -39,6 +39,17 @@ Each iteration factors each block of ``X`` and ``Z`` once, a Cholesky
 factor and its inverse, then every step length costs two matmuls and one
 ``eigvalsh`` and ``Z^-1`` is the product of the inverse factors.
 
+The working map stacks blocks, as SDPT3 and SDPA store block-diagonal
+data: blocks that share a row range and a width, with pad 1 and no
+permutation, are one :class:`BlockMap` whose ``G`` has a leading axis of
+``B`` blocks, and their iterates one ``(B, w, w)`` array.  Every
+per-block step (the factors, ``Z^-1``, the Schur terms, ``A`` and
+``A*``, the step lengths, the updates, the Farkas eigen-check and the
+start's positive-definiteness test) runs once per stack, broadcasting
+over the leading axis; 1 x 1 blocks are a ``(B, 1, 1)`` stack like any
+other.  ``X`` and ``Z`` come back per block, in block order.  A stack of
+one block is a view of it and runs its arithmetic bit for bit as before.
+
 Real data are solved in real arithmetic.  A problem is
 conjugation-symmetric when every ``C`` block is real, every row is real
 or purely imaginary on every block it touches, every imaginary row has
@@ -53,7 +64,8 @@ likewise).  Such a problem drops its imaginary rows and iterates in
 ``float64``; at four hedging copies solved densely 136 of 256 rows
 remain, and each Cholesky factor, inverse and ``eigvalsh`` costs about a
 quarter of its complex flops.  (:func:`hedgekit.sdp.solve` passes this
-kernel those copies' ``S_n``-reduced problem instead.)  The test is
+kernel those copies' phase-sector problem instead: 22 blocks in five
+stacks of widths 1 to 5, and 5 rows.)  The test is
 exact, with no tolerance; any other problem iterates in ``complex128``.
 The iterates ``X`` and ``Z`` come back in the dtype they were iterated
 in, so real data stay real from the operators to the report.
@@ -78,35 +90,49 @@ _FARKAS_OBJ_TOL = 1e-6
 
 
 def _herm(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
+    """The Hermitian part of a matrix or of each matrix of a stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2
 
 
 def _chol(mat: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of a matrix or of each matrix of a stack; a
+    failed factorization is retried once with every matrix shifted by
+    ``1e-14`` times its mean diagonal (at least 1)."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        jitter = 1e-14 * max(1.0, float(np.trace(mat).real) / mat.shape[0])
+        d = mat.shape[-1]
+        jitter = 1e-14 * np.fmax(1.0, np.trace(mat, axis1=-2, axis2=-1).real / d)
         try:
-            return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
+            return np.linalg.cholesky(mat + jitter[..., None, None] * np.eye(d))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("Cholesky factorization failed") from exc
 
 
 def _inv_chol(mat: np.ndarray) -> np.ndarray:
-    """``L^-1`` for the Cholesky factor ``mat = L L^dag``, checked finite."""
+    """``L^-1`` for the Cholesky factor ``mat = L L^dag`` (of each matrix
+    of a stack), checked finite."""
     li = np.linalg.inv(_chol(mat))
     if not np.all(np.isfinite(li)):
         raise NumericalError("Cholesky factor inverse is not finite")
     return li
 
 
+def _lowest(eigenvalues: np.ndarray) -> float:
+    """The smallest of ascending eigenvalues, of one matrix or of each of
+    a stack (``min`` over the few blocks of a stack costs a fraction of a
+    numpy reduction)."""
+    return float(min(eigenvalues[..., 0].flat))
+
+
 def _max_step(li: np.ndarray, direction: np.ndarray) -> float:
     """Largest alpha with S + alpha * direction >= 0, given ``li = L^-1``
-    for S = L L^dag: ``-1 / lambda_min(L^-1 direction L^-dag)``."""
+    for S = L L^dag: ``-1 / lambda_min(L^-1 direction L^-dag)``, the
+    smallest over a stack."""
     if not np.all(np.isfinite(direction)):
         raise NumericalError("search direction is not finite")
     try:
-        lam = float(np.linalg.eigvalsh(_herm(li @ direction @ li.conj().T))[0])
+        lam = _lowest(np.linalg.eigvalsh(_herm(li @ direction @ li.conj().swapaxes(-1, -2))))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("step-length eigensolve failed") from exc
     if lam >= -1e-13:
@@ -181,6 +207,13 @@ class BlockMap:
     on the matrix entries, :meth:`rows` builds the basis on demand and
     :meth:`schur` needs it held, as the kernel's working map holds it.
 
+    A ``G`` of shape ``(B, stop - start, w, w)`` is a stack: ``B`` blocks
+    of one shape that share the rows ``start:stop``, each with its own
+    ``G``.  Its methods take and return ``(B, ., .)`` stacks of block
+    matrices, and :meth:`read` and :meth:`schur` sum the blocks' terms.
+    ``gflat`` holds each row over the whole stack, flattened, so
+    :meth:`read` and :meth:`scatter` are one product whatever ``B``.
+
     The Schur contribution ``Re Tr(F_i X F_j Z^-1)`` of the block is
     assembled by whichever of two formulas needs fewer flops for its
     shape: the Kronecker contraction, which never forms an ``F_i``, or
@@ -197,8 +230,8 @@ class BlockMap:
         else:
             G = np.asarray(G)
             G = np.asarray(G, dtype=np.complex128 if np.iscomplexobj(G) else np.float64)
-            w = G.shape[-1] if G.ndim == 3 else -1
-            fits = G.shape == (count, w, w)
+            w = G.shape[-1] if G.ndim in (3, 4) else -1
+            fits = G.shape[-3:] == (count, w, w)
         if count < 0 or not fits:
             shape = "the Hermitian basis" if G is None else f"a G of shape {G.shape}"
             raise ValidationError(f"block map rows {start}:{stop} do not match {shape}")
@@ -213,7 +246,10 @@ class BlockMap:
         kron_flops = pad * pad * w2 * w2 + count * w2 * w2 + count * count * w2
         batched_flops = 2 * count * self.dim**3 + count * count * self.dim**2
         self.kron_schur = kron_flops < batched_flops
-        self.gflat = None if G is None else G.reshape(count, w2)
+        self.gflat = None
+        if G is not None:
+            rows = G if G.ndim == 3 else G.swapaxes(0, 1)
+            self.gflat = np.ascontiguousarray(rows.reshape(count, math.prod(rows.shape[1:])))
 
     def rows(self) -> np.ndarray:
         """The ``(stop - start, w, w)`` stack of the ``G_i``."""
@@ -223,31 +259,31 @@ class BlockMap:
         """Dense ``(stop - start, dim, dim)`` stack of the ``F_i``, block order."""
         G = self.rows()
         f = G if self.pad == 1 else np.kron(np.eye(self.pad), G)
-        return f if self.inv is None else f[:, self.inv[:, None], self.inv]
+        return f if self.inv is None else f[..., self.inv[:, None], self.inv]
 
     def read(self, s: np.ndarray) -> np.ndarray:
         """``Re Tr(G_i s)`` over this block's rows, for a ``w x w`` ``s``."""
         if self.G is None:
             return hermitian_coordinates(s)
-        return (self.gflat @ s.T.reshape(-1)).real
+        return (self.gflat @ s.swapaxes(-1, -2).reshape(-1)).real
 
     def scatter(self, y: np.ndarray) -> np.ndarray:
         """``sum_i y_i G_i`` for one coefficient per row of this block."""
         if self.G is None:
             return hermitian_combination(y)
-        return (y @ self.gflat).reshape(self.w, self.w)
+        return (y @ self.gflat).reshape(*self.G.shape[:-3], self.w, self.w)
 
     def natural(self, a: np.ndarray) -> np.ndarray:
         """``P^T a P``: a block matrix in natural (pad-first) order."""
-        return a if self.perm is None else a[self.perm[:, None], self.perm]
+        return a if self.perm is None else a[..., self.perm[:, None], self.perm]
 
     def lift(self, s: np.ndarray) -> np.ndarray:
         """``P (I_pad (x) s) P^T`` for a ``w x w`` matrix ``s``."""
         if self.pad == 1:
             full = s
         else:
-            full = (self._eye * s[None, :, None, :]).reshape(self.dim, self.dim)
-        return full if self.inv is None else full[self.inv[:, None], self.inv]
+            full = (self._eye * s[..., None, :, None, :]).reshape(*s.shape[:-2], self.dim, self.dim)
+        return full if self.inv is None else full[..., self.inv[:, None], self.inv]
 
     def pad_trace(self, a: np.ndarray) -> np.ndarray:
         """``Tr_pad(P^T a P)``, so that ``Tr(F_i a) = Tr(G_i pad_trace(a))``."""
@@ -255,26 +291,31 @@ class BlockMap:
         if self.pad == 1:
             return a
         p, w = self.pad, self.w
-        return np.trace(a.reshape(p, w, p, w), axis1=0, axis2=2)
+        return np.trace(a.reshape(*a.shape[:-2], p, w, p, w), axis1=-4, axis2=-2)
 
     def schur(self, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
         """``Re Tr(F_i x F_j zi)`` over this block's rows, which it must
         hold as ``G`` (the kernel's working map does)."""
-        count = self.stop - self.start
+        lead = x.shape[:-2]
         if self.kron_schur:
             # K[(b,a),(c,e)] = sum_{y,z} x[yb, zc] zi[ze, ya], then M = G^T K G
-            p, w = self.pad, self.w
-            x4 = self.natural(x).reshape(p, w, p, w)
-            z4 = self.natural(zi).reshape(p, w, p, w)
-            xs = x4.transpose(1, 3, 0, 2).reshape(w * w, p * p)
-            zs = z4.transpose(2, 0, 3, 1).reshape(p * p, w * w)
-            k = (xs @ zs).reshape(w, w, w, w).transpose(0, 2, 1, 3).reshape(w * w, w * w)
-            gt = self.G.transpose(0, 2, 1).reshape(count, w * w)
-            return (gt @ k @ self.gflat.T).real
+            p, w, k = self.pad, self.w, len(lead)
+            x4 = self.natural(x).reshape(*lead, p, w, p, w)
+            z4 = self.natural(zi).reshape(*lead, p, w, p, w)
+            xs = x4.transpose(*range(k), k + 1, k + 3, k, k + 2).reshape(*lead, w * w, p * p)
+            zs = z4.transpose(*range(k), k + 2, k, k + 3, k + 1).reshape(*lead, p * p, w * w)
+            kk = (xs @ zs).reshape(*lead, w, w, w, w)
+            kk = kk.transpose(*range(k), k, k + 2, k + 1, k + 3).reshape(*lead, w * w, w * w)
+            g = self.G.reshape(*self.G.shape[:-2], w * w)
+            gt = self.G.swapaxes(-1, -2).reshape(g.shape)
+            out = (gt @ kk @ g.swapaxes(-1, -2)).real
+            return out if out.ndim == 2 else out.sum(axis=0)
         f = self.expand()
-        t = x[None] @ f @ zi[None]
-        fflat = f.reshape(count, self.dim * self.dim)
-        return (fflat @ t.transpose(0, 2, 1).reshape(count, self.dim * self.dim).T).real
+        t = (x[..., None, :, :] @ f @ zi[..., None, :, :]).swapaxes(-1, -2)
+        if f.ndim == 4:  # one product over the stack: row i is F_i on every block
+            f, t = f.swapaxes(0, 1), t.swapaxes(0, 1)
+        size = math.prod(f.shape[1:])
+        return (f.reshape(-1, size) @ t.reshape(-1, size).T).real
 
 
 class ConstraintMap:
@@ -319,7 +360,7 @@ class ConstraintMap:
         (of a map that holds its rows, like :meth:`schur`)."""
         return max(
             (
-                float(np.sqrt(bm.pad) * np.max(np.linalg.norm(bm.gflat, axis=1)))
+                float(np.sqrt(bm.pad) * np.max(np.linalg.norm(bm.G.reshape(*bm.G.shape[:-2], -1), axis=-1)))
                 for bm in self.blocks
                 if bm.stop > bm.start
             ),
@@ -348,39 +389,69 @@ def interior_point(
     A conjugation-symmetric problem is solved in its real form (module
     docstring); ``y`` and ``farkas`` come back full length, with zeros at
     the dropped rows, and ``X`` and ``Z`` as ``float64``; any other problem
-    returns them as ``complex128``.  ``blocks`` lists the block dimensions,
-    and ``reason`` says why a run is not optimal (None when it is).
+    returns them as ``complex128``.  ``X`` and ``Z`` list one matrix per
+    block in block order, whatever stacks the kernel iterated on;
+    ``blocks`` lists the block dimensions, and ``reason`` says why a run
+    is not optimal (None when it is).
     """
     C = [np.asarray(c, dtype=np.complex128) for c in c_blocks]
     if constraints.m == 0:
         raise ValidationError("problem has no constraints")
+    if any(bm.G is not None and bm.G.ndim == 4 for bm in constraints.blocks):
+        raise ValidationError("a problem's block map holds one block; the kernel stacks them")
     A, keep = _working_map(C, constraints, x_start, y_start)
-    if keep is None:
-        return _iterate(C, A, tol, max_iter, x_start, y_start)
-    out = _iterate(
-        [c.real for c in C],
-        A,
-        tol,
-        max_iter,
-        None if x_start is None else [np.asarray(x).real for x in x_start],
-        None if y_start is None else np.asarray(y_start, dtype=float)[keep],
-    )
-    for key in ("y", "farkas"):
-        if out[key] is not None:
-            full = np.zeros(constraints.m)
-            full[keep] = out[key]
-            out[key] = full
+    groups = _stacks(constraints)
+
+    def stacked(mats):
+        return [_stack([mats[k] for k in members]) for members in groups]
+
+    if keep is not None:
+        C = [c.real for c in C]
+        x_start = None if x_start is None else [np.asarray(x).real for x in x_start]
+        y_start = None if y_start is None else np.asarray(y_start, dtype=float)[keep]
+    x_start = None if x_start is None else stacked([np.asarray(x) for x in x_start])
+    out = _iterate(stacked(C), A, tol, max_iter, x_start, y_start)
+    place = {k: (s, j) for s, members in enumerate(groups) for j, k in enumerate(members)}
+    for key in ("X", "Z"):
+        out[key] = [out[key][s][j] for s, j in (place[k] for k in range(len(C)))]
+    out["blocks"] = tuple(constraints.dims)
+    if keep is not None:
+        for key in ("y", "farkas"):
+            if out[key] is not None:
+                full = np.zeros(constraints.m)
+                full[keep] = out[key]
+                out[key] = full
     return out
 
 
+def _stack(mats) -> np.ndarray:
+    """``mats`` as one ``(B, ., .)`` array; a stack of one is a view of its
+    matrix, which keeps its memory layout, so it iterates bit for bit as
+    the block alone did."""
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
+
+
+def _stacks(constraints: ConstraintMap) -> list:
+    """The blocks the kernel iterates on as one stack, in order of their
+    first block: those that share a row range and a width, with pad 1 and
+    no permutation.  Any other block is a stack of its own."""
+    groups = {}
+    for k, bm in enumerate(constraints.blocks):
+        plain = bm.pad == 1 and bm.perm is None
+        key = (bm.start, bm.stop, bm.w) if plain else k
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
 def _working_map(C, constraints: ConstraintMap, x_start, y_start):
-    """The map the kernel iterates on, with every block's rows held as
-    ``G`` (:meth:`BlockMap.rows`, built once here), and the mask of the
-    rows it keeps.  A conjugation-symmetric problem (module docstring)
-    keeps the rows that are not imaginary, renumbered in order, as one
-    contiguous ``float64`` copy of their real parts per block, so no
-    complex row array outlives this call; any other problem keeps every
-    row, and the mask is None."""
+    """The map the kernel iterates on, one stacked :class:`BlockMap` per
+    group of :func:`_stacks`, with every block's rows held as ``G``
+    (:meth:`BlockMap.rows`, built once here), and the mask of the rows it
+    keeps.  A conjugation-symmetric problem (module docstring) keeps the
+    rows that are not imaginary, renumbered in order, as one contiguous
+    ``float64`` copy of their real parts per stack, so no complex row
+    array outlives this call; any other problem keeps every row, and the
+    mask is None."""
     rows = [bm.rows() for bm in constraints.blocks]
     b, keep = constraints.b, None
     real = np.zeros(constraints.m, dtype=bool)
@@ -398,18 +469,21 @@ def _working_map(C, constraints: ConstraintMap, x_start, y_start):
         keep, b = ~imag, b[~imag]
         rows = [G.real[keep[bm.start : bm.stop]] for bm, G in zip(constraints.blocks, rows)]
     pos = np.arange(constraints.m + 1) if keep is None else np.cumsum(np.r_[0, keep])
-    maps = [
-        BlockMap(pos[bm.start], pos[bm.stop], G, pad=bm.pad, perm=bm.perm)
-        for bm, G in zip(constraints.blocks, rows)
-    ]
+    maps = []
+    for members in _stacks(constraints):
+        bm = constraints.blocks[members[0]]
+        G = _stack([rows[k] for k in members])
+        maps.append(BlockMap(pos[bm.start], pos[bm.stop], G, pad=bm.pad, perm=bm.perm))
     return ConstraintMap(maps, b), keep
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
-    """The iteration in the dtype of ``C``; a real ``C`` needs a real ``A``."""
+    """The iteration in the dtype of ``C``, on stacks: ``C``, ``x_start``
+    and the iterates hold one ``(B, d, d)`` array per stacked block map of
+    ``A``.  A real ``C`` needs a real ``A``."""
     dtype = np.result_type(*C)
-    m, nu, b = A.m, sum(A.dims), A.b
+    m, nu, b = A.m, sum(c.shape[0] * c.shape[-1] for c in C), A.b
 
     fnorm = max(1.0, A.max_row_norm())
     cnorm = max(1.0, max(float(np.linalg.norm(c)) for c in C))
@@ -422,15 +496,15 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
 
     # a start is kept only if positive definite; a NaN eigenvalue is not
     X = None if x_start is None else [_herm(np.asarray(x, dtype=dtype)) for x in x_start]
-    if X is None or not all(np.linalg.eigvalsh(x)[0] > 0.0 for x in X):
+    if X is None or not all(_positive_definite(x) for x in X):
         xi = max(10.0, np.sqrt(nu), nu * bnorm / fnorm)
-        X = [xi * np.eye(d, dtype=dtype) for d in A.dims]
+        X = [xi * _eyes(c) for c in C]
     y = None if y_start is None else np.asarray(y_start, dtype=float).copy()
     Z = None if y is None else [_herm(az - c) for az, c in zip(A.adjoint(y), C)]
-    if Z is None or not all(np.linalg.eigvalsh(z)[0] > 0.0 for z in Z):
+    if Z is None or not all(_positive_definite(z) for z in Z):
         eta = max(10.0, np.sqrt(nu), (cnorm + fnorm) / np.sqrt(nu))
         y = np.zeros(m)
-        Z = [eta * np.eye(d, dtype=dtype) for d in A.dims]
+        Z = [eta * _eyes(c) for c in C]
 
     try:
         for iterations in range(1, max_iter + 1):
@@ -455,7 +529,7 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
 
             Lxi = [_inv_chol(x) for x in X]
             Lzi = [_inv_chol(z) for z in Z]
-            Zi = [_herm(li.conj().T @ li) for li in Lzi]
+            Zi = [_herm(li.conj().swapaxes(-1, -2) @ li) for li in Lzi]
 
             M = A.schur(X, Zi)
 
@@ -532,9 +606,19 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
         "dual_value": float(b @ y),
         "iterations": iterations,
         "farkas": farkas,
-        "blocks": tuple(A.dims),
         "reason": reason,
     }
+
+
+def _positive_definite(stack: np.ndarray) -> bool:
+    """Whether every matrix of a stack has a positive smallest eigenvalue
+    (a NaN eigenvalue is not)."""
+    return bool((np.linalg.eigvalsh(stack)[..., 0] > 0.0).all())
+
+
+def _eyes(like: np.ndarray) -> np.ndarray:
+    """A stack of identities of the shape and dtype of ``like``."""
+    return np.eye(like.shape[-1], dtype=like.dtype)[None].repeat(len(like), axis=0)
 
 
 def _farkas_certificate(A: ConstraintMap, y: np.ndarray):
@@ -557,6 +641,6 @@ def _farkas_certificate(A: ConstraintMap, y: np.ndarray):
         return
     blocks = A.compact_adjoint(u)
     mag = max(1.0, max(float(np.max(np.abs(s))) for s in blocks))
-    lo = min(float(np.linalg.eigvalsh(_herm(s))[0]) for s in blocks)
+    lo = min(_lowest(np.linalg.eigvalsh(_herm(s))) for s in blocks)
     if lo >= -_FARKAS_EIG_TOL * mag:
         raise _FarkasRay(u)

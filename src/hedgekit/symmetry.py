@@ -24,8 +24,9 @@ the content of ``k`` in ``T``.  The reduced problem
 element ``K_a`` of an orthonormal basis of the ``S_n``-invariant Hermitian
 operators on ``X^(x)n``.  Its optimum is the dense optimum: the dense
 rows outside that span vanish on invariant ``X``.  The reduced rows are
-fixed by ``(n, dy, dx)`` (:func:`reduction`); this module builds them and
-the maps between the two problems, and :func:`~hedgekit.sdp.solve` runs
+fixed by ``(n, dy, dx)`` and the letter classes below
+(:func:`reduction`); this module builds them and the maps between the
+two problems, and :func:`~hedgekit.sdp.solve` runs
 the kernel on the reduced one.  Its solution lifts back: ``X`` as the
 ``S_n`` average of ``sum_lambda f_lambda U X_lambda U^T``, which by
 Schur's lemma is the sum above (the Reynolds operator of the group), and
@@ -47,10 +48,32 @@ basis serves, as the average needs no other tableau's basis aligned with
 it.  The average runs coset by coset over the ``n(n-1)/2`` transpositions
 that build the ``J_k``; the invariant basis comes from the orbits of
 index pairs, which are multisets of per-copy pairs.
+
+Per-copy phases cut the blocks further.  A phase ``V = diag(e^{i
+alpha_y}) (x) diag(e^{i beta_x})`` on one copy keeps ``Tr_Y X = I``
+(``Tr_Y(V X V^dag)`` is ``Tr_Y X`` conjugated by the ``beta`` part), and
+it fixes ``C`` when every entry joins, in every copy, letters ``(y, x)``
+of equal charge ``alpha_y + beta_x``.  :func:`phase_classes` reads the
+classes of letters that every such phase charges alike off the nonzero
+pattern of ``C`` (the bundled hedging game: ``{00, 11}``, ``{01}``,
+``{10}``).  Twirling over the phases of each copy, an optimal ``X`` is
+block diagonal in the string of per-copy classes, and with ``S_n`` one
+string per sector, a count ``a_c`` of copies per class, at its canonical
+arrangement (the copies in class order) stands for the ``n! / prod
+a_c!`` arrangements.  The sector's symmetry is ``prod_c S_{a_c}``, so
+its blocks are Kronecker products over the classes of the ``S_n``
+blocks of ``a_c`` copies of the class's ``m_c`` letters: width ``prod
+s_mu``, multiplicity ``n! / prod a_c! * prod f_mu``.  ``X`` lifts by the
+same coset average of ``sum f U X U^T``.  The dual operator ``Y`` is
+invariant under the ``beta`` phases too, so only the rows ``K_a`` whose
+per-copy question pairs lie in one ``beta`` class stay (for hedging,
+the ``n + 1`` Hamming weights).  With one class, the reduction is the
+``S_n`` one above, bit for bit.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,11 +86,14 @@ from .errors import NumericalError
 @dataclass(frozen=True)
 class CopySymmetry:
     """``S_n`` permuting ``n`` copies of a ``(dy, dx)`` strategy block whose
-    factors are ordered ``(y_1 .. y_n, x_1 .. x_n)``."""
+    factors are ordered ``(y_1 .. y_n, x_1 .. x_n)``, with the per-copy
+    phases' letter classes of :func:`phase_classes` (None: one class)."""
 
     n: int
     dy: int
     dx: int
+    classes: tuple | None = None
+    xclasses: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -143,6 +169,134 @@ def _multisets(letters: np.ndarray, base: int) -> tuple:
     return first, inverse.reshape(-1)
 
 
+def _letters(sym: CopySymmetry) -> np.ndarray:
+    """The letter ``y_k dx + x_k`` of every copy ``k`` of every index of
+    the strategy block, shape ``(dim, n)``."""
+    n, dy, dx = sym.n, sym.dy, sym.dx
+    index = np.arange(sym.dim)
+    return _digits(index // dx**n, dy, n) * dx + _digits(index % dx**n, dx, n)
+
+
+def phase_classes(mat: np.ndarray, sym: CopySymmetry, tol: float) -> tuple:
+    """The letter classes of the per-copy phases that fix ``mat``:
+    ``(classes, xclasses)``, the class of each letter ``(y, x)``
+    (numbered ``y dx + x``) and of each question letter ``x``, numbered in
+    order of first letter, or ``(None, None)`` when all letters share one.
+
+    A phase ``diag(e^{i alpha_y}) (x) diag(e^{i beta_x})`` on one copy
+    keeps ``Tr_Y X = I`` and fixes ``mat`` when every entry above ``tol``
+    times the largest joins, in every copy, letters of equal charge
+    ``alpha_y + beta_x``.  Two letters share a class when every such
+    phase gives them equal charge, two question letters when it gives
+    them equal ``beta``: the solutions are the null space of the charge
+    differences of the letter pairs that the entries join."""
+    dy, dx = sym.dy, sym.dx
+    d = dy * dx
+    mag = np.abs(mat)
+    i, j = np.nonzero(mag > tol * np.max(mag))
+    letters = _letters(sym)
+    joined = np.bincount((letters[i] * d + letters[j]).reshape(-1), minlength=d * d)
+    pairs = np.flatnonzero(joined)
+    charge = np.zeros((d, dy + dx))
+    charge[np.arange(d), np.arange(d) // dx] = 1.0
+    charge[np.arange(d), dy + np.arange(d) % dx] = 1.0
+    equations = charge[pairs // d] - charge[pairs % d]
+    evals, evecs = np.linalg.eigh(equations.T @ equations)
+    free = evecs[:, evals <= 1e-9 * max(1.0, evals[-1])]
+
+    def classes(q):
+        same = np.max(np.abs(q[:, None] - q[None]), axis=-1) <= 1e-9
+        return tuple(int(c) for c in np.unique(np.argmax(same, axis=1), return_inverse=True)[1])
+
+    letter = classes(charge @ free)
+    if max(letter) == 0:
+        return None, None
+    return letter, classes(free[dy:])
+
+
+def _transpositions(sym: CopySymmetry) -> list:
+    """The transpositions ``(j k)``, ``j < k``, grouped by ``k = 2 .. n``."""
+    return [[sym.transposition(j, k) for j in range(k)] for k in range(1, sym.n)]
+
+
+def _tableau_bases(sym: CopySymmetry, swaps) -> tuple:
+    """The ``S_n`` blocks of ``sym`` alone: ``(shapes, multiplicities,
+    bases)``, one basis ``U`` of shape ``(dim, s_lambda)`` per shape, from
+    one small ``eigh`` of ``sum_k w_k J_k`` per weight class; ``swaps``
+    are :func:`_transpositions` of ``sym``."""
+    n, d = sym.n, sym.dim
+    shapes = tuple(shape for shape in _partitions(n, n) if len(shape) <= sym.dy * sym.dx)
+    keys = [_key(shape, n) for shape in shapes]
+    # one block of sum_k w_k J_k per weight class, indices sorted for searchsorted
+    _, weight = _multisets(_letters(sym), sym.dy * sym.dx)
+    columns = [[] for _ in shapes]
+    classes = np.split(np.argsort(weight, kind="stable"), np.cumsum(np.bincount(weight))[:-1])
+    for members in classes:
+        size = len(members)
+        weighted = np.zeros((size, size))
+        for w, group in zip(_weights(n)[1:], swaps):
+            for p in group:
+                weighted[np.arange(size), np.searchsorted(members, p[members])] += float(w)
+        evals, evecs = np.linalg.eigh(weighted)
+        found = np.rint(evals).astype(np.int64)
+        for cols, key in zip(columns, keys):
+            cols.append((members, evecs[:, found == key]))
+    bases = []
+    for cols in columns:
+        widths = [vecs.shape[1] for _, vecs in cols]
+        u = np.zeros((d, sum(widths)))
+        for (members, vecs), start in zip(cols, np.cumsum([0] + widths)):
+            u[members, start : start + vecs.shape[1]] = vecs
+        bases.append(u)
+    return shapes, tuple(_tableaux(shape) for shape in shapes), bases
+
+
+@functools.cache
+def _class_blocks(copies: int, letters: int) -> tuple:
+    """``(shape, f, U)`` per block of ``copies`` copies of one class of
+    ``letters`` letters (a single 1 x 1 block for no copies)."""
+    if copies == 0:
+        return (((), 1, np.ones((1, 1))),)
+    sym = CopySymmetry(copies, 1, letters)
+    return tuple(zip(*_tableau_bases(sym, _transpositions(sym))))
+
+
+def _compositions(n: int, parts: int) -> list:
+    """The tuples of ``parts`` counts that sum to ``n``, largest first."""
+    if parts == 1:
+        return [(n,)]
+    return [(a,) + rest for a in range(n, -1, -1) for rest in _compositions(n - a, parts - 1)]
+
+
+def _sector_bases(sym: CopySymmetry) -> tuple:
+    """The blocks of ``sym``'s phase sectors: ``(shapes, multiplicities,
+    bases, local)``, with one shape per class in each block's shape, and
+    per block the index window of its sector's canonical arrangement and
+    the rows of ``U`` there, the only nonzero ones."""
+    n, dy, dx = sym.n, sym.dy, sym.dx
+    labels = np.array(sym.classes)
+    members = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+    shapes, multiplicities, bases, local = [], [], [], []
+    for counts in _compositions(n, len(members)):
+        # the canonical arrangement: the copies in class order
+        index = np.zeros(1, dtype=np.int64)
+        for k, c in enumerate(np.repeat(np.arange(len(members)), counts)):
+            y, x = np.divmod(members[c], dx)
+            place = y * dy ** (n - 1 - k) * dx**n + x * dx ** (n - 1 - k)
+            index = (index[:, None] + place).reshape(-1)
+        arrangements = math.factorial(n) // math.prod(math.factorial(a) for a in counts)
+        factors = [_class_blocks(a, len(m)) for a, m in zip(counts, members)]
+        for combo in itertools.product(*factors):
+            u = functools.reduce(np.kron, [block[2] for block in combo])
+            basis = np.zeros((sym.dim, u.shape[1]))
+            basis[index] = u
+            shapes.append(tuple(block[0] for block in combo))
+            multiplicities.append(arrangements * math.prod(block[1] for block in combo))
+            bases.append(basis)
+            local.append((np.ix_(index, index), u))
+    return tuple(shapes), tuple(multiplicities), bases, local
+
+
 class Reduction:
     """The reduced blocks of a :class:`CopySymmetry` and the invariant
     basis of its question space.
@@ -151,42 +305,24 @@ class Reduction:
     ``s_lambda`` and ``f_lambda`` per block: the partitions of ``n`` with
     at most ``dy dx`` rows in decreasing order, the dimension of the first
     tableau's eigenspace, whose basis ``U`` of shape ``(d, s_lambda)`` each
-    block keeps, and the hook length formula's tableau count.
+    block keeps, and the hook length formula's tableau count.  With phase
+    classes the blocks are those of the sectors, sector by sector (counts
+    of copies per class, largest first): a block's shape lists one
+    partition per class, its width is the product of theirs, and its
+    multiplicity is that of the tableaux times the sector's arrangements.
     """
 
     def __init__(self, sym: CopySymmetry):
         self.sym = sym
-        n, dy, dx, d = sym.n, sym.dy, sym.dx, sym.dim
-        # the transpositions (j k), j < k, grouped by k = 2 .. n
-        self._swaps = [[sym.transposition(j, k) for j in range(k)] for k in range(1, n)]
-        self.shapes = tuple(shape for shape in _partitions(n, n) if len(shape) <= dy * dx)
-        self.multiplicities = tuple(_tableaux(shape) for shape in self.shapes)
-        keys = [_key(shape, n) for shape in self.shapes]
-        # one block of sum_k w_k J_k per weight class, indices sorted for searchsorted
-        index = np.arange(d)
-        letters = _digits(index // dx**n, dy, n) * dx + _digits(index % dx**n, dx, n)
-        _, weight = _multisets(letters, dy * dx)
-        columns = [[] for _ in self.shapes]
-        classes = np.split(np.argsort(weight, kind="stable"), np.cumsum(np.bincount(weight))[:-1])
-        for members in classes:
-            size = len(members)
-            weighted = np.zeros((size, size))
-            for w, swaps in zip(_weights(n)[1:], self._swaps):
-                for p in swaps:
-                    weighted[np.arange(size), np.searchsorted(members, p[members])] += float(w)
-            evals, evecs = np.linalg.eigh(weighted)
-            found = np.rint(evals).astype(np.int64)
-            for cols, key in zip(columns, keys):
-                cols.append((members, evecs[:, found == key]))
-        self._bases = []
-        for cols in columns:
-            widths = [vecs.shape[1] for _, vecs in cols]
-            u = np.zeros((d, sum(widths)))
-            for (members, vecs), start in zip(cols, np.cumsum([0] + widths)):
-                u[members, start : start + vecs.shape[1]] = vecs
-            self._bases.append(u)
+        self._swaps = _transpositions(sym)
+        if sym.classes is None:
+            self.shapes, self.multiplicities, self._bases = _tableau_bases(sym, self._swaps)
+            windows = [(slice(None), slice(None))] * len(self._bases)
+            self._local = list(zip(windows, self._bases))
+        else:
+            self.shapes, self.multiplicities, self._bases, self._local = _sector_bases(sym)
         self.dims = tuple(u.shape[1] for u in self._bases)
-        if sum(f * s for f, s in zip(self.multiplicities, self.dims)) != d:
+        if sum(f * s for f, s in zip(self.multiplicities, self.dims)) != sym.dim:
             raise NumericalError("tableau eigenspaces do not span the block")
         self._orbits()
 
@@ -194,7 +330,9 @@ class Reduction:
         """The orbits of index pairs ``(i, j)`` of ``X^(x)n``: ``orbit``
         numbers each pair (row-major), and row ``a`` of the invariant basis
         is ``K_a = alpha_a E_{o_a} + beta_a E_{t_a}``, ``E_o`` the orbit's
-        indicator and ``t_a`` the orbit of the transposed pairs."""
+        indicator and ``t_a`` the orbit of the transposed pairs.  With
+        question classes, only the orbits whose pairs join letters of one
+        class in every copy give rows."""
         n, dx = self.sym.n, self.sym.dx
         w = dx**n
         self.w = w
@@ -205,8 +343,13 @@ class Reduction:
         self._order = np.argsort(self.orbit, kind="stable")
         self._starts = np.cumsum(sizes) - sizes
         transposed = self.orbit[(first % w) * w + first // w]
+        # the orbits whose pairs join question letters of one class in every copy
+        kept = np.ones(self.orbits, dtype=bool)
+        if self.sym.xclasses is not None:
+            xc = np.array(self.sym.xclasses)
+            kept = np.all(xc[digits[first // w]] == xc[digits[first % w]], axis=1)
         rows = []  # (o, t, alpha, beta)
-        for a in range(self.orbits):
+        for a in np.flatnonzero(kept):
             b = int(transposed[a])
             if b == a:
                 rows.append((a, a, 1 / math.sqrt(sizes[a]), 0.0))
@@ -219,13 +362,15 @@ class Reduction:
 
     def compress(self, mat: np.ndarray):
         """``U^T mat U`` per block."""
-        return [u.T @ mat @ u for u in self._bases]
+        return [u.T @ mat[window] @ u for window, u in self._local]
 
     def lift(self, blocks) -> np.ndarray:
         """``sum_lambda sum_T U_T X_lambda U_T^T``, the ``S_n`` average of
         ``A = sum_lambda f_lambda U X_lambda U^T``, taken coset by coset:
         ``A <- (A + sum_{j<k} P_(j k) A P_(j k)^T) / k`` for ``k = 2 .. n``."""
-        a = sum(f * (u @ x @ u.T) for f, u, x in zip(self.multiplicities, self._bases, blocks))
+        a = np.zeros((self.sym.dim,) * 2, dtype=np.result_type(*blocks))
+        for f, (window, u), x in zip(self.multiplicities, self._local, blocks):
+            a[window] += f * (u @ x @ u.T)
         for k, swaps in enumerate(self._swaps, start=2):
             a = (a + sum(a[p[:, None], p] for p in swaps)) / k
         return a
@@ -253,16 +398,18 @@ class Reduction:
         per orbit ``o``, ``U_{yi}`` the row of ``U`` at ``(y, i)``."""
         m = len(self._o)
         pairs = np.split(self._order, self._starts[1:])
+        used, at = np.unique(np.concatenate([self._o, self._t]), return_inverse=True)
+        o, t = np.split(at, 2)
         alpha, beta = self._alpha[:, None, None], self._beta[:, None, None]
         maps = []
         for f, basis in zip(self.multiplicities, self._bases):
             s = basis.shape[1]
             u = basis.reshape(-1, self.w, s).transpose(1, 0, 2)
             sums = np.stack([
-                u[flat // self.w].reshape(-1, s).T @ u[flat % self.w].reshape(-1, s)
-                for flat in pairs
+                u[pairs[a] // self.w].reshape(-1, s).T @ u[pairs[a] % self.w].reshape(-1, s)
+                for a in used
             ])
-            rows = f * (alpha * sums[self._o] + beta * sums[self._t])
+            rows = f * (alpha * sums[o] + beta * sums[t])
             maps.append(_solver.BlockMap(0, m, rows))
         return _solver.ConstraintMap(maps, self.coordinates(np.eye(self.w)))
 
@@ -270,9 +417,10 @@ class Reduction:
 @functools.cache
 def reduction(sym: CopySymmetry) -> tuple:
     """The :class:`Reduction` of ``sym`` and its reduced constraints, built
-    once per ``(n, dy, dx)`` and shared by every solve, which only reads
-    them.  :func:`~hedgekit.sdp.compile_primal` attaches a symmetry only
-    to ``n >= 3`` copies (:func:`~hedgekit.games.copy_split`) of a block
-    within the desk cap, so few keys arise."""
+    once per ``(n, dy, dx)`` and letter classes and shared by every solve,
+    which only reads them.  :func:`~hedgekit.sdp.compile_primal` attaches
+    a symmetry only to ``n >= 3`` copies
+    (:func:`~hedgekit.games.copy_split`) of a block within the desk cap,
+    so few keys arise."""
     red = Reduction(sym)
     return red, red.constraints()

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hedgekit import solver
-from hedgekit.errors import NumericalError
+from hedgekit.errors import NumericalError, ValidationError
 from hedgekit.solver import BlockMap, ConstraintMap, interior_point
 
 
@@ -172,3 +172,79 @@ def test_block_without_rows_is_legal(pad):
     res = interior_point([np.eye(1), -np.eye(2 * pad)], A)
     assert res["status"] == solver.STATUS_OPTIMAL
     assert res["primal_value"] == pytest.approx(1.0, abs=1e-7)
+
+
+def stacked_problem():
+    """Two blocks of width 3 and one of width 2 on the same three rows
+    (trace one in total, two random), and the same problem written as
+    one block-diagonal block of width 8."""
+    rng = np.random.default_rng(14)
+    widths, m = (3, 2, 3), 3
+    rows = [[np.eye(w)] + [random_hermitian(rng, w) for _ in range(m - 1)] for w in widths]
+    c = [random_hermitian(rng, w) for w in widths]
+    b = np.array([1.0, 0.1, -0.1])
+    stacked = ConstraintMap([BlockMap(0, m, g) for g in rows], b)
+
+    def diag(mats):
+        out = np.zeros((sum(widths), sum(widths)), dtype=complex)
+        for mat, start in zip(mats, np.cumsum((0,) + widths)):
+            out[start : start + len(mat), start : start + len(mat)] = mat
+        return out
+
+    merged = ConstraintMap([BlockMap(0, m, [diag(g) for g in zip(*rows)])], b)
+    return c, stacked, [diag(c)], merged
+
+
+def test_equal_width_blocks_iterate_as_one_stack(monkeypatch):
+    c, A, merged_c, merged = stacked_problem()
+    assert solver._stacks(A) == [[0, 2], [1]]
+    seen = []
+    iterate = solver._iterate
+
+    def recorded(C, A, *args):
+        seen.append([x.shape for x in C])
+        return iterate(C, A, *args)
+
+    monkeypatch.setattr(solver, "_iterate", recorded)
+    res = interior_point(c, A, tol=1e-10)
+    assert seen == [[(2, 3, 3), (1, 2, 2)]]
+    oracle = interior_point(merged_c, merged, tol=1e-10)
+    assert res["status"] == oracle["status"] == solver.STATUS_OPTIMAL
+    assert abs(res["primal_value"] - oracle["primal_value"]) <= 1e-9
+    assert abs(res["dual_value"] - oracle["dual_value"]) <= 1e-9
+    # X, Z and the block dimensions come back per block, in block order
+    assert res["blocks"] == (3, 2, 3)
+    assert [x.shape for x in res["X"]] == [x.shape for x in res["Z"]] == [(3, 3), (2, 2), (3, 3)]
+    assert_allclose(A.apply(res["X"]), A.b, rtol=0, atol=1e-9)
+    assert sum(np.vdot(ci, x).real for ci, x in zip(c, res["X"])) == pytest.approx(
+        res["primal_value"], abs=1e-12
+    )
+    for z, ci, az in zip(res["Z"], c, A.adjoint(res["y"])):
+        assert_allclose(z, az - ci, rtol=0, atol=1e-8)
+
+
+def test_kernel_refuses_a_stacked_block_map():
+    A = ConstraintMap([BlockMap(0, 1, np.eye(2)[None, None])], [1.0])
+    with pytest.raises(ValidationError, match="stacks"):
+        interior_point([np.eye(2)], A)
+
+
+def test_non_finite_direction_in_one_stacked_block_is_refused():
+    rng = np.random.default_rng(15)
+    li = solver._inv_chol(np.stack([random_pd(rng, 3) for _ in range(3)]))
+    direction = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+    assert 0.0 < solver._max_step(li, direction) < np.inf
+    direction[1, 0, 2] = np.nan
+    with pytest.raises(NumericalError, match="search direction is not finite"):
+        solver._max_step(li, direction)
+
+
+def test_unbounded_stacked_problem_ends_on_the_direction_guard():
+    # max Tr X1 + Tr X2 s.t. <diag(1, -1), X1> + <diag(1, -1), X2> = 1
+    row = [np.diag([1.0, -1.0])]
+    A = ConstraintMap([BlockMap(0, 1, row), BlockMap(0, 1, row)], [1.0])
+    assert solver._stacks(A) == [[0, 1]]
+    res = interior_point([np.eye(2), np.eye(2)], A)
+    assert res["status"] == solver.STATUS_NUMERICAL
+    assert res["reason"] == "search direction is not finite"
+    assert all(np.isfinite(x).all() for x in res["X"] + res["Z"])

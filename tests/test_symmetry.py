@@ -21,17 +21,22 @@ from hedgekit import (
     value_objective,
 )
 from hedgekit.cli import main
-from hedgekit.games import repetitions, tensor_word
+from hedgekit.error_reduction import binomial_tail
+from hedgekit.games import dephase_game, repetitions, tensor_word
+from hedgekit.hedging import hedging_game
 from hedgekit.operators import align, identity, kron, min_eigenvalue
 from hedgekit.sampling import random_measurement
 from hedgekit.sdp import SdpProblem, check_dual_feasibility, check_weak_duality
 from hedgekit.serialize import load_json
 from hedgekit import symmetry
-from hedgekit.symmetry import CopySymmetry, Reduction
+from hedgekit.symmetry import CopySymmetry, Reduction, phase_classes
+from hedgekit.witnesses import classical_optimum
 
-from conftest import make_r2_product_game, make_random_game
+from conftest import make_r2_product_game, make_random_diagonal_game, make_random_game
 
 TOL = 1e-8
+#: the hedging game's n = 4 phase-sector blocks, sector by sector
+N4_SECTOR_BLOCKS = (5, 3, 1, 4, 2, 4, 2, 3, 1, 3, 1, 3, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1)
 
 
 def plain(prob):
@@ -219,7 +224,7 @@ def test_lifted_n4_report_gives_a_feasible_witness(hedging):
     objective = threshold_objective(hedging, 4, 3)
     prob = compile_primal(rounds, objective)
     rep = solve(prob, TOL)
-    assert rep.solved_blocks == (35, 45, 20, 15, 1)
+    assert rep.solved_blocks == N4_SECTOR_BLOCKS
     witness = repair_witness(rounds, objective, dual_witness_from_report(rounds, prob, rep))
     feas = check_dual_feasibility(rounds, objective, witness)
     assert feas.feasible
@@ -234,7 +239,7 @@ def test_solve_reports_the_reduced_blocks(tmp_path):
     ])
     assert code == 0
     results = load_json(out)["results"]
-    assert results["solved_blocks"] == [35, 45, 20, 15, 1]
+    assert results["solved_blocks"] == list(N4_SECTOR_BLOCKS)
     assert abs(results["primal_value"]["value"] - 1.0) <= 10 * TOL
 
 
@@ -253,7 +258,7 @@ def test_repeated_solves_share_one_reduction(hedging, monkeypatch):
         solve(compile_primal(rounds, threshold_objective(hedging, 3, 2)), TOL) for _ in range(2)
     )
     symmetry.reduction.cache_clear()
-    assert built == [CopySymmetry(3, 2, 2)]
+    assert built == [CopySymmetry(3, 2, 2, (0, 1, 2, 0), (0, 1))]
     assert (first.status, first.iterations, first.primal_value, first.dual_value) == (
         second.status, second.iterations, second.primal_value, second.dual_value
     )
@@ -314,3 +319,153 @@ def test_other_problems_keep_the_dense_path(hedging, case):
     assert rep.dual_multipliers == oracle.dual_multipliers
     for name, x in rep.primal_blocks.items():
         assert np.array_equal(x.entries, oracle.primal_blocks[name].entries)
+
+
+# ---------------------------------------------------------------- phase sectors
+
+
+def hedging_sectors(n):
+    return CopySymmetry(n, 2, 2, (0, 1, 2, 0), (0, 1))
+
+
+def aligned_objective(game, n, k):
+    return align(threshold_objective(game, n, k), parallel_rounds(game, n).block(1)).entries
+
+
+def test_letter_classes_of_hedging_random_and_diagonal_games(hedging):
+    # hedging couples only the letters (y, x) = 00 and 11; a random qubit
+    # game couples every letter; a diagonal game couples none
+    games = {
+        "hedging": (hedging, hedging_sectors(3)),
+        "random": (make_random_game(np.random.default_rng(41)), CopySymmetry(3, 2, 2)),
+        "diagonal": (
+            make_random_diagonal_game(np.random.default_rng(42)),
+            CopySymmetry(3, 2, 2, (0, 1, 2, 3), (0, 1)),
+        ),
+    }
+    for name, (game, want) in games.items():
+        prob = compile_primal(parallel_rounds(game, 3), threshold_objective(game, 3, 2))
+        assert prob._copy_symmetry == want, name
+        c = aligned_objective(game, 3, 2)
+        assert phase_classes(c, CopySymmetry(3, 2, 2), 1e-12) == (want.classes, want.xclasses)
+
+
+@pytest.mark.parametrize("n, blocks, widths", [
+    (3, 13, {1: 6, 2: 4, 3: 2, 4: 1}),
+    (4, 22, {1: 9, 2: 6, 3: 4, 4: 2, 5: 1}),
+])
+def test_sectors_span_the_strategy_block(n, blocks, widths):
+    # 4^n = sum f s over the sector blocks, with n + 1 Hamming-weight rows
+    red = Reduction(hedging_sectors(n))
+    assert len(red.dims) == blocks
+    assert {s: red.dims.count(s) for s in set(red.dims)} == widths
+    assert sum(f * s for f, s in zip(red.multiplicities, red.dims)) == 4**n
+    assert len(red.constraints().b) == n + 1
+    for u in red._bases:
+        assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12
+
+
+def per_copy_phases(rng, n):
+    """Phases on the (y_1 .. y_n, x_1 .. x_n) indices: per copy, charges
+    alpha_y + beta_x equal on the letters 00 and 11."""
+    total = np.zeros((2,) * (2 * n))
+    for k in range(n):
+        a0, a1, b0 = rng.uniform(-np.pi, np.pi, size=3)
+        alpha, beta = np.array([a0, a1]), np.array([b0, a0 + b0 - a1])
+        shape = [1] * (2 * n)
+        shape[k] = shape[n + k] = 2
+        total = total + (alpha[:, None] + beta[None, :]).reshape(shape)
+    return np.exp(1j * total.reshape(-1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lift_of_sector_blocks_is_invariant_under_copies_and_phases(n):
+    sym = hedging_sectors(n)
+    red = Reduction(sym)
+    rng = np.random.default_rng(9)
+    blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in red.dims]
+    blocks = [b + b.conj().T for b in blocks]
+    x = red.lift(blocks)
+    assert CopySymmetry(n, 2, 2).is_invariant(x, 1e-12)
+    for _ in range(3):
+        v = per_copy_phases(rng, n)
+        assert np.max(np.abs(v[:, None] * x * v.conj() - x)) <= 1e-12 * np.max(np.abs(x))
+    for got, want in zip(red.compress(x), blocks):
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sector_objective_is_the_dense_objective_of_the_lift(hedging, n):
+    red = Reduction(hedging_sectors(n))
+    c = aligned_objective(hedging, n, 2)
+    rng = np.random.default_rng(10)
+    blocks = [rng.standard_normal((s, s)) for s in red.dims]
+    blocks = [b + b.T for b in blocks]
+    reduced = sum(
+        f * np.vdot(cb, b).real for f, cb, b in zip(red.multiplicities, red.compress(c), blocks)
+    )
+    assert abs(np.vdot(c, red.lift(blocks)).real - reduced) <= 1e-12 * max(1.0, abs(reduced))
+
+
+def test_one_class_game_keeps_the_copy_symmetric_reduction():
+    # a random game has one letter class: its reduction is the S_n one,
+    # bases, rows and right-hand side alike, byte for byte
+    game = make_random_game(np.random.default_rng(41))
+    prob = compile_primal(parallel_rounds(game, 3), threshold_objective(game, 3, 2))
+    c = aligned_objective(game, 3, 2)
+    assert phase_classes(c, CopySymmetry(3, 2, 2), 1e-12) == (None, None)
+    red, rows = symmetry.reduction(prob._copy_symmetry)
+    plain_red = Reduction(CopySymmetry(3, 2, 2))
+    plain_rows = plain_red.constraints()
+    assert red.dims == plain_red.dims == (20, 20, 4)
+    for u, v in zip(red._bases, plain_red._bases):
+        assert u.tobytes() == v.tobytes()
+    for bm, other in zip(rows.blocks, plain_rows.blocks):
+        assert bm.G.tobytes() == other.G.tobytes()
+    assert rows.b.tobytes() == plain_rows.b.tobytes()
+
+
+#: primal values of the S_n-reduced solves these sector solves replace
+S_N_VALUES = {
+    3: (0.999999998266493, 0.986135906048825, 0.6218592136306248, 0.8535533896839698),
+    4: (0.9999999946761785, 0.9999999920471011, 0.9523200694011185, 0.5307900401547088,
+        0.8535533879553152),
+}
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (3, 3), (3, "value"),
+                                  (4, 1), (4, 2), (4, 3), (4, 4), (4, "value")])
+def test_sector_solves_keep_the_reduced_values(hedging, n, k):
+    rounds = parallel_rounds(hedging, n)
+    if k == "value":
+        objective, want = value_objective(hedging, (0.0, 1.0), n), S_N_VALUES[n][-1]
+    else:
+        objective, want = threshold_objective(hedging, n, k), S_N_VALUES[n][k - 1]
+    prob = compile_primal(rounds, objective)
+    rep = solve(prob, TOL)
+    assert rep.status == "optimal"
+    assert max(rep.solved_blocks) == n + 1
+    assert abs(rep.primal_value - want) <= 10 * TOL
+    assert len(rep.dual_multipliers) == prob.constraint_map.m
+    check_weak_duality(prob, rep.primal_blocks, rep.dual_multipliers)
+
+
+def classical_games():
+    return {
+        "dephased hedging": dephase_game(hedging_game()),
+        "diagonal seed 42": make_random_diagonal_game(np.random.default_rng(42)),
+    }
+
+
+@pytest.mark.parametrize("name", ["dephased hedging", "diagonal seed 42"])
+def test_classical_games_solve_in_one_by_one_blocks_at_the_binomial_tail(name):
+    # every per-copy phase fixes a classical game: its sectors are 1 x 1
+    # blocks, a linear program, and each k is the independent answer
+    game, n = classical_games()[name], 3
+    p = classical_optimum(game)
+    rounds = parallel_rounds(game, n)
+    for k in range(1, n + 1):
+        rep = solve(compile_primal(rounds, threshold_objective(game, n, k)), TOL)
+        assert rep.status == "optimal"
+        assert set(rep.solved_blocks) == {1}
+        assert abs(rep.primal_value - binomial_tail(p, n, k)) <= 10 * TOL
