@@ -67,8 +67,10 @@ s_mu``, multiplicity ``n! / prod a_c! * prod f_mu``.  ``X`` lifts by the
 same coset average of ``sum f U X U^T``.  The dual operator ``Y`` is
 invariant under the ``beta`` phases too, so only the rows ``K_a`` whose
 per-copy question pairs lie in one ``beta`` class stay (for hedging,
-the ``n + 1`` Hamming weights).  With one class, the reduction is the
-``S_n`` one above, bit for bit.
+the ``n + 1`` Hamming weights).  One class is the one sector of ``n``
+copies, whose blocks are the ``S_n`` blocks above, so every reduction is
+built sector by sector, and each block is held once: its sector's index
+window and the rows of ``U`` there.
 """
 from __future__ import annotations
 
@@ -219,46 +221,41 @@ def _transpositions(sym: CopySymmetry) -> list:
     return [[sym.transposition(j, k) for j in range(k)] for k in range(1, sym.n)]
 
 
-def _tableau_bases(sym: CopySymmetry, swaps) -> tuple:
-    """The ``S_n`` blocks of ``sym`` alone: ``(shapes, multiplicities,
-    bases)``, one basis ``U`` of shape ``(dim, s_lambda)`` per shape, from
-    one small ``eigh`` of ``sum_k w_k J_k`` per weight class; ``swaps``
-    are :func:`_transpositions` of ``sym``."""
-    n, d = sym.n, sym.dim
-    shapes = tuple(shape for shape in _partitions(n, n) if len(shape) <= sym.dy * sym.dx)
-    keys = [_key(shape, n) for shape in shapes]
+@functools.cache
+def _class_blocks(copies: int, letters: int) -> tuple:
+    """``(shape, f, U)`` per ``S_n`` block of ``copies`` copies of one class
+    of ``letters`` letters (a single 1 x 1 block for no copies): ``U`` of
+    shape ``(letters^copies, s_lambda)``, its rows indexed by the copies'
+    letters, highest first, from one small ``eigh`` of ``sum_k w_k J_k``
+    per weight class."""
+    if copies == 0:
+        return (((), 1, np.ones((1, 1))),)
+    sym = CopySymmetry(copies, 1, letters)
+    shapes = tuple(shape for shape in _partitions(copies, copies) if len(shape) <= letters)
+    keys = [_key(shape, copies) for shape in shapes]
+    swaps = _transpositions(sym)
     # one block of sum_k w_k J_k per weight class, indices sorted for searchsorted
-    _, weight = _multisets(_letters(sym), sym.dy * sym.dx)
+    _, weight = _multisets(_letters(sym), letters)
     columns = [[] for _ in shapes]
     classes = np.split(np.argsort(weight, kind="stable"), np.cumsum(np.bincount(weight))[:-1])
     for members in classes:
         size = len(members)
         weighted = np.zeros((size, size))
-        for w, group in zip(_weights(n)[1:], swaps):
+        for w, group in zip(_weights(copies)[1:], swaps):
             for p in group:
                 weighted[np.arange(size), np.searchsorted(members, p[members])] += float(w)
         evals, evecs = np.linalg.eigh(weighted)
         found = np.rint(evals).astype(np.int64)
         for cols, key in zip(columns, keys):
             cols.append((members, evecs[:, found == key]))
-    bases = []
-    for cols in columns:
+    blocks = []
+    for shape, cols in zip(shapes, columns):
         widths = [vecs.shape[1] for _, vecs in cols]
-        u = np.zeros((d, sum(widths)))
+        u = np.zeros((sym.dim, sum(widths)))
         for (members, vecs), start in zip(cols, np.cumsum([0] + widths)):
             u[members, start : start + vecs.shape[1]] = vecs
-        bases.append(u)
-    return shapes, tuple(_tableaux(shape) for shape in shapes), bases
-
-
-@functools.cache
-def _class_blocks(copies: int, letters: int) -> tuple:
-    """``(shape, f, U)`` per block of ``copies`` copies of one class of
-    ``letters`` letters (a single 1 x 1 block for no copies)."""
-    if copies == 0:
-        return (((), 1, np.ones((1, 1))),)
-    sym = CopySymmetry(copies, 1, letters)
-    return tuple(zip(*_tableau_bases(sym, _transpositions(sym))))
+        blocks.append((shape, _tableaux(shape), u))
+    return tuple(blocks)
 
 
 def _compositions(n: int, parts: int) -> list:
@@ -269,14 +266,15 @@ def _compositions(n: int, parts: int) -> list:
 
 
 def _sector_bases(sym: CopySymmetry) -> tuple:
-    """The blocks of ``sym``'s phase sectors: ``(shapes, multiplicities,
-    bases, local)``, with one shape per class in each block's shape, and
-    per block the index window of its sector's canonical arrangement and
-    the rows of ``U`` there, the only nonzero ones."""
+    """The blocks of ``sym``'s phase sectors (one sector of ``n`` copies
+    when its letters form one class): ``(shapes, multiplicities,
+    blocks)``, with one shape per class in each block's shape, and per
+    block ``(index, U)``, the index window of its sector's canonical
+    arrangement and the rows of ``U`` there, the only nonzero ones."""
     n, dy, dx = sym.n, sym.dy, sym.dx
-    labels = np.array(sym.classes)
+    labels = np.array(sym.classes or (0,) * dy * dx)
     members = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
-    shapes, multiplicities, bases, local = [], [], [], []
+    shapes, multiplicities, blocks = [], [], []
     for counts in _compositions(n, len(members)):
         # the canonical arrangement: the copies in class order
         index = np.zeros(1, dtype=np.int64)
@@ -287,41 +285,33 @@ def _sector_bases(sym: CopySymmetry) -> tuple:
         arrangements = math.factorial(n) // math.prod(math.factorial(a) for a in counts)
         factors = [_class_blocks(a, len(m)) for a, m in zip(counts, members)]
         for combo in itertools.product(*factors):
-            u = functools.reduce(np.kron, [block[2] for block in combo])
-            basis = np.zeros((sym.dim, u.shape[1]))
-            basis[index] = u
             shapes.append(tuple(block[0] for block in combo))
             multiplicities.append(arrangements * math.prod(block[1] for block in combo))
-            bases.append(basis)
-            local.append((np.ix_(index, index), u))
-    return tuple(shapes), tuple(multiplicities), bases, local
+            blocks.append((index, functools.reduce(np.kron, [block[2] for block in combo])))
+    return tuple(shapes), tuple(multiplicities), blocks
 
 
 class Reduction:
     """The reduced blocks of a :class:`CopySymmetry` and the invariant
     basis of its question space.
 
-    ``shapes``, ``dims`` and ``multiplicities`` list ``lambda``,
-    ``s_lambda`` and ``f_lambda`` per block: the partitions of ``n`` with
-    at most ``dy dx`` rows in decreasing order, the dimension of the first
-    tableau's eigenspace, whose basis ``U`` of shape ``(d, s_lambda)`` each
-    block keeps, and the hook length formula's tableau count.  With phase
-    classes the blocks are those of the sectors, sector by sector (counts
-    of copies per class, largest first): a block's shape lists one
-    partition per class, its width is the product of theirs, and its
-    multiplicity is that of the tableaux times the sector's arrangements.
+    The blocks are those of the phase sectors, sector by sector (counts
+    of copies per class, largest first); one letter class is the one
+    sector of ``n`` copies, whose blocks are the ``S_n`` ones.
+    ``shapes``, ``dims`` and ``multiplicities`` list per block its shape,
+    one partition ``mu`` of each class's count of copies with at most as
+    many rows as the class has letters (in decreasing order); its width,
+    the product of the classes' ``s_mu``; and its multiplicity, the
+    product of their hook length tableau counts ``f_mu`` times the
+    sector's arrangements.  Each block is held once, as its sector's
+    index window and the rows ``U`` of its first tableau's basis there.
     """
 
     def __init__(self, sym: CopySymmetry):
         self.sym = sym
         self._swaps = _transpositions(sym)
-        if sym.classes is None:
-            self.shapes, self.multiplicities, self._bases = _tableau_bases(sym, self._swaps)
-            windows = [(slice(None), slice(None))] * len(self._bases)
-            self._local = list(zip(windows, self._bases))
-        else:
-            self.shapes, self.multiplicities, self._bases, self._local = _sector_bases(sym)
-        self.dims = tuple(u.shape[1] for u in self._bases)
+        self.shapes, self.multiplicities, self._blocks = _sector_bases(sym)
+        self.dims = tuple(u.shape[1] for _, u in self._blocks)
         if sum(f * s for f, s in zip(self.multiplicities, self.dims)) != sym.dim:
             raise NumericalError("tableau eigenspaces do not span the block")
         self._orbits()
@@ -362,15 +352,15 @@ class Reduction:
 
     def compress(self, mat: np.ndarray):
         """``U^T mat U`` per block."""
-        return [u.T @ mat[window] @ u for window, u in self._local]
+        return [u.T @ mat[np.ix_(index, index)] @ u for index, u in self._blocks]
 
     def lift(self, blocks) -> np.ndarray:
         """``sum_lambda sum_T U_T X_lambda U_T^T``, the ``S_n`` average of
         ``A = sum_lambda f_lambda U X_lambda U^T``, taken coset by coset:
         ``A <- (A + sum_{j<k} P_(j k) A P_(j k)^T) / k`` for ``k = 2 .. n``."""
         a = np.zeros((self.sym.dim,) * 2, dtype=np.result_type(*blocks))
-        for f, (window, u), x in zip(self.multiplicities, self._local, blocks):
-            a[window] += f * (u @ x @ u.T)
+        for f, (index, u), x in zip(self.multiplicities, self._blocks, blocks):
+            a[np.ix_(index, index)] += f * (u @ x @ u.T)
         for k, swaps in enumerate(self._swaps, start=2):
             a = (a + sum(a[p[:, None], p] for p in swaps)) / k
         return a
@@ -402,8 +392,11 @@ class Reduction:
         o, t = np.split(at, 2)
         alpha, beta = self._alpha[:, None, None], self._beta[:, None, None]
         maps = []
-        for f, basis in zip(self.multiplicities, self._bases):
-            s = basis.shape[1]
+        for f, (index, u) in zip(self.multiplicities, self._blocks):
+            s = u.shape[1]
+            # the block's (dim, s) basis, held only while its orbit sums form
+            basis = np.zeros((self.sym.dim, s))
+            basis[index] = u
             u = basis.reshape(-1, self.w, s).transpose(1, 0, 2)
             sums = np.stack([
                 u[pairs[a] // self.w].reshape(-1, s).T @ u[pairs[a] % self.w].reshape(-1, s)
