@@ -222,7 +222,10 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     :func:`~hedgekit.games.repetitions`, with the same factors in every
     copy, whose objective is invariant under permuting the copies, gets
     its :class:`~hedgekit.symmetry.CopySymmetry` recorded on the problem,
-    with the letter classes of :func:`~hedgekit.symmetry.phase_classes`.
+    with the letter classes of :func:`~hedgekit.symmetry.phase_classes`;
+    its dual start reads the objective's norm off the reduced blocks of
+    :func:`~hedgekit.symmetry.reduction`, which the solve reuses, in
+    place of :func:`slater_points`' SVD of the dense objective.
     """
     _check_objective(g, objective)
     r = g.rounds
@@ -243,9 +246,17 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
         maps.append(link)
     b = np.zeros(offsets[-1])
     b[: offsets[1]] = hermitian_coordinates(np.eye(families[0].dim))  # the Tr H_k
-    primal_point, dual_chain = slater_points(g, objective)
-    dual_start = np.concatenate([hermitian_coordinates(yop.entries) for yop in dual_chain])
     aligned = align(objective, dict(blocks)[_block_name(g, r)])
+    symmetry = _copy_symmetry(g, aligned.entries)
+    if symmetry is None:
+        primal_point, dual_chain = slater_points(g, objective)
+    else:
+        # the objective is f_lambda copies of each reduced block, so its
+        # spectral norm is the largest |eigenvalue| over the blocks
+        reduced = reduction(symmetry)[0].compress(aligned.entries)
+        norm = max(float(np.max(np.abs(np.linalg.eigvalsh(c)))) for c in reduced)
+        primal_point, dual_chain = _slater_points(g, norm)
+    dual_start = np.concatenate([hermitian_coordinates(yop.entries) for yop in dual_chain])
     problem = SdpProblem(
         blocks=blocks,
         objective={_block_name(g, r): aligned},
@@ -253,7 +264,7 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
         primal_start=primal_point,
         dual_start=dual_start,
     )
-    problem._copy_symmetry = _copy_symmetry(g, aligned.entries)
+    problem._copy_symmetry = symmetry
     return problem
 
 
@@ -369,13 +380,17 @@ def slater_points(g: Rounds, objective: HermitianOperator):
     every inequality satisfied with margin at least one.
     """
     _check_objective(g, objective)
+    return _slater_points(g, float(np.linalg.norm(objective.entries, 2)))
+
+
+def _slater_points(g: Rounds, norm: float):
+    """:func:`slater_points` for an objective of spectral norm ``norm``."""
     r = g.rounds
     primal = {}
     denom = 1
     for j in range(1, r + 1):
         denom *= g.answer(j).dim
         primal[_block_name(g, j)] = identity(g.block(j)) * (1.0 / denom)
-    norm = float(np.linalg.norm(objective.entries, 2))
     scale = norm + 1.0
     chain = [None] * r
     for j in range(r, 0, -1):

@@ -37,7 +37,10 @@ real rows there, as contiguous ``float64``.
 
 Each iteration factors each block of ``X`` and ``Z`` once, a Cholesky
 factor and its inverse, then every step length costs two matmuls and one
-``eigvalsh`` and ``Z^-1`` is the product of the inverse factors.
+``eigvalsh`` and ``Z^-1`` is the product of the inverse factors.  ``X``
+and ``Z`` share those calls: each stack's pair, one ``(2, B, d, d)``
+array, is factored, inverted and eigensolved in one call, and the
+primal and dual step limits are the minima over its two halves.
 
 The working map stacks blocks, as SDPT3 and SDPA store block-diagonal
 data: blocks that share a row range and a width, with pad 1 and no
@@ -97,21 +100,33 @@ def _herm(mat: np.ndarray) -> np.ndarray:
 def _chol(mat: np.ndarray) -> np.ndarray:
     """The Cholesky factor of a matrix or of each matrix of a stack; a
     failed factorization is retried once with every matrix shifted by
-    ``1e-14`` times its mean diagonal (at least 1)."""
+    ``1e-14`` times its mean diagonal (at least 1).  A pair of stacks,
+    shape ``(2, B, d, d)`` (the kernel's ``X`` and ``Z``), is factored in
+    one call, and when that fails each stack apart, so that each keeps its
+    own retry and a stack that factors is never shifted."""
+
+    def retried(stack):
+        try:
+            return np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            d = stack.shape[-1]
+            jitter = 1e-14 * np.fmax(1.0, np.trace(stack, axis1=-2, axis2=-1).real / d)
+            try:
+                return np.linalg.cholesky(stack + jitter[..., None, None] * np.eye(d))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("Cholesky factorization failed") from exc
+
+    if mat.ndim != 4:
+        return retried(mat)
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        d = mat.shape[-1]
-        jitter = 1e-14 * np.fmax(1.0, np.trace(mat, axis1=-2, axis2=-1).real / d)
-        try:
-            return np.linalg.cholesky(mat + jitter[..., None, None] * np.eye(d))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("Cholesky factorization failed") from exc
+        return np.stack([retried(half) for half in mat])
 
 
 def _inv_chol(mat: np.ndarray) -> np.ndarray:
     """``L^-1`` for the Cholesky factor ``mat = L L^dag`` (of each matrix
-    of a stack), checked finite."""
+    of a stack or of a pair of stacks, in one call), checked finite."""
     li = np.linalg.inv(_chol(mat))
     if not np.all(np.isfinite(li)):
         raise NumericalError("Cholesky factor inverse is not finite")
@@ -125,19 +140,22 @@ def _lowest(eigenvalues: np.ndarray) -> float:
     return float(min(eigenvalues[..., 0].flat))
 
 
-def _max_step(li: np.ndarray, direction: np.ndarray) -> float:
+def _max_step(li: np.ndarray, direction: np.ndarray):
     """Largest alpha with S + alpha * direction >= 0, given ``li = L^-1``
     for S = L L^dag: ``-1 / lambda_min(L^-1 direction L^-dag)``, the
-    smallest over a stack."""
+    smallest over a stack.  For a pair of stacks, shape ``(2, B, d, d)``,
+    one ``eigvalsh`` call gives the pair of step limits, each the smallest
+    over its own stack."""
     if not np.all(np.isfinite(direction)):
         raise NumericalError("search direction is not finite")
     try:
-        lam = _lowest(np.linalg.eigvalsh(_herm(li @ direction @ li.conj().swapaxes(-1, -2))))
+        eigenvalues = np.linalg.eigvalsh(_herm(li @ direction @ li.conj().swapaxes(-1, -2)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("step-length eigensolve failed") from exc
-    if lam >= -1e-13:
-        return np.inf
-    return -1.0 / lam
+    pair = li.ndim == 4
+    lows = map(_lowest, eigenvalues if pair else [eigenvalues])
+    steps = tuple(np.inf if lam >= -1e-13 else -1.0 / lam for lam in lows)
+    return steps if pair else steps[0]
 
 
 #: The off-diagonal coefficient of the Hermitian basis.
@@ -527,9 +545,10 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
             if not 0.0 < mu < np.inf:
                 raise NumericalError(f"duality measure mu = {mu!r} is not finite and positive")
 
-            Lxi = [_inv_chol(x) for x in X]
-            Lzi = [_inv_chol(z) for z in Z]
-            Zi = [_herm(li.conj().swapaxes(-1, -2) @ li) for li in Lzi]
+            # one factorization per stack for X and Z together: L[s] holds
+            # the inverse factors of X[s] and Z[s] as a (2, B, d, d) pair
+            L = [_inv_chol(np.stack([x, z])) for x, z in zip(X, Z)]
+            Zi = [_herm(li[1].conj().swapaxes(-1, -2) @ li[1]) for li in L]
 
             M = A.schur(X, Zi)
 
@@ -558,9 +577,13 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
                 ]
                 return dX, dy, dZ
 
+            def step_limits(dX, dZ):
+                # per stack one eigensolve, split into the X and Z limits
+                return zip(*[_max_step(li, np.stack([dx, dz])) for li, dx, dz in zip(L, dX, dZ)])
+
             dXa, dya, dZa = directions(0.0, [0.0] * len(X))
-            ap = min(1.0, *[_max_step(li, d) for li, d in zip(Lxi, dXa)])
-            ad = min(1.0, *[_max_step(li, d) for li, d in zip(Lzi, dZa)])
+            xlim, zlim = step_limits(dXa, dZa)
+            ap, ad = min(1.0, *xlim), min(1.0, *zlim)
             mu_aff = max(
                 0.0,
                 _ip(
@@ -574,8 +597,9 @@ def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
             dX, dy, dZ = directions(sigma * mu, cross)
 
             gamma = _STEP_FRACTION_FLOOR + 0.09 * min(1.0, ap, ad)
-            ap = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lxi, dX)]))
-            ad = min(1.0, gamma * min(1.0e30, *[_max_step(li, d) for li, d in zip(Lzi, dZ)]))
+            xlim, zlim = step_limits(dX, dZ)
+            ap = min(1.0, gamma * min(1.0e30, *xlim))
+            ad = min(1.0, gamma * min(1.0e30, *zlim))
             if not (np.isfinite(ap) and np.isfinite(ad)) or max(ap, ad) < _MIN_STEP:
                 raise NumericalError(f"step lengths {ap!r}, {ad!r} not finite or below {_MIN_STEP}")
 

@@ -101,22 +101,35 @@ class CopySymmetry:
     def dim(self) -> int:
         return (self.dy * self.dx) ** self.n
 
-    def transposition(self, i: int, j: int) -> np.ndarray:
-        """Index permutation ``p`` of copies ``i`` and ``j`` (from 0):
-        ``(P v)[a] = v[p[a]]``, and ``p`` is its own inverse."""
+    def _swapped_axes(self, i: int, j: int) -> tuple:
+        """The ``(dy,)*n + (dx,)*n`` tensor shape of an index and its axes
+        with copies ``i`` and ``j`` swapped."""
         n = self.n
         axes = list(range(2 * n))
         axes[i], axes[j], axes[n + i], axes[n + j] = j, i, n + j, n + i
-        shape = (self.dy,) * n + (self.dx,) * n
+        return (self.dy,) * n + (self.dx,) * n, axes
+
+    def transposition(self, i: int, j: int) -> np.ndarray:
+        """Index permutation ``p`` of copies ``i`` and ``j`` (from 0):
+        ``(P v)[a] = v[p[a]]``, and ``p`` is its own inverse."""
+        shape, axes = self._swapped_axes(i, j)
         return np.arange(self.dim).reshape(shape).transpose(axes).reshape(-1)
+
+    def swap(self, mat: np.ndarray, i: int, j: int) -> np.ndarray:
+        """``P mat P^T`` for the transposition ``P`` of copies ``i`` and
+        ``j``, as the transpose of ``mat``'s tensor view that swaps both
+        copies' axes in the rows and in the columns: the entries of
+        ``mat[p[:, None], p]``, ``p = transposition(i, j)``, with no gather."""
+        shape, axes = self._swapped_axes(i, j)
+        columns = [len(axes) + a for a in axes]
+        return mat.reshape(shape + shape).transpose(axes + columns).reshape(mat.shape)
 
     def is_invariant(self, mat: np.ndarray, tol: float) -> bool:
         """Whether every adjacent copy transposition fixes ``mat``
         entrywise within ``tol`` times its largest entry (at least 1)."""
         bound = tol * max(1.0, float(np.max(np.abs(mat))))
         for i in range(self.n - 1):
-            p = self.transposition(i, i + 1)
-            if np.max(np.abs(mat[p[:, None], p] - mat)) > bound:
+            if np.max(np.abs(self.swap(mat, i, i + 1) - mat)) > bound:
                 return False
         return True
 
@@ -216,11 +229,6 @@ def phase_classes(mat: np.ndarray, sym: CopySymmetry, tol: float) -> tuple:
     return letter, classes(free[dy:])
 
 
-def _transpositions(sym: CopySymmetry) -> list:
-    """The transpositions ``(j k)``, ``j < k``, grouped by ``k = 2 .. n``."""
-    return [[sym.transposition(j, k) for j in range(k)] for k in range(1, sym.n)]
-
-
 @functools.cache
 def _class_blocks(copies: int, letters: int) -> tuple:
     """``(shape, f, U)`` per ``S_n`` block of ``copies`` copies of one class
@@ -233,7 +241,8 @@ def _class_blocks(copies: int, letters: int) -> tuple:
     sym = CopySymmetry(copies, 1, letters)
     shapes = tuple(shape for shape in _partitions(copies, copies) if len(shape) <= letters)
     keys = [_key(shape, copies) for shape in shapes]
-    swaps = _transpositions(sym)
+    # the transpositions (j k), j < k, grouped by k = 2 .. n
+    swaps = [[sym.transposition(j, k) for j in range(k)] for k in range(1, copies)]
     # one block of sum_k w_k J_k per weight class, indices sorted for searchsorted
     _, weight = _multisets(_letters(sym), letters)
     columns = [[] for _ in shapes]
@@ -309,7 +318,6 @@ class Reduction:
 
     def __init__(self, sym: CopySymmetry):
         self.sym = sym
-        self._swaps = _transpositions(sym)
         self.shapes, self.multiplicities, self._blocks = _sector_bases(sym)
         self.dims = tuple(u.shape[1] for _, u in self._blocks)
         if sum(f * s for f, s in zip(self.multiplicities, self.dims)) != sym.dim:
@@ -361,8 +369,8 @@ class Reduction:
         a = np.zeros((self.sym.dim,) * 2, dtype=np.result_type(*blocks))
         for f, (index, u), x in zip(self.multiplicities, self._blocks, blocks):
             a[np.ix_(index, index)] += f * (u @ x @ u.T)
-        for k, swaps in enumerate(self._swaps, start=2):
-            a = (a + sum(a[p[:, None], p] for p in swaps)) / k
+        for k in range(2, self.sym.n + 1):
+            a = (a + sum(self.sym.swap(a, j, k - 1) for j in range(k - 1))) / k
         return a
 
     def _orbit_sums(self, flat: np.ndarray) -> np.ndarray:

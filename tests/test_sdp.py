@@ -489,6 +489,40 @@ def test_slater_dual_margin_at_least_one(hedging):
     assert min(feas.constraint_min_eigenvalues) >= 1.0
 
 
+COPY_SYMMETRIC_CASES = [("hedging", n, k) for n in (3, 4) for k in range(1, n + 1)] + [
+    ("random", 3, 2),
+    ("hedging", 3, "signed"),  # winning pays 1, losing costs 2: lambda_min is the norm
+]
+
+
+@pytest.mark.parametrize("name, n, k", COPY_SYMMETRIC_CASES)
+def test_copy_symmetric_dual_start_takes_the_norm_from_the_reduced_blocks(
+    hedging, name, n, k, monkeypatch
+):
+    game = hedging if name == "hedging" else make_random_game(np.random.default_rng(41))
+    g = parallel_rounds(game, n)
+    if k == "signed":
+        objective = value_objective(game, (-2.0, 1.0), n)
+    else:
+        objective = threshold_objective(game, n, k)
+    with monkeypatch.context() as patch:  # no dense SVD of the objective
+        patch.setattr(sdp, "slater_points", None)
+        prob = compile_primal(g, objective)
+    assert prob._copy_symmetry is not None
+    assert (prob._copy_symmetry.classes is None) == (game is not hedging)
+    # slater_points keeps the dense SVD norm, bit for bit
+    (y,) = slater_points(g, objective)[1]
+    scale = np.linalg.norm(objective.entries, 2) + 1.0
+    assert np.diag(y.entries).real.tobytes() == np.full(2**n, scale).tobytes()
+    np.testing.assert_array_max_ulp(prob.dual_start, sdp.hermitian_coordinates(y.entries), 4)
+    # the start compile_primal takes is still a Slater dual with margin 1:
+    # exactly 1 where the norm is the top eigenvalue, up to the eigensolve
+    start = HermitianOperator(g.family(1), solver.hermitian_combination(prob.dual_start))
+    feas = check_dual_feasibility(g, objective, DualWitness(Y=start), 1e-9)
+    assert feas.feasible
+    assert min(feas.constraint_min_eigenvalues) >= 1.0 - 1e-12
+
+
 def test_slater_cascade_scaling_r2(rng):
     g1, g2, stacked = make_r2_product_game(rng)
     obj = stacked.outcomes[3]

@@ -108,7 +108,8 @@ def test_indefinite_iterate_ends_in_numerical_failure(monkeypatch):
 
     def chol_flipped_from_third_iteration(mat):
         calls.append(None)
-        return chol(mat if len(calls) <= 8 else -mat)
+        # two stacks, each factoring its X and Z in one call
+        return chol(mat if len(calls) <= 4 else -mat)
 
     monkeypatch.setattr(solver, "_chol", chol_flipped_from_third_iteration)
     res = interior_point(c, A)
@@ -237,6 +238,35 @@ def test_non_finite_direction_in_one_stacked_block_is_refused():
     direction[1, 0, 2] = np.nan
     with pytest.raises(NumericalError, match="search direction is not finite"):
         solver._max_step(li, direction)
+
+
+def test_paired_x_and_z_keep_separate_jitter_retries():
+    # X's stack holds a singular block, so its plain factorization fails and
+    # the pair falls back to factoring each stack apart: Z, which factors,
+    # is never shifted, and X gets the retry it gets alone
+    rng = np.random.default_rng(16)
+    x = np.stack([np.ones((2, 2), dtype=complex), random_pd(rng, 2)])
+    z = np.stack([random_pd(rng, 2), random_pd(rng, 2)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(x)
+    li = solver._inv_chol(np.stack([x, z]))
+    assert li.shape == (2, 2, 2, 2)
+    assert li[1].tobytes() == np.linalg.inv(np.linalg.cholesky(z)).tobytes()
+    assert li[0].tobytes() == solver._inv_chol(x).tobytes()
+
+
+def test_paired_step_limits_are_each_stacks_own():
+    rng = np.random.default_rng(17)
+    x = np.stack([random_pd(rng, 3) for _ in range(2)])
+    z = np.stack([random_pd(rng, 3) for _ in range(2)])
+    dx = np.stack([random_hermitian(rng, 3) for _ in range(2)])
+    dz = np.stack([random_hermitian(rng, 3) for _ in range(2)])
+    li = solver._inv_chol(np.stack([x, z]))
+    assert li[0].tobytes() == solver._inv_chol(x).tobytes()
+    assert li[1].tobytes() == solver._inv_chol(z).tobytes()
+    limits = solver._max_step(li, np.stack([dx, dz]))
+    assert limits == (solver._max_step(li[0], dx), solver._max_step(li[1], dz))
+    assert all(0.0 < a < np.inf for a in limits)
 
 
 def test_unbounded_stacked_problem_ends_on_the_direction_guard():

@@ -172,6 +172,46 @@ def test_reduced_rows_fix_the_dense_constraints_of_the_lift(dy, dx, n):
     assert np.max(np.abs(red.operator(red.constraints().b) - np.eye(w))) < 1e-12
 
 
+SWAP_CASES = [(3, 2, 2), (4, 2, 2), (3, 2, 3), (3, 3, 2), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("n, dy, dx", SWAP_CASES)
+def test_copy_swap_is_the_transposition_gather(n, dy, dx):
+    sym = CopySymmetry(n, dy, dx)
+    rng = np.random.default_rng(9)
+    mat = rng.standard_normal((sym.dim, sym.dim)) + 1j * rng.standard_normal((sym.dim, sym.dim))
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = sym.transposition(i, j)
+            assert sym.swap(mat, i, j).tobytes() == mat[p[:, None], p].tobytes()
+            assert sym.swap(mat.real, i, j).tobytes() == mat.real[p[:, None], p].tobytes()
+
+
+def gather_lift(red, blocks):
+    """The coset average of the lift, each transposition as an index gather."""
+    sym = red.sym
+    a = np.zeros((sym.dim,) * 2, dtype=np.result_type(*blocks))
+    for f, (index, u), x in zip(red.multiplicities, red._blocks, blocks):
+        a[np.ix_(index, index)] += f * (u @ x @ u.T)
+    for k in range(2, sym.n + 1):
+        swaps = [sym.transposition(j, k - 1) for j in range(k - 1)]
+        a = (a + sum(a[p[:, None], p] for p in swaps)) / k
+    return a
+
+
+@pytest.mark.parametrize("sym", [CopySymmetry(*case) for case in SWAP_CASES]
+                         + [CopySymmetry(4, 2, 2, (0, 1, 2, 0), (0, 1))],
+                         ids=lambda s: f"{s.n}-{s.dy}-{s.dx}" + ("-sectors" if s.classes else ""))
+def test_lift_matches_the_gather_reference(sym):
+    red = Reduction(sym)
+    rng = np.random.default_rng(10)
+    blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)) for s in red.dims]
+    blocks = [b + b.conj().T for b in blocks]
+    assert red.lift(blocks).tobytes() == gather_lift(red, blocks).tobytes()
+    real = [b.real for b in blocks]
+    assert red.lift(real).tobytes() == gather_lift(red, real).tobytes()
+
+
 # ---------------------------------------------------------------- reduced solves
 
 
