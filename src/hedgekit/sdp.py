@@ -108,8 +108,10 @@ class SdpProblem:
         self.offset = offset
         self.primal_start = primal_start
         self.dual_start = dual_start
-        #: set by :func:`compile_primal` on a copy-symmetric problem
+        #: set by :func:`compile_primal` on a copy-symmetric problem, with
+        #: the objective compressed into the reduced blocks
         self._copy_symmetry = None
+        self._reduced_objective = None
         names = [name for name, _ in self.blocks]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate block names")
@@ -223,9 +225,10 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     copy, whose objective is invariant under permuting the copies, gets
     its :class:`~hedgekit.symmetry.CopySymmetry` recorded on the problem,
     with the letter classes of :func:`~hedgekit.symmetry.phase_classes`;
-    its dual start reads the objective's norm off the reduced blocks of
-    :func:`~hedgekit.symmetry.reduction`, which the solve reuses, in
-    place of :func:`slater_points`' SVD of the dense objective.
+    its dual start reads the objective's norm off its compression into the
+    reduced blocks of :func:`~hedgekit.symmetry.reduction`, in place of
+    :func:`slater_points`' SVD of the dense objective, and the solve
+    reuses both the reduction and the compressed objective.
     """
     _check_objective(g, objective)
     r = g.rounds
@@ -248,6 +251,7 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     b[: offsets[1]] = hermitian_coordinates(np.eye(families[0].dim))  # the Tr H_k
     aligned = align(objective, dict(blocks)[_block_name(g, r)])
     symmetry = _copy_symmetry(g, aligned.entries)
+    reduced = None
     if symmetry is None:
         primal_point, dual_chain = slater_points(g, objective)
     else:
@@ -264,7 +268,7 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
         primal_start=primal_point,
         dual_start=dual_start,
     )
-    problem._copy_symmetry = symmetry
+    problem._copy_symmetry, problem._reduced_objective = symmetry, reduced
     return problem
 
 
@@ -377,7 +381,9 @@ def slater_points(g: Rounds, objective: HermitianOperator):
     ``X_j = I / dim(Y_1 ... Y_j)``.  Dual: a cascade of identity
     multiples, ``Y_r = (|objective| + 1) I`` and each earlier level
     scaled up by twice the traced-out question dimension, which leaves
-    every inequality satisfied with margin at least one.
+    every inequality satisfied with margin at least one in exact
+    arithmetic; computed, a margin of exactly one can read a few ulp
+    below it (``0.9999999999999976`` at four hedging copies).
     """
     _check_objective(g, objective)
     return _slater_points(g, float(np.linalg.norm(objective.entries, 2)))
@@ -408,12 +414,13 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
 
     The kernel runs once.  A problem that :func:`compile_primal` found
     copy-symmetric hands it the reduced problem
-    (:func:`~hedgekit.symmetry.reduction`): the objective and the starting
-    points compressed into the reduced blocks, and the reduced rows.  The
-    report is the dense problem's all the same: ``X`` lifted back and
-    re-checked against the dense constraints, the multipliers and any
-    Farkas ray read back in the dense rows, and ``solved_blocks`` naming
-    the blocks the kernel iterated on.
+    (:func:`~hedgekit.symmetry.reduction`): the objective as compressed
+    into the reduced blocks by :func:`compile_primal`, the starting points
+    compressed likewise, and the reduced rows.  The report is the dense
+    problem's all the same: ``X`` lifted back and re-checked against the
+    dense constraints, the multipliers and any Farkas ray read back in the
+    dense rows, and ``solved_blocks`` naming the reduced blocks (the
+    kernel may iterate on several of them as one slot, their direct sum).
     """
     if not 1e-10 <= tol <= 1e-2:
         raise ValidationError(f"tol must lie in [1e-10, 1e-2], got {tol!r}")
@@ -440,7 +447,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
         # there, and the reduced rows read its coordinates off Y
         (rows,) = cmap.blocks
         red, cmap = reduction(symmetry)
-        c_blocks = [f * c for f, c in zip(red.multiplicities, red.compress(c_blocks[0]))]
+        c_blocks = [f * c for f, c in zip(red.multiplicities, problem._reduced_objective)]
         x_start = None if x_start is None else red.compress(x_start[0])
         y_start = None if y_start is None else red.coordinates(rows.scatter(y_start))
     raw = _solver.interior_point(

@@ -42,16 +42,23 @@ and ``Z`` share those calls: each stack's pair, one ``(2, B, d, d)``
 array, is factored, inverted and eigensolved in one call, and the
 primal and dual step limits are the minima over its two halves.
 
-The working map stacks blocks, as SDPT3 and SDPA store block-diagonal
-data: blocks that share a row range and a width, with pad 1 and no
-permutation, are one :class:`BlockMap` whose ``G`` has a leading axis of
-``B`` blocks, and their iterates one ``(B, w, w)`` array.  Every
-per-block step (the factors, ``Z^-1``, the Schur terms, ``A`` and
-``A*``, the step lengths, the updates, the Farkas eigen-check and the
-start's positive-definiteness test) runs once per stack, broadcasting
-over the leading axis; 1 x 1 blocks are a ``(B, 1, 1)`` stack like any
-other.  ``X`` and ``Z`` come back per block, in block order.  A stack of
-one block is a view of it and runs its arithmetic bit for bit as before.
+The working map holds block-diagonal data as a few direct sums, as SDPT3
+and SDPA do.  The blocks that share a row range, with pad 1 and no
+permutation, are packed into slots as wide as the widest of them (first
+fit, widest first); a full slot is the direct sum of its blocks (its
+``G``, ``C``, start and iterates), and any other block is a slot of its
+own.  Slots that share a row range and a width are one :class:`BlockMap`
+whose ``G`` has a leading axis of ``B`` slots, and their iterates one
+``(B, w, w)`` array.  Every per-block step (the factors, ``Z^-1``, the
+Schur terms, ``A`` and ``A*``, the step lengths, the updates, the Farkas
+eigen-check and the start's positive-definiteness test) runs once per
+stack, broadcasting over the leading axis; 1 x 1 blocks are a
+``(B, 1, 1)`` stack like any other.  Each of those steps keeps a direct
+sum a direct sum, zero off its blocks' windows, and a slot's eigenvalues
+are its blocks', so no padding enters ``nu``, ``<C, X>`` or ``<X, Z>``
+and the step limits read the same minima.  ``X`` and ``Z`` come back per
+block, in block order, as the windows of their slots.  A stack of one
+block is a view of it and runs its arithmetic bit for bit as before.
 
 Real data are solved in real arithmetic.  A problem is
 conjugation-symmetric when every ``C`` block is real, every row is real
@@ -67,8 +74,9 @@ likewise).  Such a problem drops its imaginary rows and iterates in
 ``float64``; at four hedging copies solved densely 136 of 256 rows
 remain, and each Cholesky factor, inverse and ``eigvalsh`` costs about a
 quarter of its complex flops.  (:func:`hedgekit.sdp.solve` passes this
-kernel those copies' phase-sector problem instead: 22 blocks in five
-stacks of widths 1 to 5, and 5 rows.)  The test is
+kernel those copies' phase-sector problem instead: 22 blocks of widths
+1 to 5 and 5 rows, which it iterates on as two stacks, nine slots of
+width 5 and one 1 x 1 block.)  The test is
 exact, with no tolerance; any other problem iterates in ``complex128``.
 The iterates ``X`` and ``Z`` come back in the dtype they were iterated
 in, so real data stay real from the operators to the report.
@@ -408,9 +416,9 @@ def interior_point(
     docstring); ``y`` and ``farkas`` come back full length, with zeros at
     the dropped rows, and ``X`` and ``Z`` as ``float64``; any other problem
     returns them as ``complex128``.  ``X`` and ``Z`` list one matrix per
-    block in block order, whatever stacks the kernel iterated on;
-    ``blocks`` lists the block dimensions, and ``reason`` says why a run
-    is not optimal (None when it is).
+    block in block order, whatever slots and stacks the kernel iterated
+    on; ``blocks`` lists the block dimensions, and ``reason`` says why a
+    run is not optimal (None when it is).
     """
     C = [np.asarray(c, dtype=np.complex128) for c in c_blocks]
     if constraints.m == 0:
@@ -419,19 +427,20 @@ def interior_point(
         raise ValidationError("a problem's block map holds one block; the kernel stacks them")
     A, keep = _working_map(C, constraints, x_start, y_start)
     groups = _stacks(constraints)
-
-    def stacked(mats):
-        return [_stack([mats[k] for k in members]) for members in groups]
-
     if keep is not None:
         C = [c.real for c in C]
         x_start = None if x_start is None else [np.asarray(x).real for x in x_start]
         y_start = None if y_start is None else np.asarray(y_start, dtype=float)[keep]
-    x_start = None if x_start is None else stacked([np.asarray(x) for x in x_start])
-    out = _iterate(stacked(C), A, tol, max_iter, x_start, y_start)
-    place = {k: (s, j) for s, members in enumerate(groups) for j, k in enumerate(members)}
+    x_start = None if x_start is None else _stacked(groups, [np.asarray(x) for x in x_start])
+    out = _iterate(_stacked(groups, C), A, tol, max_iter, x_start, y_start)
+    place = {
+        k: (s, j, window)
+        for s, stack in enumerate(groups)
+        for j, slot in enumerate(stack)
+        for k, window in zip(slot, _windows([constraints.dims[k] for k in slot]))
+    }
     for key in ("X", "Z"):
-        out[key] = [out[key][s][j] for s, j in (place[k] for k in range(len(C)))]
+        out[key] = [out[key][s][j][w, w] for s, j, w in (place[k] for k in range(len(C)))]
     out["blocks"] = tuple(constraints.dims)
     if keep is not None:
         for key in ("y", "farkas"):
@@ -442,30 +451,80 @@ def interior_point(
     return out
 
 
-def _stack(mats) -> np.ndarray:
-    """``mats`` as one ``(B, ., .)`` array; a stack of one is a view of its
-    matrix, which keeps its memory layout, so it iterates bit for bit as
-    the block alone did."""
-    return mats[0][None] if len(mats) == 1 else np.stack(mats)
-
-
 def _stacks(constraints: ConstraintMap) -> list:
-    """The blocks the kernel iterates on as one stack, in order of their
-    first block: those that share a row range and a width, with pad 1 and
-    no permutation.  Any other block is a stack of its own."""
-    groups = {}
+    """The stacks the kernel iterates on, each a list of slots and each
+    slot a tuple of blocks, in order of their first block.
+
+    The blocks that share a row range, with pad 1 and no permutation, are
+    packed first fit, widest first (ties by block index), into bins as
+    wide as the widest of them; a bin that comes out exactly that wide is
+    one slot, the direct sum of its blocks, and every other block is a
+    slot of its own, as is any block with a pad or a permutation.  Slots
+    that share a row range and a width are one stack.
+    """
+    ranges = {}
     for k, bm in enumerate(constraints.blocks):
         plain = bm.pad == 1 and bm.perm is None
-        key = (bm.start, bm.stop, bm.w) if plain else k
-        groups.setdefault(key, []).append(k)
-    return list(groups.values())
+        ranges.setdefault((bm.start, bm.stop) if plain else k, []).append(k)
+    dims = constraints.dims
+    stacks = {}
+    for key, members in ranges.items():
+        for slot in _pack(members, dims):
+            stacks.setdefault((key, sum(dims[k] for k in slot)), []).append(slot)
+    return sorted((sorted(stack, key=min) for stack in stacks.values()), key=lambda s: min(s[0]))
+
+
+def _pack(members, dims) -> list:
+    """The slots of the blocks ``members`` of one row range (:func:`_stacks`)."""
+    width = max(dims[k] for k in members)
+    bins = []  # [room left, blocks]
+    for k in sorted(members, key=lambda k: (-dims[k], k)):
+        fit = next((b for b in bins if b[0] >= dims[k]), None)
+        if fit is None:
+            fit = [width, []]
+            bins.append(fit)
+        fit[0] -= dims[k]
+        fit[1].append(k)
+    slots = []
+    for room, ks in bins:
+        slots += [tuple(ks)] if room == 0 else [(k,) for k in ks]
+    return slots
+
+
+def _windows(widths):
+    """The diagonal windows of a direct sum of blocks of these widths."""
+    start = 0
+    for w in widths:
+        yield slice(start, start + w)
+        start += w
+
+
+def _direct_sum(mats) -> np.ndarray:
+    """The block-diagonal matrix of ``mats`` (of each of their leading
+    indices); one matrix is itself."""
+    if len(mats) == 1:
+        return mats[0]
+    widths = [a.shape[-1] for a in mats]
+    out = np.zeros((*mats[0].shape[:-2], sum(widths), sum(widths)), dtype=np.result_type(*mats))
+    for a, window in zip(mats, _windows(widths)):
+        out[..., window, window] = a
+    return out
+
+
+def _stacked(groups, mats) -> list:
+    """Per-block ``mats`` as one ``(B, ., .)`` array per stack of
+    :func:`_stacks`, each slot the direct sum of its blocks'.  A stack of
+    one block is a view of its matrix, which keeps its memory layout, so it
+    iterates bit for bit as the block alone did."""
+    slots = [[_direct_sum([mats[k] for k in slot]) for slot in stack] for stack in groups]
+    return [s[0][None] if len(s) == 1 else np.stack(s) for s in slots]
 
 
 def _working_map(C, constraints: ConstraintMap, x_start, y_start):
     """The map the kernel iterates on, one stacked :class:`BlockMap` per
-    group of :func:`_stacks`, with every block's rows held as ``G``
-    (:meth:`BlockMap.rows`, built once here), and the mask of the rows it
-    keeps.  A conjugation-symmetric problem (module docstring) keeps the
+    stack of :func:`_stacks`, with every block's rows held as ``G``
+    (:meth:`BlockMap.rows`, built once here) and each slot's the direct
+    sum of its blocks', and the mask of the rows it keeps.  A conjugation-symmetric problem (module docstring) keeps the
     rows that are not imaginary, renumbered in order, as one contiguous
     ``float64`` copy of their real parts per stack, so no complex row
     array outlives this call; any other problem keeps every row, and the
@@ -487,10 +546,10 @@ def _working_map(C, constraints: ConstraintMap, x_start, y_start):
         keep, b = ~imag, b[~imag]
         rows = [G.real[keep[bm.start : bm.stop]] for bm, G in zip(constraints.blocks, rows)]
     pos = np.arange(constraints.m + 1) if keep is None else np.cumsum(np.r_[0, keep])
+    groups = _stacks(constraints)
     maps = []
-    for members in _stacks(constraints):
-        bm = constraints.blocks[members[0]]
-        G = _stack([rows[k] for k in members])
+    for stack, G in zip(groups, _stacked(groups, rows)):
+        bm = constraints.blocks[stack[0][0]]
         maps.append(BlockMap(pos[bm.start], pos[bm.stop], G, pad=bm.pad, perm=bm.perm))
     return ConstraintMap(maps, b), keep
 

@@ -25,7 +25,7 @@ from hedgekit import (
 )
 from hedgekit.errors import DomainError, SpaceError, ValidationError
 from hedgekit.hedging import WIN_PROBABILITY, hedging_optimal_witness
-from hedgekit import sdp, solver
+from hedgekit import sdp, solver, symmetry
 from hedgekit.sdp import check_weak_duality, compile_dual, hermitian_basis, slater_points
 from hedgekit.solver import BlockMap, ConstraintMap
 from hedgekit.witnesses import classical_optimum
@@ -489,6 +489,17 @@ def test_slater_dual_margin_at_least_one(hedging):
     assert min(feas.constraint_min_eigenvalues) >= 1.0
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)])
+def test_slater_dual_margin_is_one_up_to_rounding(hedging, n, k):
+    # the margin is exactly 1 only in exact arithmetic: the eigensolve reads
+    # it a few ulp below 1 on the hedging copies
+    g, objective = parallel_rounds(hedging, n), threshold_objective(hedging, n, k)
+    _, chain = slater_points(g, objective)
+    feas = check_dual_feasibility(g, objective, DualWitness(Y=chain[0]), 1e-9)
+    assert feas.feasible
+    assert min(feas.constraint_min_eigenvalues) >= 1.0 - 1e-12
+
+
 COPY_SYMMETRIC_CASES = [("hedging", n, k) for n in (3, 4) for k in range(1, n + 1)] + [
     ("random", 3, 2),
     ("hedging", 3, "signed"),  # winning pays 1, losing costs 2: lambda_min is the norm
@@ -521,6 +532,29 @@ def test_copy_symmetric_dual_start_takes_the_norm_from_the_reduced_blocks(
     feas = check_dual_feasibility(g, objective, DualWitness(Y=start), 1e-9)
     assert feas.feasible
     assert min(feas.constraint_min_eigenvalues) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("name", ["hedging", "random"])
+def test_copy_symmetric_objective_is_compressed_once(hedging, name, monkeypatch):
+    # compile_primal compresses the objective for the Slater norm and keeps
+    # the blocks; the solve reads them and compresses only its start
+    game = hedging if name == "hedging" else make_random_game(np.random.default_rng(41))
+    g, objective = parallel_rounds(game, 3), threshold_objective(game, 3, 2)
+    compress, args = symmetry.Reduction.compress, []
+
+    def recorded(self, mat):
+        args.append(mat)
+        return compress(self, mat)
+
+    monkeypatch.setattr(symmetry.Reduction, "compress", recorded)
+    prob = compile_primal(g, objective)
+    rep = solve(prob, 1e-8)
+    assert rep.status == "optimal"
+    (aligned,) = prob.objective.values()
+    assert sum(a is aligned.entries for a in args) == 1
+    red, _ = symmetry.reduction(prob._copy_symmetry)
+    for kept, fresh in zip(prob._reduced_objective, compress(red, aligned.entries), strict=True):
+        assert kept.tobytes() == fresh.tobytes()
 
 
 def test_slater_cascade_scaling_r2(rng):

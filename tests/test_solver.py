@@ -175,12 +175,12 @@ def test_block_without_rows_is_legal(pad):
     assert res["primal_value"] == pytest.approx(1.0, abs=1e-7)
 
 
-def stacked_problem():
-    """Two blocks of width 3 and one of width 2 on the same three rows
-    (trace one in total, two random), and the same problem written as
-    one block-diagonal block of width 8."""
+def stacked_problem(widths=(3, 2, 3)):
+    """Blocks of the given widths (by default two of width 3 and one of
+    width 2) on the same three rows (trace one in total, two random), and
+    the same problem written as one block-diagonal block."""
     rng = np.random.default_rng(14)
-    widths, m = (3, 2, 3), 3
+    m = 3
     rows = [[np.eye(w)] + [random_hermitian(rng, w) for _ in range(m - 1)] for w in widths]
     c = [random_hermitian(rng, w) for w in widths]
     b = np.array([1.0, 0.1, -0.1])
@@ -198,7 +198,7 @@ def stacked_problem():
 
 def test_equal_width_blocks_iterate_as_one_stack(monkeypatch):
     c, A, merged_c, merged = stacked_problem()
-    assert solver._stacks(A) == [[0, 2], [1]]
+    assert solver._stacks(A) == [[(0,), (2,)], [(1,)]]
     seen = []
     iterate = solver._iterate
 
@@ -222,6 +222,82 @@ def test_equal_width_blocks_iterate_as_one_stack(monkeypatch):
     )
     for z, ci, az in zip(res["Z"], c, A.adjoint(res["y"])):
         assert_allclose(z, az - ci, rtol=0, atol=1e-8)
+
+
+def test_blocks_that_fill_the_widest_width_iterate_as_one_slot(monkeypatch):
+    # widths 3, 2, 1, 3 on shared rows: the 2 and the 1 fill a bin of width
+    # 3, so the kernel iterates on three slots of width 3, one stack
+    widths = (3, 2, 1, 3)
+    c, A, merged_c, merged = stacked_problem(widths)
+    assert solver._stacks(A) == [[(0,), (1, 2), (3,)]]
+    seen, iterates = [], []
+    iterate = solver._iterate
+
+    def recorded(C, A, *args):
+        seen.append([x.shape for x in C])
+        out = iterate(C, A, *args)
+        iterates.append({key: out[key] for key in ("X", "Z")})
+        return out
+
+    monkeypatch.setattr(solver, "_iterate", recorded)
+    res = interior_point(c, A, tol=1e-10)
+    assert seen == [[(3, 3, 3)]]
+    oracle = interior_point(merged_c, merged, tol=1e-10)
+    assert res["status"] == oracle["status"] == solver.STATUS_OPTIMAL
+    assert abs(res["primal_value"] - oracle["primal_value"]) <= 1e-9
+    assert abs(res["dual_value"] - oracle["dual_value"]) <= 1e-9
+    # the slot is a direct sum: nothing outside the two windows
+    for key in ("X", "Z"):
+        (stack,) = iterates[0][key]
+        assert not stack[1][:2, 2:].any() and not stack[1][2:, :2].any()
+    # X, Z and the block dimensions come back per block, in block order
+    assert res["blocks"] == widths
+    shapes = [(w, w) for w in widths]
+    assert [x.shape for x in res["X"]] == [z.shape for z in res["Z"]] == shapes
+    (xs,), (zs,) = iterates[0]["X"], iterates[0]["Z"]
+    assert res["X"][1].tobytes() == xs[1][:2, :2].tobytes()
+    assert res["Z"][2].tobytes() == zs[1][2:, 2:].tobytes()
+    assert res["X"][3].tobytes() == xs[2].tobytes()
+    assert_allclose(A.apply(res["X"]), A.b, rtol=0, atol=1e-9)
+    assert sum(np.vdot(ci, x).real for ci, x in zip(c, res["X"])) == pytest.approx(
+        res["primal_value"], abs=1e-12
+    )
+    for z, ci, az in zip(res["Z"], c, A.adjoint(res["y"])):
+        assert_allclose(z, az - ci, rtol=0, atol=1e-8)
+
+
+def test_blocks_that_leave_room_keep_their_own_stacks(monkeypatch):
+    c, A, _, _ = stacked_problem((3, 2))
+    assert solver._stacks(A) == [[(0,)], [(1,)]]
+    seen = []
+    iterate = solver._iterate
+
+    def recorded(C, A, *args):
+        seen.append([x.shape for x in C])
+        return iterate(C, A, *args)
+
+    monkeypatch.setattr(solver, "_iterate", recorded)
+    assert interior_point(c, A, tol=1e-10)["status"] == solver.STATUS_OPTIMAL
+    assert seen == [[(1, 3, 3), (1, 2, 2)]]
+
+
+def test_only_plain_blocks_of_one_row_range_share_a_slot():
+    one, two = [np.eye(1)], [np.eye(2)]
+    # a width-1 block on other rows cannot fill the bin of width 2
+    A = ConstraintMap([BlockMap(0, 1, two), BlockMap(0, 1, one), BlockMap(1, 2, one)], [1.0, 1.0])
+    assert solver._stacks(A) == [[(0,)], [(1,)], [(2,)]]
+    # blocks with a pad or a permutation are slots of their own, whatever
+    # their dimension: here a 3 and a 1 leave room for the dimension 2
+    three = [np.eye(3)]
+    A = ConstraintMap(
+        [BlockMap(0, 1, three), BlockMap(0, 1, one), BlockMap(0, 1, one, pad=2),
+         BlockMap(0, 1, two, perm=[1, 0])],
+        [1.0],
+    )
+    assert solver._stacks(A) == [[(0,)], [(1,)], [(2,)], [(3,)]]
+    res = interior_point([np.eye(d) for d in A.dims], A)
+    assert res["status"] == solver.STATUS_OPTIMAL
+    assert [x.shape for x in res["X"]] == [(d, d) for d in A.dims]
 
 
 def test_kernel_refuses_a_stacked_block_map():
@@ -273,7 +349,7 @@ def test_unbounded_stacked_problem_ends_on_the_direction_guard():
     # max Tr X1 + Tr X2 s.t. <diag(1, -1), X1> + <diag(1, -1), X2> = 1
     row = [np.diag([1.0, -1.0])]
     A = ConstraintMap([BlockMap(0, 1, row), BlockMap(0, 1, row)], [1.0])
-    assert solver._stacks(A) == [[0, 1]]
+    assert solver._stacks(A) == [[(0,), (1,)]]
     res = interior_point([np.eye(2), np.eye(2)], A)
     assert res["status"] == solver.STATUS_NUMERICAL
     assert res["reason"] == "search direction is not finite"

@@ -28,7 +28,7 @@ from hedgekit.operators import align, identity, kron, min_eigenvalue
 from hedgekit.sampling import random_measurement
 from hedgekit.sdp import SdpProblem, check_dual_feasibility, check_weak_duality
 from hedgekit.serialize import load_json
-from hedgekit import symmetry
+from hedgekit import solver, symmetry
 from hedgekit.symmetry import CopySymmetry, Reduction, phase_classes
 from hedgekit.witnesses import classical_optimum
 
@@ -248,6 +248,38 @@ def test_complex_random_game_matches_the_dense_oracle(n):
     assert np.any(g.outcomes[1].entries.imag)
     prob = compile_primal(parallel_rounds(g, n), threshold_objective(g, n, 2))
     assert_matches_the_dense_oracle(prob)
+
+
+#: the stacks the kernel iterates on, and the blocks the report names
+KERNEL_STACKS = {
+    # the hedging sectors' small blocks fill slots of their widest width
+    "hedging n=3": ([(6, 4, 4)], (4, 2, 3, 1, 3, 1, 2, 2, 2, 1, 1, 1, 1)),
+    "hedging n=4": ([(9, 5, 5), (1, 1, 1)], N4_SECTOR_BLOCKS),
+    # the S_n blocks of one class leave no full slot: they keep their stacks
+    "seed 41 n=3": ([(2, 20, 20), (1, 4, 4)], (20, 20, 4)),
+    "seed 41 n=4": ([(1, 35, 35), (1, 45, 45), (1, 20, 20), (1, 15, 15), (1, 1, 1)],
+                    (35, 45, 20, 15, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_STACKS))
+def test_kernel_iterates_on_slots_and_reports_blocks(hedging, case, monkeypatch):
+    name, n = case.rsplit(" n=", 1)
+    game = hedging if name == "hedging" else make_random_game(np.random.default_rng(41))
+    n = int(n)
+    seen = []
+    iterate = solver._iterate
+
+    def recorded(C, A, *args):
+        seen.append([c.shape for c in C])
+        return iterate(C, A, *args)
+
+    monkeypatch.setattr(solver, "_iterate", recorded)
+    rep = solve(compile_primal(parallel_rounds(game, n), threshold_objective(game, n, 2)), TOL)
+    stacks, blocks = KERNEL_STACKS[case]
+    assert rep.status == "optimal"
+    assert seen == [stacks]
+    assert rep.solved_blocks == blocks
 
 
 def test_reduced_dual_is_an_invariant_operator_on_the_questions(hedging):
