@@ -224,11 +224,11 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     :func:`~hedgekit.games.repetitions`, with the same factors in every
     copy, whose objective is invariant under permuting the copies, gets
     its :class:`~hedgekit.symmetry.CopySymmetry` recorded on the problem,
-    with the letter classes of :func:`~hedgekit.symmetry.phase_classes`;
-    its dual start reads the objective's norm off its compression into the
-    reduced blocks of :func:`~hedgekit.symmetry.reduction`, in place of
-    :func:`slater_points`' SVD of the dense objective, and the solve
-    reuses both the reduction and the compressed objective.
+    with the letter classes of :func:`~hedgekit.symmetry.phase_classes`,
+    and the objective compressed into the reduced blocks of
+    :func:`~hedgekit.symmetry.reduction`, which the solve reuses.  The
+    dual start is :func:`slater_points`' at the largest ``|eigenvalue|``
+    of the blocks the objective is held in, dense or reduced.
     """
     _check_objective(g, objective)
     r = g.rounds
@@ -251,15 +251,10 @@ def compile_primal(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     b[: offsets[1]] = hermitian_coordinates(np.eye(families[0].dim))  # the Tr H_k
     aligned = align(objective, dict(blocks)[_block_name(g, r)])
     symmetry = _copy_symmetry(g, aligned.entries)
-    reduced = None
-    if symmetry is None:
-        primal_point, dual_chain = slater_points(g, objective)
-    else:
-        # the objective is f_lambda copies of each reduced block, so its
-        # spectral norm is the largest |eigenvalue| over the blocks
-        reduced = reduction(symmetry)[0].compress(aligned.entries)
-        norm = max(float(np.max(np.abs(np.linalg.eigvalsh(c)))) for c in reduced)
-        primal_point, dual_chain = _slater_points(g, norm)
+    reduced = None if symmetry is None else reduction(symmetry)[0].compress(aligned.entries)
+    held = [aligned.entries] if reduced is None else reduced
+    norm = max(float(np.max(np.abs(np.linalg.eigvalsh(c)))) for c in held)
+    primal_point, dual_chain = slater_points(g, norm)
     dual_start = np.concatenate([hermitian_coordinates(yop.entries) for yop in dual_chain])
     problem = SdpProblem(
         blocks=blocks,
@@ -316,9 +311,11 @@ def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     """
     _check_objective(g, objective)
     r = g.rounds
+    spectrum = np.linalg.eigvalsh(objective.entries)
+    norm = float(np.max(np.abs(spectrum)))
     shifts = [0.0] * r
-    if min_eigenvalue(objective) < -1e-12:
-        shifts[r - 1] = float(np.linalg.norm(objective.entries, 2))
+    if spectrum[0] < -1e-12:
+        shifts[r - 1] = norm
         for j in range(r - 1, 0, -1):
             shifts[j - 1] = shifts[j] * g.question(j + 1).dim
     blocks = []
@@ -359,7 +356,7 @@ def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
         _solver.BlockMap(first[name], first[name] + len(rows[name]), np.stack(rows[name]))
         for name, _ in blocks
     ]
-    _, dual_chain = slater_points(g, objective)
+    _, dual_chain = slater_points(g, norm)
     primal_start = {}
     for j in range(1, r + 1):
         primal_start[f"Q{j}"] = dual_chain[j - 1] + identity(spaces[f"Q{j}"]) * shifts[j - 1]
@@ -374,23 +371,18 @@ def compile_dual(g: Rounds, objective: HermitianOperator) -> SdpProblem:
     )
 
 
-def slater_points(g: Rounds, objective: HermitianOperator):
-    """Strictly feasible points for the compiled primal and the chain dual.
+def slater_points(g: Rounds, norm: float):
+    """Strictly feasible points for the compiled primal and the chain dual
+    of an objective of spectral norm ``norm``.
 
     Primal: each chain block a multiple of the identity,
     ``X_j = I / dim(Y_1 ... Y_j)``.  Dual: a cascade of identity
-    multiples, ``Y_r = (|objective| + 1) I`` and each earlier level
-    scaled up by twice the traced-out question dimension, which leaves
-    every inequality satisfied with margin at least one in exact
-    arithmetic; computed, a margin of exactly one can read a few ulp
-    below it (``0.9999999999999976`` at four hedging copies).
+    multiples, ``Y_r = (norm + 1) I`` and each earlier level scaled up by
+    twice the traced-out question dimension, which leaves every
+    inequality satisfied with margin at least one in exact arithmetic;
+    computed, a margin of exactly one can read a few ulp below it
+    (``0.9999999999999976`` at four hedging copies).
     """
-    _check_objective(g, objective)
-    return _slater_points(g, float(np.linalg.norm(objective.entries, 2)))
-
-
-def _slater_points(g: Rounds, norm: float):
-    """:func:`slater_points` for an objective of spectral norm ``norm``."""
     r = g.rounds
     primal = {}
     denom = 1
@@ -563,9 +555,11 @@ def check_dual_feasibility(
     """Evaluate every chain inequality of a dual witness.
 
     Returns the per-constraint minimum eigenvalues; the witness is
-    feasible iff all are at least ``-tol``, in which case ``Tr(Y)`` is a
-    certified upper bound on the primal optimum by weak duality.  A
-    ``tol`` that is not finite and non-negative is refused.
+    feasible iff all are at least ``-tol``.  ``Tr(Y)`` is an upper bound
+    on the primal optimum by weak duality only when every minimum
+    eigenvalue is at least 0, up to rounding; at ``tol > 0`` a feasible
+    witness can read below the optimum.  A ``tol`` that is not finite
+    and non-negative is refused.
     """
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tol must be finite and non-negative, got {tol!r}")

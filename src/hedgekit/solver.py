@@ -425,14 +425,18 @@ def interior_point(
         raise ValidationError("problem has no constraints")
     if any(bm.G is not None and bm.G.ndim == 4 for bm in constraints.blocks):
         raise ValidationError("a problem's block map holds one block; the kernel stacks them")
-    A, keep = _working_map(C, constraints, x_start, y_start)
+    if 0 in constraints.dims:
+        raise ValidationError(f"block {constraints.dims.index(0)} has dimension 0")
     groups = _stacks(constraints)
+    A, keep = _working_map(C, constraints, groups, x_start, y_start)
     if keep is not None:
         C = [c.real for c in C]
         x_start = None if x_start is None else [np.asarray(x).real for x in x_start]
         y_start = None if y_start is None else np.asarray(y_start, dtype=float)[keep]
     x_start = None if x_start is None else _stacked(groups, [np.asarray(x) for x in x_start])
-    out = _iterate(_stacked(groups, C), A, tol, max_iter, x_start, y_start)
+    # per block, so that how the blocks are packed leaves drel as it is
+    cnorm = max(1.0, max(float(np.linalg.norm(c)) for c in C))
+    out = _iterate(_stacked(groups, C), A, cnorm, tol, max_iter, x_start, y_start)
     place = {
         k: (s, j, window)
         for s, stack in enumerate(groups)
@@ -520,9 +524,9 @@ def _stacked(groups, mats) -> list:
     return [s[0][None] if len(s) == 1 else np.stack(s) for s in slots]
 
 
-def _working_map(C, constraints: ConstraintMap, x_start, y_start):
+def _working_map(C, constraints: ConstraintMap, groups, x_start, y_start):
     """The map the kernel iterates on, one stacked :class:`BlockMap` per
-    stack of :func:`_stacks`, with every block's rows held as ``G``
+    stack of ``groups`` (:func:`_stacks`), with every block's rows held as ``G``
     (:meth:`BlockMap.rows`, built once here) and each slot's the direct
     sum of its blocks', and the mask of the rows it keeps.  A conjugation-symmetric problem (module docstring) keeps the
     rows that are not imaginary, renumbered in order, as one contiguous
@@ -546,7 +550,6 @@ def _working_map(C, constraints: ConstraintMap, x_start, y_start):
         keep, b = ~imag, b[~imag]
         rows = [G.real[keep[bm.start : bm.stop]] for bm, G in zip(constraints.blocks, rows)]
     pos = np.arange(constraints.m + 1) if keep is None else np.cumsum(np.r_[0, keep])
-    groups = _stacks(constraints)
     maps = []
     for stack, G in zip(groups, _stacked(groups, rows)):
         bm = constraints.blocks[stack[0][0]]
@@ -555,15 +558,15 @@ def _working_map(C, constraints: ConstraintMap, x_start, y_start):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _iterate(C, A: ConstraintMap, tol: float, max_iter: int, x_start, y_start):
+def _iterate(C, A: ConstraintMap, cnorm: float, tol: float, max_iter: int, x_start, y_start):
     """The iteration in the dtype of ``C``, on stacks: ``C``, ``x_start``
     and the iterates hold one ``(B, d, d)`` array per stacked block map of
-    ``A``.  A real ``C`` needs a real ``A``."""
+    ``A``.  A real ``C`` needs a real ``A``.  ``cnorm`` scales the dual
+    residual: the largest norm of one block of ``C``, at least 1."""
     dtype = np.result_type(*C)
     m, nu, b = A.m, sum(c.shape[0] * c.shape[-1] for c in C), A.b
 
     fnorm = max(1.0, A.max_row_norm())
-    cnorm = max(1.0, max(float(np.linalg.norm(c)) for c in C))
     bnorm = max(1.0, float(np.max(np.abs(b))))
 
     status = STATUS_ITERATION_LIMIT

@@ -137,7 +137,9 @@ def test_real_form_drops_exactly_the_imaginary_rows(hedging):
     A = prob.constraint_map
     (name,) = prob.block_names
     c = [prob.objective[name].entries]
-    reduced, keep = solver._working_map(c, A, [prob.primal_start[name].entries], prob.dual_start)
+    reduced, keep = solver._working_map(
+        c, A, solver._stacks(A), [prob.primal_start[name].entries], prob.dual_start
+    )
     # the 16 diagonal and 120 symmetric basis elements of the 16-dim W stay
     assert (A.m, keep.sum()) == (256, 136)
     (bm,) = reduced.blocks

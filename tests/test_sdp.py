@@ -35,6 +35,11 @@ from conftest import PARALLEL_CASES, make_r2_product_game, make_random_game, par
 P = WIN_PROBABILITY
 
 
+def spectral_norm(objective):
+    """The norm ``compile_primal`` starts a dense problem from."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(objective.entries))))
+
+
 # ------------------------------------------------------------------ compilation
 
 
@@ -244,7 +249,7 @@ def test_compiled_b_and_dual_start_are_the_dense_rows_products(hedging, n):
     assert bm.G is None
     (working,) = _held(prob.constraint_map).blocks
     assert np.array_equal(working.G, hermitian_basis(2**n))
-    (y,) = slater_points(g, objective)[1]
+    (y,) = slater_points(g, spectral_norm(objective))[1]
     assert np.array_equal(prob.constraint_map.b, np.trace(working.G, axis1=1, axis2=2).real)
     assert np.array_equal(prob.dual_start, (working.gflat @ y.entries.T.reshape(-1)).real)
 
@@ -474,7 +479,7 @@ def test_strong_duality_on_compiled_pairs(rng):
 
 
 def test_slater_primal_strictly_feasible(hedging):
-    primal, chain = slater_points(hedging, hedging.outcomes[1])
+    primal, chain = slater_points(hedging, spectral_norm(hedging.outcomes[1]))
     x = primal["X"]
     assert min_eigenvalue(x) == pytest.approx(0.5)
     cmap = compile_primal(hedging, hedging.outcomes[1]).constraint_map
@@ -482,7 +487,7 @@ def test_slater_primal_strictly_feasible(hedging):
 
 
 def test_slater_dual_margin_at_least_one(hedging):
-    _, chain = slater_points(hedging, hedging.outcomes[1])
+    _, chain = slater_points(hedging, spectral_norm(hedging.outcomes[1]))
     w = DualWitness(Y=chain[0])
     feas = check_dual_feasibility(hedging, hedging.outcomes[1], w, 1e-9)
     assert feas.feasible
@@ -494,7 +499,7 @@ def test_slater_dual_margin_is_one_up_to_rounding(hedging, n, k):
     # the margin is exactly 1 only in exact arithmetic: the eigensolve reads
     # it a few ulp below 1 on the hedging copies
     g, objective = parallel_rounds(hedging, n), threshold_objective(hedging, n, k)
-    _, chain = slater_points(g, objective)
+    _, chain = slater_points(g, spectral_norm(objective))
     feas = check_dual_feasibility(g, objective, DualWitness(Y=chain[0]), 1e-9)
     assert feas.feasible
     assert min(feas.constraint_min_eigenvalues) >= 1.0 - 1e-12
@@ -516,22 +521,74 @@ def test_copy_symmetric_dual_start_takes_the_norm_from_the_reduced_blocks(
         objective = value_objective(game, (-2.0, 1.0), n)
     else:
         objective = threshold_objective(game, n, k)
-    with monkeypatch.context() as patch:  # no dense SVD of the objective
-        patch.setattr(sdp, "slater_points", None)
+    widths, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(a):
+        widths.append(a.shape[-1])
+        return eigvalsh(a)
+
+    with monkeypatch.context() as patch:  # no spectrum of the dense objective
+        patch.setattr(np.linalg, "eigvalsh", recorded)
         prob = compile_primal(g, objective)
+    assert widths and max(widths) < 4**n
     assert prob._copy_symmetry is not None
     assert (prob._copy_symmetry.classes is None) == (game is not hedging)
-    # slater_points keeps the dense SVD norm, bit for bit
-    (y,) = slater_points(g, objective)[1]
-    scale = np.linalg.norm(objective.entries, 2) + 1.0
-    assert np.diag(y.entries).real.tobytes() == np.full(2**n, scale).tobytes()
+    # the one rule: the largest |eigenvalue| of the blocks the objective is
+    # held in, here the reduced blocks, bit for bit
+    norm = max(float(np.max(np.abs(eigvalsh(c)))) for c in prob._reduced_objective)
+    (y,) = slater_points(g, norm)[1]
+    assert np.diag(y.entries).real.tobytes() == np.full(2**n, norm + 1.0).tobytes()
     np.testing.assert_array_max_ulp(prob.dual_start, sdp.hermitian_coordinates(y.entries), 4)
+    # the reduced blocks hold the objective's spectrum
+    assert abs(norm - spectral_norm(objective)) <= 8 * np.finfo(float).eps * norm
     # the start compile_primal takes is still a Slater dual with margin 1:
     # exactly 1 where the norm is the top eigenvalue, up to the eigensolve
     start = HermitianOperator(g.family(1), solver.hermitian_combination(prob.dual_start))
     feas = check_dual_feasibility(g, objective, DualWitness(Y=start), 1e-9)
     assert feas.feasible
     assert min(feas.constraint_min_eigenvalues) >= 1.0 - 1e-12
+
+
+def test_dense_signed_objective_starts_from_its_lowest_eigenvalue(hedging):
+    # winning pays 1, losing costs 2 at two copies: a dense problem whose
+    # spectral norm is |lambda_min|, read off the aligned objective
+    g, objective = parallel_rounds(hedging, 2), value_objective(hedging, (-2.0, 1.0), 2)
+    prob = compile_primal(g, objective)
+    assert prob._copy_symmetry is None
+    (aligned,) = prob.objective.values()
+    spectrum = np.linalg.eigvalsh(aligned.entries)
+    assert -spectrum[0] > spectrum[-1]
+    scale = float(np.max(np.abs(spectrum))) + 1.0
+    start = HermitianOperator(g.family(1), solver.hermitian_combination(prob.dual_start))
+    assert np.diag(start.entries).real.tobytes() == np.full(4, scale).tobytes()
+    feas = check_dual_feasibility(g, objective, DualWitness(Y=start), 1e-9)
+    assert feas.feasible
+    assert min(feas.constraint_min_eigenvalues) >= 1.0 - 1e-12
+
+
+def test_compile_dual_takes_one_spectrum_of_the_objective(hedging, monkeypatch):
+    # the PSD test, the shift |objective| and the Slater norm come from one
+    # eigensolve: lambda = -0.3 (three times) and 0.2 here, so the shift is 0.3
+    objective = hedging.outcomes[1] - 0.3 * identity(hedging.spaces)
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(a):
+        seen.append(a)
+        return eigvalsh(a)
+
+    for name in ("norm", "svd"):
+        monkeypatch.setattr(np.linalg, name, None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    prob = compile_dual(hedging, objective)
+    monkeypatch.undo()
+    assert [a is objective.entries for a in seen] == [True]
+    norm = float(np.max(np.abs(eigvalsh(objective.entries))))
+    assert norm == pytest.approx(0.3, abs=1e-15)
+    assert prob.offset == norm * 2
+    q1 = prob.primal_start["Q1"].entries
+    assert np.diag(q1).real.tobytes() == np.full(2, (norm + 1.0) + norm).tobytes()
+    rep = solve(prob, 1e-8)
+    assert -rep.primal_value == pytest.approx(P - 0.6, abs=1e-6)
 
 
 @pytest.mark.parametrize("name", ["hedging", "random"])
@@ -560,8 +617,8 @@ def test_copy_symmetric_objective_is_compressed_once(hedging, name, monkeypatch)
 def test_slater_cascade_scaling_r2(rng):
     g1, g2, stacked = make_r2_product_game(rng)
     obj = stacked.outcomes[3]
-    _, chain = slater_points(stacked, obj)
-    norm = float(np.linalg.norm(obj.entries, 2))
+    norm = spectral_norm(obj)
+    _, chain = slater_points(stacked, norm)
     # level r uses |objective| + 1; the earlier level doubles per traced
     # question dimension (here dim X2 = 2).
     assert chain[1].entries[0, 0].real == pytest.approx(norm + 1.0)
@@ -623,7 +680,7 @@ def test_weak_duality_on_solution(hedging):
 
 def test_weak_duality_on_slater_pair(hedging):
     prob = compile_primal(hedging, hedging.outcomes[1])
-    primal, _ = slater_points(hedging, hedging.outcomes[1])
+    primal, _ = slater_points(hedging, spectral_norm(hedging.outcomes[1]))
     pv, dv = check_weak_duality(prob, primal, prob.dual_start)
     assert pv <= dv + 1e-7
     assert dv - pv > 0.1  # crude pair leaves a visible gap
@@ -639,7 +696,7 @@ def test_weak_duality_rejects_infeasible_point(hedging):
 def test_weak_duality_rejects_negative_dual_slack(hedging):
     # y = 0 leaves the slack -C, whose smallest eigenvalue is -1/2
     prob = compile_primal(hedging, hedging.outcomes[1])
-    primal, _ = slater_points(hedging, hedging.outcomes[1])
+    primal, _ = slater_points(hedging, spectral_norm(hedging.outcomes[1]))
     y = np.zeros(prob.constraint_map.m)
     with pytest.raises(ValidationError, match=r"negative slack on block 'X': min eigenvalue -5\.000e-01"):
         check_weak_duality(prob, primal, y)

@@ -230,18 +230,22 @@ def test_blocks_that_fill_the_widest_width_iterate_as_one_slot(monkeypatch):
     widths = (3, 2, 1, 3)
     c, A, merged_c, merged = stacked_problem(widths)
     assert solver._stacks(A) == [[(0,), (1, 2), (3,)]]
-    seen, iterates = [], []
+    seen, iterates, cnorms = [], [], []
     iterate = solver._iterate
 
-    def recorded(C, A, *args):
+    def recorded(C, A, cnorm, *args):
         seen.append([x.shape for x in C])
-        out = iterate(C, A, *args)
+        cnorms.append(cnorm)
+        out = iterate(C, A, cnorm, *args)
         iterates.append({key: out[key] for key in ("X", "Z")})
         return out
 
     monkeypatch.setattr(solver, "_iterate", recorded)
     res = interior_point(c, A, tol=1e-10)
     assert seen == [[(3, 3, 3)]]
+    # the dual residual is scaled by the largest block, not by the whole
+    # stack, so packing leaves drel as it is
+    assert cnorms == [max(1.0, max(float(np.linalg.norm(ci)) for ci in c))]
     oracle = interior_point(merged_c, merged, tol=1e-10)
     assert res["status"] == oracle["status"] == solver.STATUS_OPTIMAL
     assert abs(res["primal_value"] - oracle["primal_value"]) <= 1e-9
@@ -264,6 +268,24 @@ def test_blocks_that_fill_the_widest_width_iterate_as_one_slot(monkeypatch):
     )
     for z, ci, az in zip(res["Z"], c, A.adjoint(res["y"])):
         assert_allclose(z, az - ci, rtol=0, atol=1e-8)
+
+
+def test_kernel_lays_out_its_stacks_once_per_solve(monkeypatch):
+    c, A, _, _ = stacked_problem((3, 2, 1, 3))
+    calls = []
+    stacks = solver._stacks
+    monkeypatch.setattr(solver, "_stacks", lambda cmap: calls.append(cmap) or stacks(cmap))
+    assert interior_point(c, A, tol=1e-10)["status"] == solver.STATUS_OPTIMAL
+    assert calls == [A]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_kernel_refuses_a_block_of_width_zero(shared):
+    # on the rows of the width-1 block, or on a row range of its own
+    empty = BlockMap(0, 1, np.zeros((1, 0, 0))) if shared else BlockMap(1, 1, np.zeros((0, 0, 0)))
+    A = ConstraintMap([BlockMap(0, 1, np.ones((1, 1, 1))), empty], [1.0])
+    with pytest.raises(ValidationError, match="block 1 has dimension 0"):
+        interior_point([np.ones((1, 1)), np.zeros((0, 0))], A)
 
 
 def test_blocks_that_leave_room_keep_their_own_stacks(monkeypatch):
