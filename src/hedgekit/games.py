@@ -31,9 +31,11 @@ value objective is ``1/n`` times the words with ``sum_i v_i P_i`` in one
 slot and ``sum_i P_i`` in the others, and each witness of
 :mod:`hedgekit.witnesses` is one word sum per chain level.  So they pair
 for every ``n``.  Every word, the monotone inequality's too, extends the
-empty word copy by copy.  No cap is checked here: :func:`parallel_rounds`
-holds labels only, and :func:`~hedgekit.operators.kron` refuses the first
-product past the desk cap.
+empty word copy by copy.  :func:`parallel_rounds` holds labels only, so
+it checks no cap; :func:`~hedgekit.operators.kron` refuses the first
+product past the desk cap, and :func:`parallel_game`, which extends all
+of a copy's words as one stack with ``kron``'s products, refuses a copy
+level past it before the stack is allocated.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ import numpy as np
 
 from .errors import SpaceError, ValidationError
 from .operators import (
+    _check_cap,
     DensityOperator,
     HermitianOperator,
     KrausChannel,
@@ -180,9 +183,10 @@ class OutcomeOperators(Rounds):
         super().__post_init__()
         self._validate()
 
-    def _validate(self, outcome_min_eigenvalues=None):
+    def _validate(self, outcome_min_eigenvalues=None, total=None):
         """PSD and consistency checks, with the smallest outcome eigenvalues
-        from the caller when it derived them exactly (:func:`parallel_game`)."""
+        and the outcomes' sum from the caller when it derived them exactly
+        (:func:`parallel_game`)."""
         if len(self.r_blocks) != self.rounds - 1:
             raise ValidationError("expected R_2..R_r consistency blocks")
         if not self.outcome_keys:
@@ -200,12 +204,13 @@ class OutcomeOperators(Rounds):
                 lo = outcome_min_eigenvalues[k]
             if lo < -CONSISTENCY_TOL:
                 raise ValidationError("outcome operator is not PSD")
-        self._check_consistency()
+        self._check_consistency(total)
 
-    def _check_consistency(self):
-        total = self.outcomes[0]
-        for p in self.outcomes[1:]:
-            total = total + p
+    def _check_consistency(self, total=None):
+        if total is None:
+            total = self.outcomes[0]
+            for p in self.outcomes[1:]:
+                total = total + p
         last = self.rho if self.rounds == 1 else self.r_blocks[-1]
         expect = kron(identity(self.answer(self.rounds)), last)
         drift = _max_abs_diff(align(total, self.spaces), align(expect, self.spaces))
@@ -423,36 +428,63 @@ def parallel_game(g: OutcomeOperators, n: int) -> OutcomeOperators:
     """Tensor ``n`` independent copies of a game, with the rounds of
     :func:`parallel_rounds`.
 
-    Built copy by copy from the empty word: copy ``m`` extends every word
-    by each of its relabelled outcome operators, so outcomes are indexed
-    by tuples of single-copy outcome keys in lexicographic order, and the
-    first word past the desk cap is refused by
-    :func:`~hedgekit.operators.kron`.  Each word's spectrum is extended
-    alongside, as the products of the per-copy spectra, so the words are
-    checked PSD without an eigensolve each.
+    Built copy by copy as one ``(T, D, D)`` stack of words, from the
+    first copy's outcome operators: copy ``m`` extends every word ``w`` by
+    each outcome operator ``p`` with one multiply per word, forming
+    :func:`~hedgekit.operators.kron`'s entries ``w[i, j] p[k, l]``, so
+    outcomes are indexed by tuples of single-copy outcome keys in
+    lexicographic order, each word holds the bytes a chain of ``kron``
+    calls gives, and a copy level past the desk cap is refused before it
+    is allocated.  Each word's spectrum is extended alongside, as the
+    products of the per-copy spectra, so the words are checked PSD
+    without an eigensolve each, and the consistency sum is the stack's
+    sum over its words, which adds them in outcome order.
     """
     rounds = parallel_rounds(g, n)
-    reps = repetitions(n)
-    spectra = [np.linalg.eigvalsh(p.entries) for p in g.outcomes]
-    ops, keys, word_spectra = [None], [()], [1.0]
-    for m in reps:
-        copy = [tensor_word([p], (m,)) for p in g.outcomes]
-        ops = [_extend(w, p) for w in ops for p in copy]
+    dim = g.spaces.dim
+    letters = np.stack([p.entries for p in g.outcomes])
+    spectra = np.stack([np.linalg.eigvalsh(p.entries) for p in g.outcomes])
+    # a word with only real factors is real: in a complex stack it keeps
+    # the +0 imaginary part numpy promotes a real operand with
+    real = np.array([not np.iscomplexobj(p.entries) for p in g.outcomes])
+    words, word_spectra, word_real = letters, spectra, real
+    keys = [(key,) for key in g.outcome_keys]
+    for m in range(2, n + 1):
+        _check_cap(SpaceList(rounds.spaces.entries[: m * len(g.spaces)]))
+        # entry (i k, j l) of the word (w, p) is w[i, j] p[k, l]: each
+        # entry of w repeated over a p block, times the tiled p's; one word
+        # at a time, so no temporary is as large as the stack
+        tiled = np.tile(letters, (1, len(words[0]), len(words[0])))
+        stack = np.empty((len(words),) + tiled.shape, dtype=tiled.dtype)
+        for w, out in zip(words, stack):
+            np.multiply(w.repeat(dim, axis=0).repeat(dim, axis=1), tiled, out=out)
+        words = stack.reshape(-1, *tiled.shape[1:])
+        word_spectra = (word_spectra[:, None, :, None] * spectra[None, :, None, :]).reshape(
+            len(words), -1
+        )
+        word_real = np.logical_and.outer(word_real, real).reshape(-1)
+        if np.iscomplexobj(words):
+            words.imag[word_real] = 0.0
         keys = [k + (key,) for k in keys for key in g.outcome_keys]
-        word_spectra = [np.multiply.outer(s, t).reshape(-1) for s in word_spectra for t in spectra]
+    reps = repetitions(n)
     rho = tensor_word([g.rho] * n, reps)
     game = object.__new__(OutcomeOperators)
     fields = {
         **vars(rounds),
-        "spaces": ops[0].spaces,
-        "outcomes": tuple(ops),
+        "outcomes": tuple(
+            HermitianOperator._wrap(rounds.spaces, w.real if r else w)
+            for w, r in zip(words, word_real)
+        ),
         "rho": DensityOperator(rho.spaces, rho.entries),
         "r_blocks": tuple(tensor_word([r] * n, reps) for r in g.r_blocks),
         "outcome_keys": tuple(keys),
     }
     for f in dataclasses.fields(OutcomeOperators):
         object.__setattr__(game, f.name, fields[f.name])
-    game._validate([float(s.min()) for s in word_spectra])
+    game._validate(
+        [float(s.min()) for s in word_spectra],
+        HermitianOperator._wrap(rounds.spaces, words.sum(axis=0)),
+    )
     return game
 
 

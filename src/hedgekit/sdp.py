@@ -37,13 +37,16 @@ objective is invariant under permuting them carries its
 per-copy phases that fix the objective; :func:`solve` then passes the
 kernel the reduced problem (``S_n`` blocks, or the phase sectors when
 there is more than one class) in place of the dense one, a change
-of variables around its one kernel call, and lifts the solution back,
-so the report and its checks stay those of the dense problem.
+of variables around its one kernel call.  It re-checks an optimal ``X``
+in the reduced blocks and rows, reads the multipliers back in the dense
+rows, and lifts ``X`` to the dense block only when the report's
+``primal_blocks`` is read, so the report stays that of the dense problem.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +154,9 @@ class SolveReport:
     primal_value: float
     dual_value: float
     gap: float
-    primal_blocks: dict
+    #: the primal point per block name, as aligned ``HermitianOperator``s; a
+    #: copy-symmetric solve lifts ``X`` on first read (:class:`LiftedBlocks`)
+    primal_blocks: Mapping
     dual_multipliers: tuple
     iterations: int
     #: ``u`` with ``A*(u) >= 0`` and ``b . u < 0``; None unless infeasible
@@ -160,6 +165,33 @@ class SolveReport:
     solved_blocks: tuple = ()
     #: why the solve is not optimal (the guard that ended it); None if optimal
     reason: str | None = None
+
+
+class LiftedBlocks(Mapping):
+    """The read-only ``primal_blocks`` of a copy-symmetric solve: its one
+    block ``X``, lifted from the reduced blocks by
+    :meth:`~hedgekit.symmetry.Reduction.lift` on first read and kept."""
+
+    def __init__(self, name: str, spaces: SpaceList, red, blocks):
+        self._name, self._spaces, self._red, self._blocks = name, spaces, red, blocks
+        self._lifted = None
+
+    def __getitem__(self, name):
+        if name != self._name:
+            raise KeyError(name)
+        if self._lifted is None:
+            self._lifted = HermitianOperator(self._spaces, self._red.lift(self._blocks))
+        return self._lifted
+
+    def __contains__(self, name) -> bool:
+        # Mapping's default would read the block, and so lift it
+        return name == self._name
+
+    def __iter__(self):
+        return iter((self._name,))
+
+    def __len__(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -404,15 +436,23 @@ def slater_points(g: Rounds, norm: float):
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
     """Solve a standard-form problem with the embedded interior-point kernel.
 
-    The kernel runs once.  A problem that :func:`compile_primal` found
-    copy-symmetric hands it the reduced problem
-    (:func:`~hedgekit.symmetry.reduction`): the objective as compressed
-    into the reduced blocks by :func:`compile_primal`, the starting points
-    compressed likewise, and the reduced rows.  The report is the dense
-    problem's all the same: ``X`` lifted back and re-checked against the
-    dense constraints, the multipliers and any Farkas ray read back in the
-    dense rows, and ``solved_blocks`` naming the reduced blocks (the
-    kernel may iterate on several of them as one slot, their direct sum).
+    The kernel runs once, and an ``optimal`` point is re-checked against
+    the constraints it solved, every block PSD and every row's residual
+    within ``FEASIBILITY_TOL``; on a violation the status is downgraded.
+    A problem that :func:`compile_primal` found copy-symmetric hands it
+    the reduced problem (:func:`~hedgekit.symmetry.reduction`): the
+    objective as compressed into the reduced blocks by
+    :func:`compile_primal`, the starting points compressed likewise, and
+    the reduced rows.  Its re-check reads the reduced blocks and all the
+    reduced rows, the imaginary ones too: with orthonormal bases, which
+    :class:`~hedgekit.symmetry.Reduction` checks, the lifted ``X`` has
+    the blocks' spectra and meets the dense rows as the blocks meet the
+    reduced ones, so no ``4^n``-wide matrix is formed.  The report is the
+    dense problem's all the same: ``primal_blocks`` is a
+    :class:`LiftedBlocks` that lifts ``X`` on first read, the multipliers
+    and any Farkas ray are read back in the dense rows, and
+    ``solved_blocks`` names the reduced blocks (the kernel may iterate on
+    several of them as one slot, their direct sum).
     """
     if not 1e-10 <= tol <= 1e-2:
         raise ValidationError(f"tol must lie in [1e-10, 1e-2], got {tol!r}")
@@ -445,15 +485,17 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     raw = _solver.interior_point(
         c_blocks, cmap, tol=tol, max_iter=max_iter, x_start=x_start, y_start=y_start
     )
-    if symmetry is not None:
-        raw["X"] = [red.lift(raw["X"])]
+    if symmetry is None:
+        primal_blocks = {n: HermitianOperator(spaces[n], x) for n, x in zip(names, raw["X"])}
+        checked = [(repr(n), primal_blocks[n].entries) for n in names]
+    else:
+        (name,) = names
+        primal_blocks = LiftedBlocks(name, spaces[name], red, raw["X"])
+        checked = [(f"{name!r} (reduced block {b})", x) for b, x in enumerate(raw["X"])]
         raw["y"] = rows.read(red.operator(raw["y"]))
         if raw["farkas"] is not None:
             ray = rows.read(red.operator(raw["farkas"]))
             raw["farkas"] = ray / np.max(np.abs(ray))
-    primal_blocks = {
-        n: HermitianOperator(spaces[n], x) for n, x in zip(names, raw["X"])
-    }
     pval = raw["primal_value"] + problem.offset
     dval = raw["dual_value"] + problem.offset
     mults = tuple(float(v) for v in raw["y"])
@@ -461,7 +503,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     ray = None if raw["farkas"] is None else tuple(float(v) for v in raw["farkas"])
     # re-verify the optimal-status contract; downgrade on violation
     if status == _solver.STATUS_OPTIMAL:
-        reason = _primal_violation(problem, [primal_blocks[n] for n in names])
+        reason = _primal_violation(cmap, checked)
         if reason:
             status = _solver.STATUS_NUMERICAL
     return SolveReport(
@@ -478,16 +520,17 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iter: int = 200) -> SolveR
     )
 
 
-def _primal_violation(problem: SdpProblem, x_blocks) -> str | None:
-    """Why block operators (in problem block order, aligned) are not
-    primal feasible beyond ``FEASIBILITY_TOL``, or None when they are."""
-    for n, x in zip(problem.block_names, x_blocks):
-        lo = min_eigenvalue(x)
-        if lo < -FEASIBILITY_TOL:
-            return f"primal block {n!r} is not PSD: min eigenvalue {lo:.3e}"
-    cmap = problem.constraint_map
-    resid = np.abs(cmap.apply([x.entries for x in x_blocks]) - cmap.b)
-    bad = np.flatnonzero(resid > FEASIBILITY_TOL * np.maximum(1.0, np.abs(cmap.b)))
+def _primal_violation(cmap: _solver.ConstraintMap, blocks) -> str | None:
+    """Why the ``(name, matrix)`` pairs, one per block of ``cmap`` in its
+    order, are not primal feasible beyond ``FEASIBILITY_TOL``, or None
+    when they are.  A matrix is tested PSD as its Hermitian part, and a
+    non-finite eigenvalue or residual is a violation."""
+    for name, x in blocks:
+        lo = float(np.linalg.eigvalsh((x + x.conj().T) / 2)[0])
+        if not lo >= -FEASIBILITY_TOL:
+            return f"primal block {name} is not PSD: min eigenvalue {lo:.3e}"
+    resid = np.abs(cmap.apply([x for _, x in blocks]) - cmap.b)
+    bad = np.flatnonzero(~(resid <= FEASIBILITY_TOL * np.maximum(1.0, np.abs(cmap.b))))
     if bad.size:
         k = int(bad[0])
         return f"primal point violates constraint {k}: residual {resid[k]:.3e}"
@@ -497,7 +540,7 @@ def _primal_violation(problem: SdpProblem, x_blocks) -> str | None:
 # -- duality checks ----------------------------------------------------------------
 
 
-def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multipliers):
+def check_weak_duality(problem: SdpProblem, primal_blocks: Mapping, dual_multipliers):
     """Evaluate a feasible primal/dual pair and assert weak duality.
 
     Returns ``(primal objective, dual objective)``.  Raises with the
@@ -509,7 +552,8 @@ def check_weak_duality(problem: SdpProblem, primal_blocks: dict, dual_multiplier
         if n not in primal_blocks:
             raise ValidationError(f"primal point is missing block {n!r}")
     violation = _primal_violation(
-        problem, [align(primal_blocks[n], spaces[n]) for n in problem.block_names]
+        problem.constraint_map,
+        [(repr(n), align(primal_blocks[n], spaces[n]).entries) for n in problem.block_names],
     )
     if violation:
         raise ValidationError(violation)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hedgekit import (
+    DensityOperator,
+    HermitianOperator,
     KrausChannel,
+    OutcomeOperators,
     Rounds,
     SingleRoundGameSpec,
     StrategyChoi,
@@ -156,7 +160,7 @@ def test_parallel_word_psd_check_uses_copy_spectra(hedging, monkeypatch, n):
     validate = games.OutcomeOperators._validate
     monkeypatch.setattr(
         games.OutcomeOperators, "_validate",
-        lambda self, lows=None: derived.append(lows) or validate(self, lows),
+        lambda self, lows=None, total=None: derived.append(lows) or validate(self, lows, total),
     )
     pg = parallel_game(hedging, n)
     assert solved == []
@@ -166,8 +170,87 @@ def test_parallel_word_psd_check_uses_copy_spectra(hedging, monkeypatch, n):
 
 
 def test_parallel_cap_enforced(hedging):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="desk-scale cap"):
         parallel_game(hedging, 5)  # 4^5 = 1024 > 256
+
+
+def chained_kron_game(g, n):
+    """The n-fold words, their keys and their derived minimum eigenvalues
+    as a chain of ``kron`` calls builds them, one word at a time."""
+    spectra = [np.linalg.eigvalsh(p.entries) for p in g.outcomes]
+    words, keys, word_spectra = [None], [()], [1.0]
+    for m in repetitions(n):
+        copy = [tensor_word([p], (m,)) for p in g.outcomes]
+        words = [p if w is None else kron(w, p) for w in words for p in copy]
+        keys = [k + (key,) for k in keys for key in g.outcome_keys]
+        word_spectra = [np.multiply.outer(s, t).reshape(-1) for s in word_spectra for t in spectra]
+    return words, keys, [float(s.min()) for s in word_spectra]
+
+
+def mixed_dtype_game():
+    """Three outcomes, the first real and the other two complex: a real
+    state measured by ``|0><0| (x) I`` and two complex rank-one effects."""
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4))
+    sigma = DensityOperator(space(("X1", 2), ("Z", 2)), m @ m.T / np.trace(m @ m.T))
+    v = np.array([0, 0, 1, 1j]) / np.sqrt(2)
+    w = np.array([0, 0, 1, -1j]) / np.sqrt(2)
+    effects = (np.diag([1.0, 1.0, 0.0, 0.0]), np.outer(v, v.conj()), np.outer(w, w.conj()))
+    meas = tuple(HermitianOperator(space(("Y1", 2), ("Z", 2)), e) for e in effects)
+    return outcome_operators_single_round(SingleRoundGameSpec(sigma, meas))
+
+
+def signed_zero_game():
+    """:func:`mixed_dtype_game` with every zero of its real outcome stored
+    as -0.0, whose products keep a sign that the chained ``kron`` keeps."""
+    g = mixed_dtype_game()
+    p = g.outcomes[0].entries.copy()
+    p[p == 0] = -0.0
+    return dataclasses.replace(g, outcomes=(HermitianOperator._wrap(g.spaces, p), *g.outcomes[1:]))
+
+
+BYTE_CASES = {
+    **{f"hedging n={n}": (hedging_game, n) for n in (1, 2, 3, 4)},
+    "three-outcome n=2": (lambda: parallel_base("three-outcome"), 2),
+    "complex n=3": (lambda: make_random_game(np.random.default_rng(3)), 3),
+    "product n=2": (lambda: parallel_base("product"), 2),
+    "mixed dtypes n=3": (mixed_dtype_game, 3),
+    "signed zeros n=3": (signed_zero_game, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BYTE_CASES))
+def test_parallel_game_is_the_chained_kron_byte_for_byte(monkeypatch, case):
+    # one stacked product per copy forms kron's products: every word, its
+    # dtype and key, the derived minimum eigenvalues and the consistency
+    # total (one + at a time, in outcome order) keep their bytes
+    build, n = BYTE_CASES[case]
+    g = build()
+    if case.startswith(("mixed", "signed")):
+        assert [p.entries.dtype.kind for p in g.outcomes] == ["f", "c", "c"]
+    seen = []
+    validate = OutcomeOperators._validate
+    monkeypatch.setattr(
+        OutcomeOperators, "_validate",
+        lambda self, lows=None, total=None: seen.append((lows, total))
+        or validate(self, lows, total),
+    )
+    pg = parallel_game(g, n)
+    words, keys, lows = chained_kron_game(g, n)
+    assert pg.outcome_keys == tuple(keys)
+    assert len(pg.outcomes) == len(words)
+    for got, want in zip(pg.outcomes, words):
+        assert got.spaces == want.spaces == pg.spaces
+        assert got.entries.dtype == want.entries.dtype
+        assert got.entries.tobytes() == want.entries.tobytes()
+    ((derived, total),) = seen
+    assert [float(v).hex() for v in derived] == [v.hex() for v in lows]
+    added = words[0]
+    for w in words[1:]:
+        added = added + w
+    assert total.spaces == added.spaces
+    assert total.entries.dtype == added.entries.dtype
+    assert total.entries.tobytes() == added.entries.tobytes()
 
 
 @pytest.mark.parametrize("name,n", PARALLEL_CASES)

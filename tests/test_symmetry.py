@@ -28,7 +28,8 @@ from hedgekit.operators import align, identity, kron, min_eigenvalue
 from hedgekit.sampling import random_measurement
 from hedgekit.sdp import SdpProblem, check_dual_feasibility, check_weak_duality
 from hedgekit.serialize import load_json
-from hedgekit import solver, symmetry
+from hedgekit import sdp, solver, symmetry
+from hedgekit.errors import NumericalError
 from hedgekit.symmetry import CopySymmetry, Reduction, phase_classes
 from hedgekit.witnesses import classical_optimum
 
@@ -557,3 +558,113 @@ def test_classical_games_solve_in_one_by_one_blocks_at_the_binomial_tail(name):
         assert rep.status == "optimal"
         assert set(rep.solved_blocks) == {1}
         assert abs(rep.primal_value - binomial_tail(p, n, k)) <= 10 * TOL
+
+
+# ------------------------------------------------------------ reduced re-check
+
+
+#: the copy-symmetric solves within the cap: hedging at every k and the
+#: value objective, and one-class random games (seeds 0-5) at every k
+RECHECK_CASES = [("hedging", n, k) for n in (3, 4) for k in (*range(1, n + 1), "value")] + [
+    (seed, n, k) for seed in range(6) for n in (3, 4) for k in range(1, n + 1)
+]
+
+
+def recheck_solve(name, n, k):
+    game = hedging_game() if name == "hedging" else make_random_game(np.random.default_rng(name))
+    if k == "value":
+        objective = value_objective(game, (0.0, 1.0), n)
+    else:
+        objective = threshold_objective(game, n, k)
+    prob = compile_primal(parallel_rounds(game, n), objective)
+    return prob, solve(prob, TOL)
+
+
+def both_rechecks(prob, blocks):
+    """The verdicts of the reduced re-check on ``blocks`` and of the dense
+    re-check on their lift (None: feasible)."""
+    red, rows = symmetry.reduction(prob._copy_symmetry)
+    return (
+        sdp._primal_violation(rows, [(f"reduced {b}", x) for b, x in enumerate(blocks)]),
+        sdp._primal_violation(prob.constraint_map, [("'X'", red.lift(blocks))]),
+    )
+
+
+@pytest.mark.parametrize("name, n, k", RECHECK_CASES)
+def test_reduced_recheck_agrees_with_the_dense_one(name, n, k):
+    prob, rep = recheck_solve(name, n, k)
+    assert (rep.status, rep.reason) == ("optimal", None)
+    blocks = rep.primal_blocks._blocks
+    red, rows = symmetry.reduction(prob._copy_symmetry)
+    x = rep.primal_blocks["X"].entries
+    lows = [np.linalg.eigvalsh((b + b.conj().T) / 2)[0] for b in blocks]
+    assert abs(min(lows) - np.linalg.eigvalsh(x)[0]) <= 1e-12
+    reduced = np.linalg.norm(rows.apply(blocks) - rows.b)
+    dense = np.linalg.norm(prob.constraint_map.apply([x]) - prob.constraint_map.b)
+    assert abs(reduced - dense) <= 1e-12
+    assert both_rechecks(prob, blocks) == (None, None)
+    # mutants: the block nearest the cone's boundary shifted off it, and
+    # the block of largest weight scaled
+    low = int(np.argmin(lows))
+    shifted = [b - 1e-6 * np.eye(len(b)) if i == low else b for i, b in enumerate(blocks)]
+    heavy = int(np.argmax([f * np.trace(b).real for f, b in zip(red.multiplicities, blocks)]))
+    scaled = [b * (1 + 1e-6) if i == heavy else b for i, b in enumerate(blocks)]
+    for mutant, fault in ((shifted, "is not PSD"), (scaled, "violates constraint")):
+        verdicts = both_rechecks(prob, mutant)
+        assert all(fault in v for v in verdicts), verdicts
+
+
+def test_copy_symmetric_solve_downgrades_what_the_reduced_recheck_refuses(monkeypatch):
+    prob = recheck_solve("hedging", 3, 2)[0]
+    run = solver.interior_point
+
+    def shifted(*args, **kwargs):
+        raw = run(*args, **kwargs)
+        low = int(np.argmin([np.linalg.eigvalsh(x)[0] for x in raw["X"]]))
+        raw["X"][low] = raw["X"][low] - 1e-6 * np.eye(len(raw["X"][low]))
+        shifted.low = low
+        return raw
+
+    monkeypatch.setattr(solver, "interior_point", shifted)
+    rep = solve(prob, TOL)
+    assert rep.status == solver.STATUS_NUMERICAL
+    assert rep.reason.startswith(f"primal block 'X' (reduced block {shifted.low}) is not PSD")
+
+
+def test_reduction_refuses_bases_that_are_not_orthonormal(monkeypatch):
+    sym = hedging_sectors(3)
+    Reduction(sym)
+    bases = symmetry._sector_bases
+
+    def perturbed(s):
+        shapes, multiplicities, blocks = bases(s)
+        (index, u), *rest = blocks
+        u = u.copy()
+        u[0, 0] += 1e-9
+        return shapes, multiplicities, [(index, u), *rest]
+
+    monkeypatch.setattr(symmetry, "_sector_bases", perturbed)
+    with pytest.raises(NumericalError, match="not orthonormal"):
+        Reduction(sym)
+
+
+@pytest.mark.parametrize("name, n", [("hedging", 3), ("hedging", 4), (41, 3)])
+def test_copy_symmetric_solve_forms_nothing_dense_until_read(monkeypatch, name, n):
+    # the re-check reads the reduced blocks: no 4^n-wide eigensolve and
+    # no lift runs in the solve; X is lifted once, on its first read
+    prob = recheck_solve(name, n, 2)[0]
+    widths, lifts = [], []
+    eigvalsh, lift = np.linalg.eigvalsh, Reduction.lift
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: widths.append(a.shape[-1]) or eigvalsh(a))
+    monkeypatch.setattr(Reduction, "lift", lambda self, b: lifts.append(1) or lift(self, b))
+    rep = solve(prob, TOL)
+    assert rep.status == "optimal"
+    assert widths and max(widths) < 4**n
+    assert "X" in rep.primal_blocks and "Y" not in rep.primal_blocks
+    assert lifts == []
+    first = rep.primal_blocks["X"]
+    assert rep.primal_blocks["X"] is first
+    assert lifts == [1]
+    assert dict(rep.primal_blocks) == {"X": first}
+    check_weak_duality(prob, rep.primal_blocks, rep.dual_multipliers)
+    assert lifts == [1]
