@@ -150,8 +150,8 @@ class HermitianOperator:
 class DensityOperator(HermitianOperator):
     """Positive semidefinite, unit-trace operator."""
 
-    def __init__(self, spaces, entries, *, _trusted: bool = False):
-        super().__init__(spaces, entries, _trusted=_trusted)
+    def __init__(self, spaces, entries):
+        super().__init__(spaces, entries)
         lo = min_eigenvalue(self)
         if lo < -PSD_TOL:
             raise ValidationError(f"not positive semidefinite: min eigenvalue {lo:.3e}")

@@ -59,6 +59,10 @@ are its blocks', so no padding enters ``nu``, ``<C, X>`` or ``<X, Z>``
 and the step limits read the same minima.  ``X`` and ``Z`` come back per
 block, in block order, as the windows of their slots.  A stack of one
 block is a view of it and runs its arithmetic bit for bit as before.
+The iteration has one shape, and its helpers take only that shape: the
+factor and step-length helpers an ``(2, B, d, d)`` pair of ``X`` and
+``Z`` stacks (or of their directions), the Schur assembly ``(B, d, d)``
+stacks and a stacked map, ``G`` of shape ``(B, m, w, w)``.
 
 Real data are solved in real arithmetic.  A problem is
 conjugation-symmetric when every ``C`` block is real, every row is real
@@ -105,15 +109,15 @@ def _herm(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().swapaxes(-1, -2)) / 2
 
 
-def _chol(mat: np.ndarray) -> np.ndarray:
-    """The Cholesky factor of a matrix or of each matrix of a stack; a
-    failed factorization is retried once with every matrix shifted by
-    ``1e-14`` times its mean diagonal (at least 1).  A pair of stacks,
-    shape ``(2, B, d, d)`` (the kernel's ``X`` and ``Z``), is factored in
-    one call, and when that fails each stack apart, so that each keeps its
-    own retry and a stack that factors is never shifted."""
+def _inv_chol(pair: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the Cholesky factor ``L L^dag`` of each matrix of a
+    ``(2, B, d, d)`` pair of stacks (the kernel's ``X`` and ``Z``), checked
+    finite.  The pair is factored in one call, and when that fails each
+    stack apart, retried once with every matrix shifted by ``1e-14`` times
+    its mean diagonal (at least 1), so that each stack keeps its own retry
+    and a stack that factors is never shifted."""
 
-    def retried(stack):
+    def factor(stack):
         try:
             return np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
@@ -124,46 +128,35 @@ def _chol(mat: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError as exc:
                 raise NumericalError("Cholesky factorization failed") from exc
 
-    if mat.ndim != 4:
-        return retried(mat)
     try:
-        return np.linalg.cholesky(mat)
+        lower = np.linalg.cholesky(pair)
     except np.linalg.LinAlgError:
-        return np.stack([retried(half) for half in mat])
-
-
-def _inv_chol(mat: np.ndarray) -> np.ndarray:
-    """``L^-1`` for the Cholesky factor ``mat = L L^dag`` (of each matrix
-    of a stack or of a pair of stacks, in one call), checked finite."""
-    li = np.linalg.inv(_chol(mat))
+        lower = np.stack([factor(stack) for stack in pair])
+    li = np.linalg.inv(lower)
     if not np.all(np.isfinite(li)):
         raise NumericalError("Cholesky factor inverse is not finite")
     return li
 
 
 def _lowest(eigenvalues: np.ndarray) -> float:
-    """The smallest of ascending eigenvalues, of one matrix or of each of
-    a stack (``min`` over the few blocks of a stack costs a fraction of a
-    numpy reduction)."""
+    """The smallest of the ascending eigenvalues of each matrix of a stack
+    (``min`` over the few blocks of a stack costs a fraction of a numpy
+    reduction)."""
     return float(min(eigenvalues[..., 0].flat))
 
 
-def _max_step(li: np.ndarray, direction: np.ndarray):
-    """Largest alpha with S + alpha * direction >= 0, given ``li = L^-1``
-    for S = L L^dag: ``-1 / lambda_min(L^-1 direction L^-dag)``, the
-    smallest over a stack.  For a pair of stacks, shape ``(2, B, d, d)``,
-    one ``eigvalsh`` call gives the pair of step limits, each the smallest
-    over its own stack."""
-    if not np.all(np.isfinite(direction)):
+def _max_step(li: np.ndarray, pair: np.ndarray) -> tuple:
+    """The largest alphas with ``S + alpha * D >= 0`` on each stack of a
+    ``(2, B, d, d)`` pair of directions ``D``, given ``li = L^-1`` for
+    ``S = L L^dag`` (:func:`_inv_chol`): ``-1 / lambda_min(L^-1 D L^-dag)``,
+    each the smallest over its own stack, from one ``eigvalsh`` call."""
+    if not np.all(np.isfinite(pair)):
         raise NumericalError("search direction is not finite")
     try:
-        eigenvalues = np.linalg.eigvalsh(_herm(li @ direction @ li.conj().swapaxes(-1, -2)))
+        eigenvalues = np.linalg.eigvalsh(_herm(li @ pair @ li.conj().swapaxes(-1, -2)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("step-length eigensolve failed") from exc
-    pair = li.ndim == 4
-    lows = map(_lowest, eigenvalues if pair else [eigenvalues])
-    steps = tuple(np.inf if lam >= -1e-13 else -1.0 / lam for lam in lows)
-    return steps if pair else steps[0]
+    return tuple(np.inf if lam >= -1e-13 else -1.0 / lam for lam in map(_lowest, eigenvalues))
 
 
 #: The off-diagonal coefficient of the Hermitian basis.
@@ -230,8 +223,7 @@ class BlockMap:
     ``G`` is kept as ``float64``, any other as ``complex128``.
     ``G=None`` stands for the rows ``hermitian_basis(w)``, ``w^2 = stop -
     start``, held as coordinates: :meth:`read` and :meth:`scatter` work
-    on the matrix entries, :meth:`rows` builds the basis on demand and
-    :meth:`schur` needs it held, as the kernel's working map holds it.
+    on the matrix entries and :meth:`rows` builds the basis on demand.
 
     A ``G`` of shape ``(B, stop - start, w, w)`` is a stack: ``B`` blocks
     of one shape that share the rows ``start:stop``, each with its own
@@ -239,6 +231,8 @@ class BlockMap:
     matrices, and :meth:`read` and :meth:`schur` sum the blocks' terms.
     ``gflat`` holds each row over the whole stack, flattened, so
     :meth:`read` and :meth:`scatter` are one product whatever ``B``.
+    :meth:`schur` takes only a stack, as the kernel's working map holds
+    every block.
 
     The Schur contribution ``Re Tr(F_i X F_j Z^-1)`` of the block is
     assembled by whichever of two formulas needs fewer flops for its
@@ -283,9 +277,7 @@ class BlockMap:
 
     def expand(self) -> np.ndarray:
         """Dense ``(stop - start, dim, dim)`` stack of the ``F_i``, block order."""
-        G = self.rows()
-        f = G if self.pad == 1 else np.kron(np.eye(self.pad), G)
-        return f if self.inv is None else f[..., self.inv[:, None], self.inv]
+        return self.lift(self.rows())
 
     def read(self, s: np.ndarray) -> np.ndarray:
         """``Re Tr(G_i s)`` over this block's rows, for a ``w x w`` ``s``."""
@@ -320,26 +312,26 @@ class BlockMap:
         return np.trace(a.reshape(*a.shape[:-2], p, w, p, w), axis1=-4, axis2=-2)
 
     def schur(self, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-        """``Re Tr(F_i x F_j zi)`` over this block's rows, which it must
-        hold as ``G`` (the kernel's working map does)."""
-        lead = x.shape[:-2]
+        """``Re Tr(F_i x F_j zi)`` over this block's rows, summed over the
+        blocks of a stack, for ``(B, dim, dim)`` stacks ``x`` and ``zi``; the
+        map must hold its rows as a stacked ``G`` of shape ``(B, stop - start,
+        w, w)``, as the kernel's working map does."""
         if self.kron_schur:
             # K[(b,a),(c,e)] = sum_{y,z} x[yb, zc] zi[ze, ya], then M = G^T K G
-            p, w, k = self.pad, self.w, len(lead)
-            x4 = self.natural(x).reshape(*lead, p, w, p, w)
-            z4 = self.natural(zi).reshape(*lead, p, w, p, w)
-            xs = x4.transpose(*range(k), k + 1, k + 3, k, k + 2).reshape(*lead, w * w, p * p)
-            zs = z4.transpose(*range(k), k + 2, k, k + 3, k + 1).reshape(*lead, p * p, w * w)
-            kk = (xs @ zs).reshape(*lead, w, w, w, w)
-            kk = kk.transpose(*range(k), k, k + 2, k + 1, k + 3).reshape(*lead, w * w, w * w)
+            B, p, w = len(x), self.pad, self.w
+            x4 = self.natural(x).reshape(B, p, w, p, w)
+            z4 = self.natural(zi).reshape(B, p, w, p, w)
+            xs = x4.transpose(0, 2, 4, 1, 3).reshape(B, w * w, p * p)
+            zs = z4.transpose(0, 3, 1, 4, 2).reshape(B, p * p, w * w)
+            kk = (xs @ zs).reshape(B, w, w, w, w)
+            kk = kk.transpose(0, 1, 3, 2, 4).reshape(B, w * w, w * w)
             g = self.G.reshape(*self.G.shape[:-2], w * w)
             gt = self.G.swapaxes(-1, -2).reshape(g.shape)
-            out = (gt @ kk @ g.swapaxes(-1, -2)).real
-            return out if out.ndim == 2 else out.sum(axis=0)
+            return (gt @ kk @ g.swapaxes(-1, -2)).real.sum(axis=0)
+        # one product over the stack: row i is F_i on every block
         f = self.expand()
-        t = (x[..., None, :, :] @ f @ zi[..., None, :, :]).swapaxes(-1, -2)
-        if f.ndim == 4:  # one product over the stack: row i is F_i on every block
-            f, t = f.swapaxes(0, 1), t.swapaxes(0, 1)
+        t = (x[:, None] @ f @ zi[:, None]).swapaxes(-1, -2)
+        f, t = f.swapaxes(0, 1), t.swapaxes(0, 1)
         size = math.prod(f.shape[1:])
         return (f.reshape(-1, size) @ t.reshape(-1, size).T).real
 
@@ -374,8 +366,9 @@ class ConstraintMap:
         return [bm.lift(s) for bm, s in zip(self.blocks, self.compact_adjoint(y))]
 
     def schur(self, X, Zi) -> np.ndarray:
-        """The HKM Schur matrix ``M_ij = Re Tr(F_i X F_j Z^-1)``, on a map
-        that holds its rows, like the kernel's working map."""
+        """The HKM Schur matrix ``M_ij = Re Tr(F_i X F_j Z^-1)``, for
+        ``(B, d, d)`` stacks ``X`` and ``Zi`` on a map of stacked ``G``, like
+        the kernel's working map."""
         M = np.zeros((self.m, self.m))
         for bm, x, zi in zip(self.blocks, X, Zi):
             M[bm.start : bm.stop, bm.start : bm.stop] += bm.schur(x, zi)

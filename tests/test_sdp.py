@@ -101,12 +101,10 @@ def test_hermitian_basis_orthonormal():
 
 
 def _held(cmap):
-    """``cmap`` with every block's rows held as ``G``, as the kernel holds
-    them while it iterates."""
-    return ConstraintMap(
-        [BlockMap(bm.start, bm.stop, bm.rows(), pad=bm.pad, perm=bm.perm) for bm in cmap.blocks],
-        cmap.b,
-    )
+    """``cmap`` with every block's rows held as ``G``, each block a stack of
+    one, as the kernel holds them while it iterates."""
+    stacks = [BlockMap(bm.start, bm.stop, bm.rows()[None], pad=bm.pad, perm=bm.perm) for bm in cmap.blocks]
+    return ConstraintMap(stacks, cmap.b)
 
 
 def _map_case(name, hedging):
@@ -154,7 +152,8 @@ def test_constraint_map_matches_dense_expansion(name, hedging):
         for f, x, zi in zip(F, X, Zi)
     )
     scale = max(1.0, float(np.max(np.abs(dense_m))))
-    assert_allclose(_held(cmap).schur(X, Zi), dense_m, rtol=0, atol=1e-12 * scale)
+    stacked = _held(cmap).schur([x[None] for x in X], [zi[None] for zi in Zi])
+    assert_allclose(stacked, dense_m, rtol=0, atol=1e-12 * scale)
 
 
 def test_hedging_n4_solves_without_dense_constraints(hedging):
@@ -248,9 +247,10 @@ def test_compiled_b_and_dual_start_are_the_dense_rows_products(hedging, n):
     (bm,) = prob.constraint_map.blocks
     assert bm.G is None
     (working,) = _held(prob.constraint_map).blocks
-    assert np.array_equal(working.G, hermitian_basis(2**n))
+    (G,) = working.G
+    assert np.array_equal(G, hermitian_basis(2**n))
     (y,) = slater_points(g, spectral_norm(objective))[1]
-    assert np.array_equal(prob.constraint_map.b, np.trace(working.G, axis1=1, axis2=2).real)
+    assert np.array_equal(prob.constraint_map.b, np.trace(G, axis1=1, axis2=2).real)
     assert np.array_equal(prob.dual_start, (working.gflat @ y.entries.T.reshape(-1)).real)
 
 

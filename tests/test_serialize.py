@@ -121,6 +121,26 @@ def test_game_single_round_form():
         assert_allclose(a.entries, b.entries, atol=1e-12)
 
 
+def test_bundled_game_file_is_the_library_game_byte_for_byte():
+    # `hedgekit solve hedging` reads the packaged file; the library builds
+    # hedging_game() from hedging_game_spec(): they must be one game
+    from importlib import resources
+
+    text = (resources.files("hedgekit") / "data" / "hedging_game.json").read_text(encoding="utf-8")
+    game, winning = game_from_json(json.loads(text))
+    direct = hedging_game()
+    assert winning == (1,)
+    assert (game.rounds, game.spaces) == (direct.rounds, direct.spaces)
+    assert (game.x_rounds, game.y_rounds) == (direct.x_rounds, direct.y_rounds)
+    assert game.outcome_keys == direct.outcome_keys
+    pairs = [*zip(game.outcomes, direct.outcomes), (game.rho, direct.rho)]
+    assert len(pairs) == len(direct.outcomes) + 1 == 3
+    for a, b in pairs:
+        assert a.spaces == b.spaces
+        assert a.entries.dtype == b.entries.dtype
+        assert a.entries.tobytes() == b.entries.tobytes()
+
+
 def test_game_requires_type():
     with pytest.raises(ValidationError):
         game_from_json({"P": []})

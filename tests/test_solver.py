@@ -28,32 +28,43 @@ def reference_step(s, direction):
     return np.inf if lam >= 0 else -1.0 / lam
 
 
+def pair_of(x, z):
+    """The kernel's ``(2, B, d, d)`` pair of ``X`` and ``Z`` stacks, here
+    stacks of one matrix each."""
+    return np.stack([x, z])[:, None]
+
+
 @pytest.mark.parametrize("d", [4, 16, 64])
 def test_max_step_matches_eigh_reference(d):
     rng = np.random.default_rng(600 + d)
-    s = random_pd(rng, d)
-    li = solver._inv_chol(s)
+    s = [random_pd(rng, d), random_pd(rng, d)]
+    li = solver._inv_chol(pair_of(*s))
     for _ in range(3):
-        direction = random_hermitian(rng, d)
-        alpha = solver._max_step(li, direction)
-        assert alpha == pytest.approx(reference_step(s, direction), rel=1e-10)
-        assert np.linalg.eigvalsh(s + alpha * direction)[0] == pytest.approx(0.0, abs=1e-9)
-    psd = random_pd(rng, d) - 0.1 * np.eye(d)
-    assert solver._max_step(li, psd) == np.inf
+        direction = [random_hermitian(rng, d), random_hermitian(rng, d)]
+        limits = solver._max_step(li, pair_of(*direction))
+        for sh, dh, alpha in zip(s, direction, limits):
+            assert alpha == pytest.approx(reference_step(sh, dh), rel=1e-10)
+            assert np.linalg.eigvalsh(sh + alpha * dh)[0] == pytest.approx(0.0, abs=1e-9)
+    psd = [random_pd(rng, d) - 0.1 * np.eye(d) for _ in range(2)]
+    assert solver._max_step(li, pair_of(*psd)) == (np.inf, np.inf)
 
 
 @pytest.mark.parametrize("d", [4, 16, 64])
 def test_inverse_cholesky_factor_gives_inverse(d):
-    z = random_pd(np.random.default_rng(700 + d), d)
-    li = solver._inv_chol(z)
-    assert_allclose(li.conj().T @ li, np.linalg.inv(z), rtol=0, atol=1e-10 * np.abs(np.linalg.inv(z)).max())
+    rng = np.random.default_rng(700 + d)
+    pair = [random_pd(rng, d), random_pd(rng, d)]
+    li = solver._inv_chol(pair_of(*pair))
+    for (lh,), z in zip(li, pair):
+        zi = np.linalg.inv(z)
+        assert_allclose(lh.conj().T @ lh, zi, rtol=0, atol=1e-10 * np.abs(zi).max())
 
 
 def test_inverse_cholesky_rejects_indefinite_and_non_finite():
+    eye = np.eye(2, dtype=complex)
     with pytest.raises(NumericalError, match="Cholesky"):
-        solver._inv_chol(np.diag([1.0, -1.0]).astype(complex))
+        solver._inv_chol(pair_of(np.diag([1.0, -1.0]).astype(complex), eye))
     with pytest.raises(NumericalError):
-        solver._inv_chol(np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex))
+        solver._inv_chol(pair_of(eye, np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex)))
 
 
 def random_problem(rng):
@@ -103,15 +114,15 @@ def test_factored_kernel_matches_the_optimum_of_its_dual():
 
 def test_indefinite_iterate_ends_in_numerical_failure(monkeypatch):
     c, A = random_problem(np.random.default_rng(13))
-    chol = solver._chol
+    inv_chol = solver._inv_chol
     calls = []
 
-    def chol_flipped_from_third_iteration(mat):
+    def inv_chol_flipped_from_third_iteration(pair):
         calls.append(None)
         # two stacks, each factoring its X and Z in one call
-        return chol(mat if len(calls) <= 4 else -mat)
+        return inv_chol(pair if len(calls) <= 4 else -pair)
 
-    monkeypatch.setattr(solver, "_chol", chol_flipped_from_third_iteration)
+    monkeypatch.setattr(solver, "_inv_chol", inv_chol_flipped_from_third_iteration)
     res = interior_point(c, A)
     assert res["status"] == solver.STATUS_NUMERICAL
     assert res["iterations"] == 3
@@ -168,11 +179,45 @@ def test_block_without_rows_is_legal(pad):
     eye = [np.eye(1), np.eye(2 * pad)]
     assert_allclose(A.apply(eye), [1.0])
     assert_allclose(A.adjoint(np.ones(1))[1], np.zeros((2 * pad, 2 * pad)))
-    assert_allclose(A.schur(eye, eye), [[1.0]])
+    # the Schur assembly takes the kernel's shape: every block a stack
+    stacked = ConstraintMap([BlockMap(b.start, b.stop, b.G[None], pad=b.pad) for b in A.blocks], A.b)
+    eyes = [e[None] for e in eye]
+    assert_allclose(stacked.schur(eyes, eyes), [[1.0]])
     assert A.max_row_norm() == 1.0
     res = interior_point([np.eye(1), -np.eye(2 * pad)], A)
     assert res["status"] == solver.STATUS_OPTIMAL
     assert res["primal_value"] == pytest.approx(1.0, abs=1e-7)
+
+
+def kron_expand(G, pad, inv):
+    """The ``F_i`` of a block map by ``np.kron``; with pad 1 the ``G_i``
+    themselves (``np.kron`` with ``[[1.0]]`` would turn a ``-0.0`` real
+    part with a negative imaginary part into ``+0.0``)."""
+    f = G if pad == 1 else np.kron(np.eye(pad), G)
+    return f if inv is None else f[..., inv[:, None], inv]
+
+
+@pytest.mark.parametrize("pad", [1, 2, 3])
+@pytest.mark.parametrize("permuted", [False, True])
+@pytest.mark.parametrize("rows", ["real-3d", "complex-3d", "real-4d", "complex-4d", "basis"])
+def test_expand_is_the_kronecker_expansion_byte_for_byte(pad, permuted, rows):
+    rng = np.random.default_rng(pad * 10 + permuted)
+    w, count = 3, 5
+    if rows == "basis":
+        G, count = None, w * w
+    else:
+        shape = (count, w, w) if rows.endswith("3d") else (2, count, w, w)
+        G = rng.standard_normal(shape)
+        if rows.startswith("complex"):
+            G = G + 1j * rng.standard_normal(shape)
+        # signed zeros, in complex entries beside imaginary parts of either sign
+        G.real.flat[::4] = -0.0
+        assert np.signbit(G.real).any()
+    bm = BlockMap(0, count, G, pad=pad, perm=rng.permutation(pad * w) if permuted else None)
+    ref = kron_expand(bm.rows(), pad, bm.inv)
+    got = bm.expand()
+    assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+    assert got.tobytes() == ref.tobytes()
 
 
 def stacked_problem(widths=(3, 2, 3)):
@@ -330,10 +375,11 @@ def test_kernel_refuses_a_stacked_block_map():
 
 def test_non_finite_direction_in_one_stacked_block_is_refused():
     rng = np.random.default_rng(15)
-    li = solver._inv_chol(np.stack([random_pd(rng, 3) for _ in range(3)]))
-    direction = np.stack([random_hermitian(rng, 3) for _ in range(3)])
-    assert 0.0 < solver._max_step(li, direction) < np.inf
-    direction[1, 0, 2] = np.nan
+    x, z = (np.stack([random_pd(rng, 3) for _ in range(3)]) for _ in range(2))
+    li = solver._inv_chol(np.stack([x, z]))
+    direction = np.stack([np.stack([random_hermitian(rng, 3) for _ in range(3)]) for _ in range(2)])
+    assert all(0.0 < a < np.inf for a in solver._max_step(li, direction))
+    direction[0, 1, 0, 2] = np.nan
     with pytest.raises(NumericalError, match="search direction is not finite"):
         solver._max_step(li, direction)
 
@@ -341,7 +387,8 @@ def test_non_finite_direction_in_one_stacked_block_is_refused():
 def test_paired_x_and_z_keep_separate_jitter_retries():
     # X's stack holds a singular block, so its plain factorization fails and
     # the pair falls back to factoring each stack apart: Z, which factors,
-    # is never shifted, and X gets the retry it gets alone
+    # is never shifted, and X gets its retry, every matrix of its stack
+    # shifted by 1e-14 times its mean diagonal (at least 1)
     rng = np.random.default_rng(16)
     x = np.stack([np.ones((2, 2), dtype=complex), random_pd(rng, 2)])
     z = np.stack([random_pd(rng, 2), random_pd(rng, 2)])
@@ -350,7 +397,9 @@ def test_paired_x_and_z_keep_separate_jitter_retries():
     li = solver._inv_chol(np.stack([x, z]))
     assert li.shape == (2, 2, 2, 2)
     assert li[1].tobytes() == np.linalg.inv(np.linalg.cholesky(z)).tobytes()
-    assert li[0].tobytes() == solver._inv_chol(x).tobytes()
+    jitter = 1e-14 * np.fmax(1.0, np.trace(x, axis1=-2, axis2=-1).real / 2)
+    shifted = x + jitter[:, None, None] * np.eye(2)
+    assert li[0].tobytes() == np.linalg.inv(np.linalg.cholesky(shifted)).tobytes()
 
 
 def test_paired_step_limits_are_each_stacks_own():
@@ -360,10 +409,16 @@ def test_paired_step_limits_are_each_stacks_own():
     dx = np.stack([random_hermitian(rng, 3) for _ in range(2)])
     dz = np.stack([random_hermitian(rng, 3) for _ in range(2)])
     li = solver._inv_chol(np.stack([x, z]))
-    assert li[0].tobytes() == solver._inv_chol(x).tobytes()
-    assert li[1].tobytes() == solver._inv_chol(z).tobytes()
+    assert li[0].tobytes() == np.linalg.inv(np.linalg.cholesky(x)).tobytes()
+    assert li[1].tobytes() == np.linalg.inv(np.linalg.cholesky(z)).tobytes()
+
+    def own_limit(lh, d):
+        # the limit of one stack alone: its smallest eigenvalue over the stack
+        lam = np.linalg.eigvalsh(solver._herm(lh @ d @ lh.conj().swapaxes(-1, -2)))[:, 0].min()
+        return np.inf if lam >= -1e-13 else -1.0 / lam
+
     limits = solver._max_step(li, np.stack([dx, dz]))
-    assert limits == (solver._max_step(li[0], dx), solver._max_step(li[1], dz))
+    assert limits == (own_limit(li[0], dx), own_limit(li[1], dz))
     assert all(0.0 < a < np.inf for a in limits)
 
 

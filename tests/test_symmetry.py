@@ -631,6 +631,37 @@ def test_copy_symmetric_solve_downgrades_what_the_reduced_recheck_refuses(monkey
     assert rep.reason.startswith(f"primal block 'X' (reduced block {shifted.low}) is not PSD")
 
 
+@pytest.mark.parametrize("name", ["hedging", 41])
+def test_copy_symmetric_farkas_ray_is_read_back_in_the_dense_rows(monkeypatch, name):
+    # compiled strategy SDPs are feasible, so the kernel is made to end
+    # infeasible with a chosen reduced ray u; the report's ray is u read
+    # back in the dense rows, sup-normalized, and its dense adjoint
+    # compresses to the reduced adjoint of u over each block's multiplicity
+    prob = recheck_solve(name, 3, 2)[0]
+    red, rows = symmetry.reduction(prob._copy_symmetry)
+    assert len(red.dims) > 1
+    u = np.random.default_rng(3).standard_normal(rows.m)
+    run = solver.interior_point
+
+    def infeasible(*args, **kwargs):
+        raw = run(*args, **kwargs)
+        raw.update(status=solver.STATUS_INFEASIBLE, farkas=u, reason="a chosen ray")
+        return raw
+
+    monkeypatch.setattr(solver, "interior_point", infeasible)
+    rep = solve(prob, TOL)
+    assert (rep.status, rep.reason) == (solver.STATUS_INFEASIBLE, "a chosen ray")
+    ray = np.array(rep.farkas_ray)
+    dense = prob.constraint_map
+    assert ray.shape == (dense.m,)
+    assert np.max(np.abs(ray)) == 1.0
+    (block,) = dense.blocks
+    scale = np.max(np.abs(block.read(red.operator(u))))
+    got = red.compress(dense.adjoint(ray)[0])
+    for f, g, r in zip(red.multiplicities, got, rows.adjoint(u)):
+        assert np.max(np.abs(g - r / (f * scale))) <= 1e-12
+
+
 def test_reduction_refuses_bases_that_are_not_orthonormal(monkeypatch):
     sym = hedging_sectors(3)
     Reduction(sym)
